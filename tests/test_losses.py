@@ -6,12 +6,14 @@ import pytest
 from anomix.errors import ContractViolationError, InvalidParameterError
 from anomix.interpolation import AugmentedBatch, augment_batch
 from anomix.losses import (
+    ABLATION_MODES,
     LossState,
     TripletBatch,
     ablation_loss,
     dynamic_weight,
     feature_regularizer,
     feature_regularizer_graph,
+    plain_regression_graph,
     plain_regression_loss,
     scoring_loss,
     scoring_loss_graph,
@@ -19,6 +21,7 @@ from anomix.losses import (
     triplet_hinge,
     update_epoch_averages,
 )
+from anomix.nn import GradientTape, backward
 from anomix.scorer import ScorerGraph, build_scorer, score_batch
 from tests.conftest import identity_representation_scorer, tanh_line_scorer
 
@@ -276,3 +279,61 @@ def test_ablation_unknown_mode():
     params = identity_representation_scorer(2)
     with pytest.raises(InvalidParameterError):
         ablation_loss("bogus", params)
+
+
+# -- gradients ------------------------------------------------------------------
+
+
+def _step_objective(graph, mode, blocks, mixed, w):
+    """The objective train() differentiates in `mode`, with the balance weight held at w."""
+    x_anom, x_unlab, x_anchor = blocks
+    x_block = np.vstack([x_anom, x_unlab])
+    if mode == "plain_regression":
+        labels = np.concatenate([np.ones(len(x_anom)), -np.ones(len(x_unlab))])
+        loss = plain_regression_graph(graph, x_block, labels)
+    else:
+        loss = scoring_loss_graph(graph, mixed, x_block,
+                                  discrete_targets=(mode == "discrete_targets"),
+                                  consistency=(mode != "no_consistency"))
+    if mode == "no_regularizer":
+        return loss
+    feature = feature_regularizer_graph(graph, x_anom, x_unlab, x_anchor, 1.0)
+    return loss * w + feature * (1.0 - w)
+
+
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_balanced_objective_gradient_matches_finite_differences(mode):
+    # central differences over every parameter; the random draws keep all
+    # LeakyReLU, hinge and smooth-L1 arguments far enough from their kinks
+    # that a 1e-6 step never crosses one
+    rng = np.random.default_rng(3)
+    params = build_scorer(3, 6, seed=4)
+    b = 4
+    blocks = tuple(rng.uniform(0, 1, size=(b, 3)) for _ in range(3))
+    labels = np.concatenate([np.ones(b), -np.ones(b)])
+    mixed = augment_batch(np.vstack(blocks[:2]), labels, 2, 0.5, 2 * b, rng)
+    w = 0.3
+
+    def objective():
+        graph = ScorerGraph(params)
+        return graph, _step_objective(graph, mode, blocks, mixed, w)
+
+    graph, value = objective()
+    tape = backward(value, graph.param_pairs(), GradientTape(params.layers()))
+    h = 1e-6
+    g_tape, g_fd = [], []
+    for layer, d_weights, d_bias in zip(params.layers(), tape.d_weights, tape.d_bias):
+        for array, grad in ((layer.weights, d_weights), (layer.bias, d_bias)):
+            g_tape.append(grad.ravel().copy())
+            for idx in np.ndindex(array.shape):
+                saved = array[idx]
+                array[idx] = saved + h
+                up = float(objective()[1].value)
+                array[idx] = saved - h
+                down = float(objective()[1].value)
+                array[idx] = saved
+                g_fd.append((up - down) / (2.0 * h))
+    g_tape = np.concatenate(g_tape)
+    g_fd = np.array(g_fd)
+    assert np.linalg.norm(g_tape) > 0.0
+    assert np.linalg.norm(g_fd - g_tape) / np.linalg.norm(g_tape) <= 1e-6

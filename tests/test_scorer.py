@@ -4,6 +4,7 @@ import pytest
 from anomix.errors import ContractViolationError, InvalidArchitectureError
 from anomix.nn import DenseLayer, leaky_relu
 from anomix.scorer import (
+    ScorerGraph,
     ScorerParams,
     build_scorer,
     hidden_sizes,
@@ -136,3 +137,12 @@ def test_forward_stays_finite_on_unit_box(rng):
         X = rng.uniform(0, 1, size=(50, 6))
         assert np.isfinite(represent_batch(params, X)).all()
         assert np.isfinite(score_batch(params, X)).all()
+
+
+def test_graph_forward_equals_numpy_forward_bitwise(rng):
+    params = build_scorer(5, 12, seed=3)
+    X = rng.normal(size=(33, 5))  # both signs reach every LeakyReLU
+    X[:3] *= 1e3  # and tanh saturates into the clamp
+    graph = ScorerGraph(params)
+    assert np.array_equal(graph.represent(X).value, represent_batch(params, X))
+    assert np.array_equal(graph.score(X).value, score_batch(params, X))
