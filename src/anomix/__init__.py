@@ -27,16 +27,7 @@ from .data import (
     write_csv,
 )
 from .interpolation import AugmentedBatch, augment_batch, sample_weights
-from .losses import (
-    LossState,
-    TripletBatch,
-    ablation_loss,
-    dynamic_weight,
-    feature_regularizer,
-    scoring_loss,
-    smooth_l1,
-    update_epoch_averages,
-)
+from .losses import LossState, dynamic_weight, update_epoch_averages
 from .metrics import MetricsReport, auc_pr, auc_roc, evaluate_scores
 from .scorer import ScorerParams, build_scorer, represent, score, score_batch
 from .training import TrainConfig, TrainHistory, predict, sample_batches, train
@@ -46,12 +37,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedBatch", "ContaminationSpec", "Dataset", "LossState", "MetricsReport",
     "ModelArtifact", "NormState", "Role", "ScorerParams", "TrainConfig", "TrainHistory",
-    "TripletBatch", "ablation_loss", "adjust_contamination", "augment_batch",
-    "auc_pr", "auc_roc", "build_scorer", "dynamic_weight", "evaluate_scores",
-    "feature_regularizer", "generate_case", "generate_toy", "inject_anomaly",
-    "load_csv", "load_model", "minmax_normalize", "predict", "prepare_case_pair",
-    "prepare_dataset", "prepare_training", "represent", "sample_batches",
-    "sample_weights", "save_model", "score", "score_batch", "scoring_loss",
-    "select_labeled_anomalies", "smooth_l1", "split_dataset", "train",
-    "update_epoch_averages", "write_csv",
+    "adjust_contamination", "augment_batch", "auc_pr", "auc_roc", "build_scorer",
+    "dynamic_weight", "evaluate_scores", "generate_case", "generate_toy",
+    "inject_anomaly", "load_csv", "load_model", "minmax_normalize", "predict",
+    "prepare_case_pair", "prepare_dataset", "prepare_training", "represent",
+    "sample_batches", "sample_weights", "save_model", "score", "score_batch",
+    "select_labeled_anomalies", "split_dataset", "train", "update_epoch_averages",
+    "write_csv",
 ]

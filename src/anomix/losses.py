@@ -6,7 +6,8 @@ weighted sum of its sources' scores), a triplet hinge on the intermediate
 representation that repels labeled anomalies from unlabeled anchors, and
 a softmax weight over epoch-normalized losses that balances the two. The
 weight is held constant during gradient computation. Every loss reduces
-over its batch by the mean.
+over its batch by the mean and is recorded on the gradient tape: its
+`.value` is the batch loss and `nn.backward` gives its gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import nn
 from .errors import ContractViolationError, InvalidParameterError
 from .interpolation import AugmentedBatch
 from .nn import Var
-from .scorer import ScorerGraph, ScorerParams, represent_batch, score_batch
+from .scorer import ScorerGraph
 
 ABLATION_MODES = (
     "full",
@@ -43,103 +44,6 @@ class LossState:
     l_prime_bar: float = 1.0
     temperature: float = 2.0
     w: float = 0.5
-
-
-@dataclass
-class TripletBatch:
-    """Row-aligned (anomaly, unlabeled, anchor) triplets."""
-
-    anomalies: np.ndarray
-    unlabeled: np.ndarray
-    anchors: np.ndarray
-    margin: float = 1.0
-
-    def __post_init__(self):
-        self.anomalies = np.asarray(self.anomalies, dtype=np.float64)
-        self.unlabeled = np.asarray(self.unlabeled, dtype=np.float64)
-        self.anchors = np.asarray(self.anchors, dtype=np.float64)
-        shape = self.anomalies.shape
-        if len(shape) != 2 or shape[0] < 1:
-            raise ContractViolationError("triplet blocks must be non-empty (b, d) matrices")
-        if self.unlabeled.shape != shape or self.anchors.shape != shape:
-            raise ContractViolationError("triplet blocks must share one shape")
-        if not self.margin > 0:
-            raise InvalidParameterError("margin must be positive")
-
-
-def smooth_l1(pred, target, beta: float = 1.0):
-    """0.5 d^2 / beta for |d| < beta, |d| - beta/2 beyond; d = pred - target."""
-    if not beta > 0:
-        raise InvalidParameterError("beta must be positive")
-    d = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    out = np.where(np.abs(d) < beta, 0.5 * d * d / beta, np.abs(d) - 0.5 * beta)
-    return float(out) if out.ndim == 0 else out
-
-
-def _check_augmented(batch: AugmentedBatch, n_sources: int) -> None:
-    if len(batch) < 1:
-        raise ContractViolationError("augmented batch is empty")
-    if batch.sources.min() < 0 or batch.sources.max() >= n_sources:
-        raise ContractViolationError("augmented sample references a row outside the source batch")
-
-
-def _interpolated(scores: np.ndarray, batch: AugmentedBatch) -> np.ndarray:
-    return (scores[batch.sources] * batch.lambdas).sum(axis=1)
-
-
-def scoring_loss(params: ScorerParams, augmented: AugmentedBatch, source_x,
-                 beta: float = 1.0, *, discrete_targets: bool = False,
-                 consistency: bool = True) -> float:
-    """Mean regression loss of mixed-sample scores against their targets.
-
-    With `consistency`, each mixed score is additionally pulled toward
-    the weighted sum of its source rows' scores; both passes use the same
-    live parameters. `discrete_targets` snaps targets to sign(y), mapping
-    an exactly balanced mix (y = 0) to -1.
-    """
-    source_x = np.asarray(source_x, dtype=np.float64)
-    _check_augmented(augmented, len(source_x))
-    s_mixed = score_batch(params, augmented.x)
-    targets = np.where(augmented.y > 0, 1.0, -1.0) if discrete_targets else augmented.y
-    per_sample = smooth_l1(s_mixed, targets, beta)
-    if consistency:
-        s_sources = score_batch(params, source_x)
-        per_sample = per_sample + smooth_l1(s_mixed, _interpolated(s_sources, augmented), beta)
-    return float(np.mean(per_sample))
-
-
-def plain_regression_loss(params: ScorerParams, x, y, beta: float = 1.0) -> float:
-    """Regression of raw-batch scores straight onto the +/-1 labels."""
-    scores = score_batch(params, x)
-    return float(np.mean(smooth_l1(scores, np.asarray(y, dtype=np.float64), beta)))
-
-
-def triplet_hinge(rep_anomaly, rep_unlabeled, rep_anchor, margin: float) -> float:
-    """Mean of max(d(unlabeled, anchor) - d(anomaly, anchor) + margin, 0).
-
-    Pure geometry on representation rows; invariant under any rigid
-    motion applied jointly to all three blocks.
-    """
-    rep_anomaly = np.asarray(rep_anomaly, dtype=np.float64)
-    rep_unlabeled = np.asarray(rep_unlabeled, dtype=np.float64)
-    rep_anchor = np.asarray(rep_anchor, dtype=np.float64)
-    d_neg = np.linalg.norm(rep_unlabeled - rep_anchor, axis=1)
-    d_pos = np.linalg.norm(rep_anomaly - rep_anchor, axis=1)
-    return float(np.mean(np.maximum(d_neg - d_pos + margin, 0.0)))
-
-
-def feature_regularizer(params: ScorerParams, triplets: TripletBatch) -> float:
-    """Triplet hinge evaluated on the representations of raw inputs.
-
-    Only the representation stage is involved; the scoring head never
-    sees this term.
-    """
-    return triplet_hinge(
-        represent_batch(params, triplets.anomalies),
-        represent_batch(params, triplets.unlabeled),
-        represent_batch(params, triplets.anchors),
-        triplets.margin,
-    )
 
 
 def dynamic_weight(loss_scoring: float, loss_feature: float, state: LossState) -> float:
@@ -172,39 +76,28 @@ def update_epoch_averages(state: LossState, scoring_losses, feature_losses) -> L
     )
 
 
-def ablation_loss(mode: str, params: ScorerParams, *, augmented: AugmentedBatch | None = None,
-                  source_x=None, raw_x=None, raw_y=None, beta: float = 1.0) -> float:
-    """Scoring-side loss under one of the training modes.
-
-    full: graded targets plus consistency; discrete_targets: targets
-    snapped to sign(y); no_consistency: graded targets only;
-    plain_regression: raw batch against +/-1, no mixing; no_regularizer:
-    same loss as full (the representation term is dropped by the trainer,
-    not here).
-    """
-    if mode not in ABLATION_MODES:
-        raise InvalidParameterError(f"unknown mode {mode!r}; expected one of {ABLATION_MODES}")
-    if mode == "plain_regression":
-        if raw_x is None or raw_y is None:
-            raise ContractViolationError("plain_regression needs the raw batch and labels")
-        return plain_regression_loss(params, raw_x, raw_y, beta)
-    if augmented is None or source_x is None:
-        raise ContractViolationError(f"{mode} needs an augmented batch and its source rows")
-    if mode == "discrete_targets":
-        return scoring_loss(params, augmented, source_x, beta, discrete_targets=True)
-    if mode == "no_consistency":
-        return scoring_loss(params, augmented, source_x, beta, consistency=False)
-    return scoring_loss(params, augmented, source_x, beta)
-
-
 # ---------------------------------------------------------------------------
-# Tape-recorded versions used by the training loop
+# The objectives, recorded on the gradient tape
 # ---------------------------------------------------------------------------
+
+
+def _check_augmented(batch: AugmentedBatch, n_sources: int) -> None:
+    if len(batch) < 1:
+        raise ContractViolationError("augmented batch is empty")
+    if batch.sources.min() < 0 or batch.sources.max() >= n_sources:
+        raise ContractViolationError("augmented sample references a row outside the source batch")
 
 
 def scoring_loss_graph(graph: ScorerGraph, augmented: AugmentedBatch, source_x,
                        beta: float = 1.0, *, discrete_targets: bool = False,
                        consistency: bool = True) -> Var:
+    """Mean smooth-L1 regression of mixed-sample scores onto their targets.
+
+    With `consistency`, each mixed score is additionally pulled toward
+    the weighted sum of its source rows' scores; both passes use the same
+    live parameters. `discrete_targets` snaps targets to sign(y), mapping
+    an exactly balanced mix (y = 0) to -1.
+    """
     source_x = np.asarray(source_x, dtype=np.float64)
     _check_augmented(augmented, len(source_x))
     s_mixed = graph.score(augmented.x)
@@ -218,12 +111,19 @@ def scoring_loss_graph(graph: ScorerGraph, augmented: AugmentedBatch, source_x,
 
 
 def plain_regression_graph(graph: ScorerGraph, x, y, beta: float = 1.0) -> Var:
+    """Mean smooth-L1 regression of raw-batch scores straight onto the +/-1 labels."""
     scores = graph.score(x)
     return nn.v_mean(nn.v_smooth_l1(scores - np.asarray(y, dtype=np.float64), beta))
 
 
 def feature_regularizer_graph(graph: ScorerGraph, x_anomaly, x_unlabeled, x_anchor,
                               margin: float) -> Var:
+    """Mean of max(d(unlabeled, anchor) - d(anomaly, anchor) + margin, 0).
+
+    Distances are Euclidean between row-aligned representations of the
+    three blocks. Only the representation stage is involved; the scoring
+    head never sees this term.
+    """
     z_anomaly = graph.represent(x_anomaly)
     z_unlabeled = graph.represent(x_unlabeled)
     z_anchor = graph.represent(x_anchor)

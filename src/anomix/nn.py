@@ -1,10 +1,11 @@
 """Dense layers, a small reverse-mode gradient tape, and Adam.
 
 Everything runs in float64 numpy. Batch losses reduce by the mean, so the
-learning rate does not depend on batch size. The tape covers exactly the
-operations the scorer and its losses need; it is not a general autodiff
-framework. Training-time state (tape, optimizer) is single-writer; pure
-forward evaluation with frozen parameters is safe to call concurrently.
+learning rate does not depend on batch size. The tape covers only the
+scorer's operations: its forward pass and the terms of its training
+losses. It is not a general autodiff framework. Training-time state
+(tape, optimizer) is single-writer; pure forward evaluation with frozen
+parameters is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -58,28 +59,12 @@ def init_dense(n_out: int, n_in: int, rng: np.random.Generator) -> DenseLayer:
     return DenseLayer(rng.uniform(-limit, limit, size=(n_out, n_in)), np.zeros(n_out))
 
 
-def affine_forward(x, layer: DenseLayer) -> np.ndarray:
-    """W x + b for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.n_in,):
-        raise ContractViolationError(
-            f"expected input of length {layer.n_in}, got shape {x.shape}"
-        )
-    return layer.weights @ x + layer.bias
-
-
 def leaky_relu(x, slope: float = 0.01):
     """x for x >= 0, slope*x otherwise; elementwise over arrays."""
     if not 0.0 < slope < 1.0:
         raise InvalidParameterError("slope must lie in (0, 1)")
     x = np.asarray(x, dtype=np.float64)
     out = np.where(x >= 0.0, x, slope * x)
-    return float(out) if out.ndim == 0 else out
-
-
-def tanh_out(x):
-    """tanh clamped one ulp inside (-1, 1) so saturation never hits +/-1."""
-    out = np.clip(np.tanh(np.asarray(x, dtype=np.float64)), -TANH_LIMIT, TANH_LIMIT)
     return float(out) if out.ndim == 0 else out
 
 
@@ -129,23 +114,11 @@ class Var:
     def __add__(self, other):
         return v_add(self, _as_var(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return v_add(self, v_scale(_as_var(other), -1.0))
 
-    def __rsub__(self, other):
-        return v_add(_as_var(other), v_scale(self, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            return v_mul(self, other)
-        return v_scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return v_scale(self, -1.0)
+    def __mul__(self, c: float):
+        return v_scale(self, float(c))
 
 
 def _as_var(x) -> Var:
@@ -166,13 +139,6 @@ def v_add(a: Var, b: Var) -> Var:
         return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
 
     return Var(a.value + b.value, (a, b), vjp)
-
-
-def v_mul(a: Var, b: Var) -> Var:
-    def vjp(g):
-        return _unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)
-
-    return Var(a.value * b.value, (a, b), vjp)
 
 
 def v_scale(a: Var, c: float) -> Var:

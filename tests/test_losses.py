@@ -8,40 +8,50 @@ from anomix.interpolation import AugmentedBatch, augment_batch
 from anomix.losses import (
     ABLATION_MODES,
     LossState,
-    TripletBatch,
-    ablation_loss,
     dynamic_weight,
-    feature_regularizer,
     feature_regularizer_graph,
     plain_regression_graph,
-    plain_regression_loss,
-    scoring_loss,
     scoring_loss_graph,
-    smooth_l1,
-    triplet_hinge,
     update_epoch_averages,
 )
-from anomix.nn import GradientTape, backward
-from anomix.scorer import ScorerGraph, build_scorer, score_batch
-from tests.conftest import identity_representation_scorer, tanh_line_scorer
+from anomix.nn import DenseLayer, GradientTape, Var, backward, v_smooth_l1
+from anomix.scorer import ScorerGraph, build_scorer, represent_batch, score_batch
+from tests.conftest import identity_representation_scorer, step_losses, tanh_line_scorer
+
+
+def _smooth(residual, beta=1.0):
+    return v_smooth_l1(Var(residual), beta).value
+
+
+def _huber(residual):
+    """Smooth L1 with beta = 1, written out for the reference values below."""
+    return np.where(np.abs(residual) < 1.0, 0.5 * residual * residual, np.abs(residual) - 0.5)
+
+
+def _scoring(params, batch, source_x, **flags):
+    return float(scoring_loss_graph(ScorerGraph(params), batch, source_x, **flags).value)
+
+
+def _feature(params, anomalies, unlabeled, anchors, margin=1.0):
+    graph = ScorerGraph(params)
+    return float(feature_regularizer_graph(graph, anomalies, unlabeled, anchors, margin).value)
 
 
 # -- smooth l1 ----------------------------------------------------------------
 
 
 def test_smooth_l1_closed_forms():
-    assert smooth_l1(1.0, 1.0) == 0.0
-    assert smooth_l1(0.9, 0.4) == pytest.approx(0.125, abs=1e-12)
-    assert smooth_l1(2.0, 0.0) == pytest.approx(1.5, abs=1e-12)
-    assert smooth_l1(-2.0, 0.0) == pytest.approx(1.5, abs=1e-12)
+    assert _smooth(1.0 - 1.0) == 0.0
+    assert _smooth(0.9 - 0.4) == pytest.approx(0.125, abs=1e-12)
+    assert _smooth(2.0) == pytest.approx(1.5, abs=1e-12)
+    assert _smooth(-2.0) == pytest.approx(1.5, abs=1e-12)
+    assert np.allclose(_smooth(np.array([0.5, -2.0])), [0.125, 1.5], rtol=0, atol=1e-12)
 
 
 def test_smooth_l1_branch_boundary_and_beta():
     # |d| = beta lands on the linear branch; both branches agree there
-    assert smooth_l1(1.0, 0.0, beta=1.0) == pytest.approx(0.5, abs=1e-12)
-    assert smooth_l1(0.5, 0.0, beta=2.0) == pytest.approx(0.0625, abs=1e-12)
-    with pytest.raises(InvalidParameterError):
-        smooth_l1(1.0, 0.0, beta=0.0)
+    assert _smooth(1.0, beta=1.0) == pytest.approx(0.5, abs=1e-12)
+    assert _smooth(0.5, beta=2.0) == pytest.approx(0.0625, abs=1e-12)
 
 
 # -- scoring loss --------------------------------------------------------------
@@ -74,14 +84,11 @@ def test_scoring_loss_worked_example():
     mixed_x = np.array([[0.5 * u1 + 0.5 * u2]])
     batch = AugmentedBatch(mixed_x, np.array([0.4]), np.array([[0, 1]]),
                            np.array([[0.5, 0.5]]))
-    loss = scoring_loss(params, batch, source_x)
-    assert loss == pytest.approx(0.025, abs=1e-10)
-    assert ablation_loss("no_consistency", params, augmented=batch, source_x=source_x) == \
-        pytest.approx(0.02, abs=1e-10)
-    # discretized target snaps 0.4 up to +1
-    expected_discrete = smooth_l1(0.2, 1.0) + smooth_l1(0.2, 0.1)
-    assert ablation_loss("discrete_targets", params, augmented=batch, source_x=source_x) == \
-        pytest.approx(expected_discrete, abs=1e-9)
+    assert _scoring(params, batch, source_x) == pytest.approx(0.025, abs=1e-10)
+    assert _scoring(params, batch, source_x, consistency=False) == pytest.approx(0.02, abs=1e-10)
+    # discretized target snaps 0.4 up to +1: 0.5 * 0.8^2 + 0.5 * 0.1^2
+    assert _scoring(params, batch, source_x, discrete_targets=True) == \
+        pytest.approx(0.325, abs=1e-9)
 
 
 def test_scoring_loss_perfect_fit_is_zero():
@@ -89,7 +96,7 @@ def test_scoring_loss_perfect_fit_is_zero():
     x = np.array([[0.1, 0.2], [0.6, 0.1]])
     batch = AugmentedBatch(np.array([[0.35, 0.15]]), np.array([0.0]),
                            np.array([[0, 1]]), np.array([[0.5, 0.5]]))
-    assert scoring_loss(params, batch, x) == 0.0
+    assert _scoring(params, batch, x) == 0.0
 
 
 def test_scoring_loss_permutation_invariance(rng):
@@ -100,8 +107,7 @@ def test_scoring_loss_permutation_invariance(rng):
     perm = rng.permutation(12)
     shuffled = AugmentedBatch(batch.x[perm], batch.y[perm],
                               batch.sources[perm], batch.lambdas[perm])
-    assert scoring_loss(params, batch, x) == pytest.approx(
-        scoring_loss(params, shuffled, x), abs=1e-12)
+    assert _scoring(params, batch, x) == pytest.approx(_scoring(params, shuffled, x), abs=1e-12)
 
 
 def test_consistency_term_vanishes_for_constant_scorer(rng):
@@ -110,8 +116,8 @@ def test_consistency_term_vanishes_for_constant_scorer(rng):
     x = rng.uniform(0, 1, size=(6, 3))
     y = np.array([1.0] * 3 + [-1.0] * 3)
     batch = augment_batch(x, y, 2, 0.5, 9, rng)
-    with_consistency = scoring_loss(params, batch, x, consistency=True)
-    without = scoring_loss(params, batch, x, consistency=False)
+    with_consistency = _scoring(params, batch, x, consistency=True)
+    without = _scoring(params, batch, x, consistency=False)
     assert with_consistency == without
 
 
@@ -120,16 +126,19 @@ def test_scoring_loss_rejects_dangling_sources(rng):
     batch = AugmentedBatch(np.array([[0.5, 0.5]]), np.array([0.0]),
                            np.array([[0, 7]]), np.array([[0.5, 0.5]]))
     with pytest.raises(ContractViolationError):
-        scoring_loss(params, batch, np.array([[0.0, 0.0], [1.0, 1.0]]))
+        _scoring(params, batch, np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 def test_scoring_loss_graph_matches_plain_value(rng):
+    # the loss written out in numpy over the reference forward pass
     params = build_scorer(3, 6, seed=5)
     x = rng.uniform(0, 1, size=(6, 3))
     y = np.array([1.0] * 3 + [-1.0] * 3)
     batch = augment_batch(x, y, 2, 0.5, 8, rng)
-    graph_value = float(scoring_loss_graph(ScorerGraph(params), batch, x).value)
-    assert graph_value == scoring_loss(params, batch, x)
+    s_mixed = score_batch(params, batch.x)
+    interpolated = (score_batch(params, x)[batch.sources] * batch.lambdas).sum(axis=1)
+    expected = np.mean(_huber(s_mixed - batch.y) + _huber(s_mixed - interpolated))
+    assert _scoring(params, batch, x) == expected
 
 
 # -- feature regularizer --------------------------------------------------------
@@ -137,57 +146,49 @@ def test_scoring_loss_graph_matches_plain_value(rng):
 
 def test_feature_regularizer_margin_satisfied():
     params = identity_representation_scorer(2)
-    triplets = TripletBatch(anomalies=[[1.5, 0.0]], unlabeled=[[0.2, 0.0]],
-                            anchors=[[0.0, 0.0]], margin=1.0)
-    assert feature_regularizer(params, triplets) == 0.0
+    assert _feature(params, [[1.5, 0.0]], [[0.2, 0.0]], [[0.0, 0.0]]) == 0.0
 
 
 def test_feature_regularizer_equal_distances_leave_margin():
     params = identity_representation_scorer(2)
-    triplets = TripletBatch(anomalies=[[0.5, 0.0]], unlabeled=[[0.5, 0.0]],
-                            anchors=[[0.0, 0.0]], margin=1.0)
-    assert feature_regularizer(params, triplets) == pytest.approx(1.0, abs=1e-12)
+    assert _feature(params, [[0.5, 0.0]], [[0.5, 0.0]], [[0.0, 0.0]]) == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_feature_regularizer_saturates_for_isolated_anomalies():
     params = identity_representation_scorer(2)
-    triplets = TripletBatch(anomalies=[[9.0, 0.0], [0.0, 8.0]],
-                            unlabeled=[[0.3, 0.0], [0.0, 0.2]],
-                            anchors=[[0.0, 0.0], [0.0, 0.0]], margin=1.0)
-    assert feature_regularizer(params, triplets) == 0.0
+    loss = _feature(params, [[9.0, 0.0], [0.0, 8.0]], [[0.3, 0.0], [0.0, 0.2]],
+                    [[0.0, 0.0], [0.0, 0.0]])
+    assert loss == 0.0
 
 
-def test_triplet_hinge_rigid_motion_invariance(rng):
-    pos = rng.normal(size=(5, 2))
-    neg = rng.normal(size=(5, 2))
-    anchor = rng.normal(size=(5, 2))
-    base = triplet_hinge(pos, neg, anchor, 1.0)
+def test_feature_regularizer_rigid_motion_invariance(rng):
+    # a rotation plus shift of the representation space, folded into its
+    # output layer, moves all three blocks together
+    params = build_scorer(3, 2, seed=6)
+    blocks = [rng.uniform(0, 1, size=(5, 3)) for _ in range(3)]
+    base = _feature(params, *blocks)
     theta = 0.77
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     shift = np.array([3.0, -2.0])
-    moved = triplet_hinge(pos @ rot.T + shift, neg @ rot.T + shift,
-                          anchor @ rot.T + shift, 1.0)
-    assert moved == pytest.approx(base, abs=1e-12)
+    moved = params.copy()
+    moved.rep_out = DenseLayer(rot @ params.rep_out.weights, rot @ params.rep_out.bias + shift)
+    assert base > 0.0
+    assert _feature(moved, *blocks) == pytest.approx(base, abs=1e-12)
 
 
 def test_feature_regularizer_graph_matches_plain(rng):
+    # the hinge written out in numpy over the reference representations
     params = build_scorer(3, 6, seed=9)
     xa = rng.uniform(0, 1, size=(4, 3))
     xu = rng.uniform(0, 1, size=(4, 3))
     xq = rng.uniform(0, 1, size=(4, 3))
-    plain = feature_regularizer(params, TripletBatch(xa, xu, xq, margin=1.0))
-    graph = float(feature_regularizer_graph(ScorerGraph(params), xa, xu, xq, 1.0).value)
-    assert graph == plain
-
-
-def test_triplet_batch_validation():
-    with pytest.raises(ContractViolationError):
-        TripletBatch(anomalies=np.ones((2, 2)), unlabeled=np.ones((3, 2)),
-                     anchors=np.ones((2, 2)))
-    with pytest.raises(InvalidParameterError):
-        TripletBatch(anomalies=np.ones((2, 2)), unlabeled=np.ones((2, 2)),
-                     anchors=np.ones((2, 2)), margin=0.0)
+    za, zu, zq = (represent_batch(params, x) for x in (xa, xu, xq))
+    d_neg = np.linalg.norm(zu - zq, axis=1)
+    d_pos = np.linalg.norm(za - zq, axis=1)
+    expected = float(np.mean(np.maximum(d_neg - d_pos + 1.0, 0.0)))
+    assert _feature(params, xa, xu, xq) == expected
 
 
 # -- dynamic weighting ----------------------------------------------------------
@@ -239,29 +240,15 @@ def test_update_epoch_averages():
         update_epoch_averages(state, [], [1.0])
 
 
-# -- ablation dispatch ----------------------------------------------------------
+# -- ablation modes -------------------------------------------------------------
 
 
 def test_ablation_plain_regression_value(rng):
     params = build_scorer(2, 4, seed=1)
     x = rng.uniform(0, 1, size=(6, 2))
     y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-    expected = float(np.mean(smooth_l1(score_batch(params, x), y)))
-    assert ablation_loss("plain_regression", params, raw_x=x, raw_y=y) == expected
-    assert plain_regression_loss(params, x, y) == expected
-
-
-def test_ablation_full_equals_scoring_loss(rng):
-    params = build_scorer(2, 4, seed=1)
-    x = rng.uniform(0, 1, size=(6, 2))
-    y = np.array([1.0] * 3 + [-1.0] * 3)
-    batch = augment_batch(x, y, 2, 0.5, 6, rng)
-    assert ablation_loss("full", params, augmented=batch, source_x=x) == \
-        scoring_loss(params, batch, x)
-    # no_regularizer shares the scoring-side loss; dropping the feature
-    # term is the trainer's job
-    assert ablation_loss("no_regularizer", params, augmented=batch, source_x=x) == \
-        scoring_loss(params, batch, x)
+    expected = float(np.mean(_huber(score_batch(params, x) - y)))
+    assert float(plain_regression_graph(ScorerGraph(params), x, y).value) == expected
 
 
 def test_ablation_discrete_maps_balanced_mix_to_negative(rng):
@@ -269,36 +256,11 @@ def test_ablation_discrete_maps_balanced_mix_to_negative(rng):
     batch = AugmentedBatch(np.array([[0.0]]), np.array([0.0]),
                            np.array([[0, 1]]), np.array([[0.5, 0.5]]))
     x = np.array([[0.0], [0.0]])
-    # sign(0) -> -1: the loss targets -1, not +1
-    expected = smooth_l1(0.0, -1.0) + smooth_l1(0.0, 0.0)
-    assert ablation_loss("discrete_targets", params, augmented=batch, source_x=x) == \
-        pytest.approx(expected, abs=1e-12)
-
-
-def test_ablation_unknown_mode():
-    params = identity_representation_scorer(2)
-    with pytest.raises(InvalidParameterError):
-        ablation_loss("bogus", params)
+    # sign(0) -> -1: the loss targets -1, not +1; the consistency residual is 0
+    assert _scoring(params, batch, x, discrete_targets=True) == pytest.approx(0.5, abs=1e-12)
 
 
 # -- gradients ------------------------------------------------------------------
-
-
-def _step_objective(graph, mode, blocks, mixed, w):
-    """The objective train() differentiates in `mode`, with the balance weight held at w."""
-    x_anom, x_unlab, x_anchor = blocks
-    x_block = np.vstack([x_anom, x_unlab])
-    if mode == "plain_regression":
-        labels = np.concatenate([np.ones(len(x_anom)), -np.ones(len(x_unlab))])
-        loss = plain_regression_graph(graph, x_block, labels)
-    else:
-        loss = scoring_loss_graph(graph, mixed, x_block,
-                                  discrete_targets=(mode == "discrete_targets"),
-                                  consistency=(mode != "no_consistency"))
-    if mode == "no_regularizer":
-        return loss
-    feature = feature_regularizer_graph(graph, x_anom, x_unlab, x_anchor, 1.0)
-    return loss * w + feature * (1.0 - w)
 
 
 @pytest.mark.parametrize("mode", ABLATION_MODES)
@@ -312,11 +274,12 @@ def test_balanced_objective_gradient_matches_finite_differences(mode):
     blocks = tuple(rng.uniform(0, 1, size=(b, 3)) for _ in range(3))
     labels = np.concatenate([np.ones(b), -np.ones(b)])
     mixed = augment_batch(np.vstack(blocks[:2]), labels, 2, 0.5, 2 * b, rng)
-    w = 0.3
+    w = 0.3  # the balance weight is a constant for the gradient
 
     def objective():
         graph = ScorerGraph(params)
-        return graph, _step_objective(graph, mode, blocks, mixed, w)
+        loss, feature = step_losses(graph, mode, blocks, mixed)
+        return graph, loss if feature is None else loss * w + feature * (1.0 - w)
 
     graph, value = objective()
     tape = backward(value, graph.param_pairs(), GradientTape(params.layers()))

@@ -8,36 +8,43 @@ from anomix.nn import (
     GradientTape,
     Var,
     adam_step,
-    affine_forward,
     backward,
     init_dense,
     leaky_relu,
-    tanh_out,
     v_linear,
     v_mean,
-    v_mul,
+    v_smooth_l1,
+    v_tanh,
 )
+from anomix.scorer import ScorerGraph, build_scorer
+
+
+def _affine(layer: DenseLayer, rows) -> np.ndarray:
+    return v_linear(Var(rows), Var(layer.weights), Var(layer.bias)).value
 
 
 def test_affine_identity():
     layer = DenseLayer(np.eye(2), np.zeros(2))
-    assert np.array_equal(affine_forward([1.0, 2.0], layer), [1.0, 2.0])
+    assert np.array_equal(_affine(layer, [[1.0, 2.0]]), [[1.0, 2.0]])
 
 
 def test_affine_zero_input_passes_bias():
     layer = DenseLayer(np.array([[2.0, 3.0], [4.0, 5.0]]), np.array([0.5, -0.5]))
-    assert np.array_equal(affine_forward([0.0, 0.0], layer), [0.5, -0.5])
+    assert np.array_equal(_affine(layer, [[0.0, 0.0]]), [[0.5, -0.5]])
 
 
 def test_affine_hand_product():
     layer = DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-    assert np.array_equal(affine_forward([1.0, 1.0], layer), [4.0, 8.0])
+    assert np.array_equal(_affine(layer, [[1.0, 1.0], [0.0, 1.0]]), [[4.0, 8.0], [3.0, 5.0]])
 
 
 def test_affine_dimension_mismatch():
-    layer = DenseLayer(np.eye(2), np.zeros(2))
+    # the tape's forward pass checks input widths before any layer runs
+    graph = ScorerGraph(build_scorer(2, 4, seed=0))
     with pytest.raises(ContractViolationError):
-        affine_forward([1.0, 2.0, 3.0], layer)
+        graph.score(np.ones((1, 3)))
+    with pytest.raises(ContractViolationError):
+        graph.represent(np.ones(2))
 
 
 def test_dense_layer_shape_contract():
@@ -59,12 +66,12 @@ def test_leaky_relu_slope_domain():
 
 
 def test_tanh_values():
-    assert tanh_out(0.0) == 0.0
-    assert tanh_out(1.0) == pytest.approx(0.7615941559557649, abs=1e-12)
-    saturated = tanh_out(20.0)
-    assert abs(saturated - 1.0) < 1e-9
-    assert saturated < 1.0
-    assert tanh_out(-20.0) > -1.0
+    out = v_tanh(Var([0.0, 1.0, 20.0, -20.0])).value
+    assert out[0] == 0.0
+    assert out[1] == pytest.approx(0.7615941559557649, abs=1e-12)
+    assert abs(out[2] - 1.0) < 1e-9
+    assert out[2] < 1.0
+    assert out[3] > -1.0
 
 
 def test_init_dense_deterministic_and_scaled():
@@ -96,7 +103,10 @@ def test_single_layer_squared_error_closed_form(rng):
     w_var, b_var = Var(layer.weights), Var(layer.bias)
     pred = v_linear(Var(x), w_var, b_var)
     diff = pred - target
-    loss = v_mean(v_mul(diff, diff)) * diff.value.size  # sum of squares
+    # smooth L1 with beta above every residual is 0.5 r^2 / beta; the
+    # power-of-two beta keeps the rescaling to a sum of squares exact
+    beta = 1024.0
+    loss = v_mean(v_smooth_l1(diff, beta)) * (2.0 * beta * diff.value.size)
     tape = GradientTape([layer])
     backward(loss, [(w_var, b_var)], tape)
     residual = (x @ layer.weights.T + layer.bias) - target

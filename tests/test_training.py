@@ -4,18 +4,13 @@ import pytest
 from anomix.data import Dataset, Role, generate_toy, prepare_dataset
 from anomix.errors import InvalidParameterError, UnusableDatasetError
 from anomix.interpolation import augment_batch
-from anomix.losses import (
-    LossState,
-    dynamic_weight,
-    feature_regularizer_graph,
-    scoring_loss_graph,
-    update_epoch_averages,
-)
+from anomix.losses import ABLATION_MODES, LossState, dynamic_weight, update_epoch_averages
 from anomix.metrics import auc_pr
 from anomix.nn import AdamState, GradientTape, adam_step, backward
 from anomix.rng import child_seed, substream
 from anomix.scorer import LAYER_NAMES, ScorerGraph, build_scorer
 from anomix.training import TrainConfig, predict, sample_batches, train
+from tests.conftest import step_losses
 
 
 def _tiny_dataset(n_anom=2, n_unlab=8, d=3, seed=0):
@@ -86,45 +81,52 @@ def test_zero_epochs_returns_initialized_params():
 
 
 def test_train_replay_oracle_matches_exactly():
-    """Replaying the loop step by step reproduces train() bit for bit."""
+    """Replaying the loop step by step reproduces train() bit for bit, in every mode."""
     ds = _tiny_dataset(n_anom=2, n_unlab=8)
-    cfg = _fast_config(n_epoch=2, n_batch=2)
-    trained, history = train(ds, cfg)
+    for mode in ABLATION_MODES:
+        cfg = _fast_config(n_epoch=2, n_batch=2, ablation=mode)
+        trained, history = train(ds, cfg)
 
-    params = build_scorer(3, cfg.rep_dim, seed=child_seed(cfg.seed, "init"), slope=cfg.slope)
-    rng_batch = substream(cfg.seed, "batching")
-    rng_augment = substream(cfg.seed, "augmentation")
-    tape = GradientTape(params.layers())
-    optimizer = AdamState.for_layers(params.layers(), lr=cfg.lr, beta1=cfg.beta1,
-                                     beta2=cfg.beta2, eps=cfg.eps,
-                                     weight_decay=cfg.weight_decay)
-    state = LossState(temperature=cfg.temperature)
-    labels = np.concatenate([np.ones(cfg.batch_size), -np.ones(cfg.batch_size)])
-    expected_weights = []
-    for _epoch in range(cfg.n_epoch):
-        ls, lps = [], []
-        for _batch in range(cfg.n_batch):
-            xa, xu, xq = sample_batches(ds, cfg.batch_size, rng_batch)
-            block = np.vstack([xa, xu])
-            mixed = augment_batch(block, labels, cfg.k, cfg.alpha,
-                                  m=2 * cfg.batch_size, rng=rng_augment)
-            graph = ScorerGraph(params)
-            l_var = scoring_loss_graph(graph, mixed, block, cfg.smooth_beta)
-            f_var = feature_regularizer_graph(graph, xa, xu, xq, cfg.margin)
-            w = dynamic_weight(float(l_var.value), float(f_var.value), state)
-            expected_weights.append(w)
-            backward(l_var * w + f_var * (1.0 - w), graph.param_pairs(), tape)
-            adam_step(params.layers(), tape, optimizer, names=LAYER_NAMES)
-            ls.append(float(l_var.value))
-            lps.append(float(f_var.value))
-        state = update_epoch_averages(state, ls, lps)
+        params = build_scorer(3, cfg.rep_dim, seed=child_seed(cfg.seed, "init"), slope=cfg.slope)
+        rng_batch = substream(cfg.seed, "batching")
+        rng_augment = substream(cfg.seed, "augmentation")
+        tape = GradientTape(params.layers())
+        optimizer = AdamState.for_layers(params.layers(), lr=cfg.lr, beta1=cfg.beta1,
+                                         beta2=cfg.beta2, eps=cfg.eps,
+                                         weight_decay=cfg.weight_decay)
+        state = LossState(temperature=cfg.temperature)
+        labels = np.concatenate([np.ones(cfg.batch_size), -np.ones(cfg.batch_size)])
+        expected_weights = []
+        for _epoch in range(cfg.n_epoch):
+            ls, lps = [], []
+            for _batch in range(cfg.n_batch):
+                blocks = sample_batches(ds, cfg.batch_size, rng_batch)
+                mixed = None
+                if mode != "plain_regression":
+                    mixed = augment_batch(np.vstack(blocks[:2]), labels, cfg.k, cfg.alpha,
+                                          m=2 * cfg.batch_size, rng=rng_augment)
+                graph = ScorerGraph(params)
+                l_var, f_var = step_losses(graph, mode, blocks, mixed,
+                                           cfg.smooth_beta, cfg.margin)
+                if f_var is None:
+                    w, objective = 1.0, l_var
+                else:
+                    w = dynamic_weight(float(l_var.value), float(f_var.value), state)
+                    objective = l_var * w + f_var * (1.0 - w)
+                    lps.append(float(f_var.value))
+                expected_weights.append(w)
+                backward(objective, graph.param_pairs(), tape)
+                adam_step(params.layers(), tape, optimizer, names=LAYER_NAMES)
+                ls.append(float(l_var.value))
+            if lps:
+                state = update_epoch_averages(state, ls, lps)
 
-    for got, want in zip(trained.layers(), params.layers()):
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.bias, want.bias)
-    # first-epoch weights were computed against the initial averages of 1
-    assert history.records[0].weight == pytest.approx(
-        np.mean(expected_weights[:cfg.n_batch]), abs=0)
+        for got, want in zip(trained.layers(), params.layers()):
+            assert np.array_equal(got.weights, want.weights), mode
+            assert np.array_equal(got.bias, want.bias), mode
+        # first-epoch weights were computed against the initial averages of 1
+        assert history.records[0].weight == pytest.approx(
+            np.mean(expected_weights[:cfg.n_batch]), abs=0)
 
 
 def test_train_bitwise_determinism():
@@ -147,6 +149,10 @@ def test_train_preconditions_and_validation():
         _fast_config(k=1).validate()
     with pytest.raises(InvalidParameterError):
         _fast_config(lr=0.0).validate()
+    with pytest.raises(InvalidParameterError):
+        _fast_config(margin=0.0).validate()
+    with pytest.raises(InvalidParameterError):
+        _fast_config(smooth_beta=0.0).validate()
 
 
 def test_no_regularizer_mode_runs_without_feature_loss():
