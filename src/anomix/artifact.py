@@ -4,13 +4,16 @@ Models are stored as a versioned, self-describing JSON container with
 float64 values written through Python's shortest round-trip repr, so a
 save/load cycle reproduces scores bit for bit. The format version is
 checked before any weight is interpreted, and non-finite values are
-rejected both on save and on load.
+rejected both on save and on load. Models and manifests are written to a
+temp file and renamed into place, so an interrupted write leaves the
+previous file intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +39,26 @@ class ModelArtifact:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CorruptArtifactError(message)
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over `path`.
+
+    A reader, or a run that dies mid-write, sees the old file or the new
+    one, never a partial one. The temp file is synced before the rename
+    so the new name never points at unwritten data.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_model(artifact: ModelArtifact, path) -> None:
@@ -66,7 +89,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
         "train_config": artifact.train_config,
         "seed": artifact.seed,
     }
-    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False), encoding="utf-8")
+    _write_atomic(path, json.dumps(payload, indent=1, allow_nan=False))
 
 
 def _reject_constant(token: str):
@@ -133,11 +156,15 @@ def load_model(path) -> ModelArtifact:
                  f"{path}: normalization bounds mis-sized")
         norm_state = NormState(mins, maxs)
 
+    train_config = payload.get("train_config", {})
+    _require(isinstance(train_config, dict), f"{path}: train_config is not an object")
+    seed = payload.get("seed", 0)
+    _require(type(seed) is int, f"{path}: seed {seed!r} is not an integer")
     return ModelArtifact(
         params=params,
         norm_state=norm_state,
-        train_config=payload.get("train_config", {}),
-        seed=int(payload.get("seed", 0)),
+        train_config=train_config,
+        seed=seed,
     )
 
 
@@ -172,4 +199,4 @@ def write_manifest(path, *, command: str, config: dict, dataset_fingerprint: str
         "wall_clock_s": wall_clock_s,
         "outputs": outputs,
     }
-    Path(path).write_text(json.dumps(record, indent=1, default=str), encoding="utf-8")
+    _write_atomic(path, json.dumps(record, indent=1, default=str))

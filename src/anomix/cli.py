@@ -30,6 +30,7 @@ from .artifact import (
 )
 from .data import Dataset, Role
 from .errors import AnomixError, DatasetError, UnusableDatasetError
+from .losses import ABLATION_MODES
 from .metrics import evaluate_scores
 from .rng import child_seed, substream
 from .scorer import score_batch
@@ -45,40 +46,41 @@ def _out_dir(arg: str | None) -> Path:
     return path
 
 
+# CLI flag (dashes for underscores) and sweep key -> (TrainConfig field, help).
+# Defaults come from TrainConfig(). Model selection is set by --last-epoch on
+# the CLI and by the "select_best" key in a sweep.
+_TRAIN_KNOBS = {
+    "epochs": ("n_epoch", None),
+    "batches_per_epoch": ("n_batch", None),
+    "batch_size": ("batch_size", None),
+    "lr": ("lr", None),
+    "rep_dim": ("rep_dim", "representation width H"),
+    "k": ("k", "sources per mixed sample"),
+    "alpha": ("alpha", "Beta/Dirichlet concentration"),
+    "margin": ("margin", None),
+    "temperature": ("temperature", None),
+    "weight_decay": ("weight_decay", None),
+    "ablation": ("ablation", None),
+}
+_SWEEP_KEYS = ("data", "label_col", "contamination_levels", "labeled_budgets", "repeats", "seed")
+_SWEEP_OVERRIDES = (*_TRAIN_KNOBS, "select_best", "feature_fraction")
+
+
 def _add_train_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batches-per-epoch", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--rep-dim", type=int, default=128, help="representation width H")
-    p.add_argument("--k", type=int, default=2, help="sources per mixed sample")
-    p.add_argument("--alpha", type=float, default=0.5, help="Beta/Dirichlet concentration")
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=2.0)
-    p.add_argument("--weight-decay", type=float, default=1e-5)
-    p.add_argument("--ablation", default="full",
-                   choices=("full", "discrete_targets", "plain_regression",
-                            "no_consistency", "no_regularizer"))
+    defaults = TrainConfig()
+    for name, (field, help_text) in _TRAIN_KNOBS.items():
+        default = getattr(defaults, field)
+        choices = ABLATION_MODES if field == "ablation" else None
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                       choices=choices, help=help_text)
     p.add_argument("--last-epoch", action="store_true",
                    help="return last-epoch weights instead of the best validation snapshot")
 
 
-def _train_config(args, seed: int) -> TrainConfig:
-    return TrainConfig(
-        batch_size=args.batch_size,
-        n_epoch=args.epochs,
-        n_batch=args.batches_per_epoch,
-        lr=args.lr,
-        rep_dim=args.rep_dim,
-        k=args.k,
-        alpha=args.alpha,
-        margin=args.margin,
-        temperature=args.temperature,
-        weight_decay=args.weight_decay,
-        ablation=args.ablation,
-        seed=seed,
-        select_best=not args.last_epoch,
-    )
+def _train_config(knobs: dict, seed: int, select_best: bool) -> TrainConfig:
+    """TrainConfig from {flag or sweep key: value}; absent knobs keep their defaults."""
+    fields = {_TRAIN_KNOBS[name][0]: value for name, value in knobs.items()}
+    return TrainConfig(**fields, seed=seed, select_best=select_best)
 
 
 def _subset(dataset: Dataset, indices: np.ndarray, role: Role) -> Dataset:
@@ -107,7 +109,8 @@ def cmd_train(args) -> int:
         feature_fraction=args.feature_fraction,
         seed=args.seed,
     )
-    config = _train_config(args, args.seed)
+    config = _train_config({name: getattr(args, name) for name in _TRAIN_KNOBS}, args.seed,
+                           select_best=not args.last_epoch)
     progress = _print_progress if args.verbose else None
     params, history = train(prepared, config, progress=progress)
 
@@ -266,21 +269,8 @@ def _sweep_cell(dataset: Dataset, level: float, budget: int, cell_seed: int,
         feature_fraction=overrides.get("feature_fraction", 0.05),
         seed=cell_seed,
     )
-    config = TrainConfig(
-        batch_size=overrides.get("batch_size", 32),
-        n_epoch=overrides.get("epochs", 50),
-        n_batch=overrides.get("batches_per_epoch", 20),
-        lr=overrides.get("lr", 0.005),
-        rep_dim=overrides.get("rep_dim", 128),
-        k=overrides.get("k", 2),
-        alpha=overrides.get("alpha", 0.5),
-        margin=overrides.get("margin", 1.0),
-        temperature=overrides.get("temperature", 2.0),
-        weight_decay=overrides.get("weight_decay", 1e-5),
-        ablation=overrides.get("ablation", "full"),
-        seed=cell_seed,
-        select_best=overrides.get("select_best", True),
-    )
+    knobs = {name: value for name, value in overrides.items() if name in _TRAIN_KNOBS}
+    config = _train_config(knobs, cell_seed, overrides.get("select_best", TrainConfig.select_best))
     if budget <= 0:
         raise UnusableDatasetError("labeled budget must be positive")
     params, _history = train(prepared, config)
@@ -302,9 +292,11 @@ def cmd_sweep(args) -> int:
     budgets = sweep_cfg.get("labeled_budgets", [30])
     repeats = int(sweep_cfg.get("repeats", 1))
     master_seed = int(sweep_cfg.get("seed", 0))
-    overrides = {k: v for k, v in sweep_cfg.items()
-                 if k not in ("data", "label_col", "contamination_levels",
-                              "labeled_budgets", "repeats", "seed")}
+    overrides = {k: v for k, v in sweep_cfg.items() if k not in _SWEEP_KEYS}
+    unknown = sorted(set(overrides) - set(_SWEEP_OVERRIDES))
+    if unknown:
+        raise DatasetError(f"sweep config {args.config}: unknown key(s) {', '.join(unknown)}; "
+                           f"train overrides are {', '.join(_SWEEP_OVERRIDES)}")
     dataset = D.load_csv(data_path, label_col)
 
     rows = []

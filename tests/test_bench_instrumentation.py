@@ -1,0 +1,33 @@
+"""The benchmark times training by wrapping package names from outside
+(perfbench/tracer.py). A refactor that removes, renames or bypasses one of
+those names makes a traced benchmark run fail; this catches it in the
+tier-1 suite."""
+
+import importlib
+from pathlib import Path
+
+from anomix.cli import main
+from anomix.data import generate_toy, write_csv
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_sees_every_stage_of_a_cli_train(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    data = tmp_path / "toy.csv"
+    write_csv(generate_toy(400, seed=1, anomaly_fraction=0.1), data)
+    traced = tracer.Tracer({})
+    with traced.installed():
+        assert main(["train", "--data", str(data), "--label-col", "label",
+                     "--labeled-anomalies", "5", "--epochs", "2",
+                     "--batches-per-epoch", "3", "--batch-size", "8", "--rep-dim", "8",
+                     "--out", str(tmp_path / "run")]) == 0
+    acc = traced.accounting()
+    assert (acc["steps"], acc["epochs"]) == (6, 2)
+    for name in tracer.STEP_STAGES:
+        assert acc["stage_calls"][name] == 6, name
+    for name in tracer.VALIDATION:
+        assert acc["stage_calls"][name] == 2, name
+    for name in tracer.STEP_STAGES + tracer.VALIDATION:
+        assert acc["stage_parents"][name] == [tracer.TRAIN], name

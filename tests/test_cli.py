@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from anomix.artifact import ModelArtifact, load_model, save_model
+from anomix.artifact import ModelArtifact, load_model, save_model, write_manifest
 from anomix.cli import main
 from anomix.data import generate_toy, load_csv, write_csv
 from anomix.errors import CorruptArtifactError
@@ -204,6 +205,40 @@ def test_load_rejects_version_and_shape_tampering(tmp_path):
         load_model(bad2)
 
 
+def test_load_rejects_seed_and_train_config_tampering(tmp_path):
+    params = build_scorer(4, 8, seed=1)
+    path = tmp_path / "model.json"
+    save_model(ModelArtifact(params, None, {}, 1), path)
+    for key, value in (("seed", "abc"), ("seed", None), ("seed", 1.5),
+                       ("train_config", [1, 2])):
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptArtifactError, match=key):
+            load_model(bad)
+
+
+def test_failed_write_leaves_previous_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(ModelArtifact(build_scorer(4, 8, seed=1), None, {}, 1), path)
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, command="train", config={}, dataset_fingerprint=None, seed=1,
+                   metrics={}, wall_clock_s=0.0, outputs={})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_model(ModelArtifact(build_scorer(4, 8, seed=2), None, {}, 2), path)
+    with pytest.raises(OSError):
+        write_manifest(manifest, command="score", config={}, dataset_fingerprint=None, seed=2,
+                       metrics={}, wall_clock_s=1.0, outputs={})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_save_rejects_nonfinite_weights(tmp_path):
     params = build_scorer(4, 8, seed=1)
     params.rep_hidden.weights[0, 0] = np.inf
@@ -240,6 +275,20 @@ def test_sweep_grid_and_infeasible_cells(toy_csv, tmp_path):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     rows = (out / "sweep_results.csv").read_text().strip().splitlines()[1:]
     assert all("error" in row for row in rows)
+
+
+def test_sweep_rejects_unknown_override_keys(toy_csv, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "data": str(toy_csv), "label_col": "label", "contamination_levels": [0.02],
+        "n_epoch": 0, "epoch": 1,
+    }), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "DatasetError"
+    assert "unknown key(s) epoch, n_epoch;" in record["message"]
+    assert not (out / "sweep_results.csv").exists()
 
 
 def test_sweep_empty_grid(toy_csv, tmp_path):

@@ -267,7 +267,8 @@ def test_ablation_discrete_maps_balanced_mix_to_negative(rng):
 def test_balanced_objective_gradient_matches_finite_differences(mode):
     # central differences over every parameter; the random draws keep all
     # LeakyReLU, hinge and smooth-L1 arguments far enough from their kinks
-    # that a 1e-6 step never crosses one
+    # that a 1e-6 step never crosses one, and the 0.1 margin leaves two of
+    # the four triplet hinges active, so both sides of the hinge are checked
     rng = np.random.default_rng(3)
     params = build_scorer(3, 6, seed=4)
     b = 4
@@ -278,7 +279,7 @@ def test_balanced_objective_gradient_matches_finite_differences(mode):
 
     def objective():
         graph = ScorerGraph(params)
-        loss, feature = step_losses(graph, mode, blocks, mixed)
+        loss, feature = step_losses(graph, mode, blocks, mixed, margin=0.1)
         return graph, loss if feature is None else loss * w + feature * (1.0 - w)
 
     graph, value = objective()
