@@ -4,22 +4,21 @@ Models are stored as a versioned, self-describing JSON container with
 float64 values written through Python's shortest round-trip repr, so a
 save/load cycle reproduces scores bit for bit. The format version is
 checked before any weight is interpreted, and non-finite values are
-rejected both on save and on load. Models and manifests are written to a
-temp file and renamed into place, so an interrupted write leaves the
-previous file intact.
+rejected both on save and on load. Models and manifests go through
+`data.atomic_writer`, the one writer for every file anomix produces, so an
+interrupted write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import NormState
+from .data import NormState, write_json
 from .errors import CorruptArtifactError
 from .nn import DenseLayer
 from .scorer import LAYER_NAMES, ScorerParams, hidden_sizes
@@ -39,26 +38,6 @@ class ModelArtifact:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CorruptArtifactError(message)
-
-
-def _write_atomic(path, text: str) -> None:
-    """Write `text` to a temp file beside `path`, then rename it over `path`.
-
-    A reader, or a run that dies mid-write, sees the old file or the new
-    one, never a partial one. The temp file is synced before the rename
-    so the new name never points at unwritten data.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_model(artifact: ModelArtifact, path) -> None:
@@ -89,7 +68,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
         "train_config": artifact.train_config,
         "seed": artifact.seed,
     }
-    _write_atomic(path, json.dumps(payload, indent=1, allow_nan=False))
+    write_json(path, payload, indent=1, allow_nan=False)
 
 
 def _reject_constant(token: str):
@@ -98,11 +77,9 @@ def _reject_constant(token: str):
 
 def load_model(path) -> ModelArtifact:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except OSError as exc:
         raise CorruptArtifactError(f"cannot read {path}: {exc}") from exc
-    try:
-        payload = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise CorruptArtifactError(f"{path}: not valid JSON ({exc})") from exc
     _require(isinstance(payload, dict), f"{path}: not a model container")
@@ -199,4 +176,4 @@ def write_manifest(path, *, command: str, config: dict, dataset_fingerprint: str
         "wall_clock_s": wall_clock_s,
         "outputs": outputs,
     }
-    _write_atomic(path, json.dumps(record, indent=1, default=str))
+    write_json(path, record, indent=1, default=str)

@@ -10,15 +10,12 @@ seed. Errors exit nonzero with a machine-readable JSON record on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import data as D
 from .artifact import (
@@ -31,7 +28,7 @@ from .artifact import (
 from .data import Dataset, Role
 from .errors import AnomixError, DatasetError, UnusableDatasetError
 from .losses import ABLATION_MODES
-from .metrics import evaluate_scores
+from .metrics import MetricsReport, evaluate_scores
 from .rng import child_seed, substream
 from .scorer import score_batch
 from .training import TrainConfig, train
@@ -62,14 +59,19 @@ _TRAIN_KNOBS = {
     "weight_decay": ("weight_decay", None),
     "ablation": ("ablation", None),
 }
-_SWEEP_KEYS = ("data", "label_col", "contamination_levels", "labeled_budgets", "repeats", "seed")
-_SWEEP_OVERRIDES = (*_TRAIN_KNOBS, "select_best", "feature_fraction")
+# Sweep settings and train overrides -> default; a sweep value must have its
+# default's type (see _fits), and "data" is required. The train flags take
+# their defaults from _SWEEP_OVERRIDES too.
+_SWEEP_SETTINGS = {"data": "", "label_col": "label", "contamination_levels": [0.02],
+                   "labeled_budgets": [30], "repeats": 1, "seed": 0}
+_SWEEP_OVERRIDES = {**{name: getattr(TrainConfig(), field)
+                       for name, (field, _help) in _TRAIN_KNOBS.items()},
+                    "select_best": TrainConfig.select_best, "feature_fraction": 0.05}
 
 
 def _add_train_knobs(p: argparse.ArgumentParser) -> None:
-    defaults = TrainConfig()
     for name, (field, help_text) in _TRAIN_KNOBS.items():
-        default = getattr(defaults, field)
+        default = _SWEEP_OVERRIDES[name]
         choices = ABLATION_MODES if field == "ablation" else None
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
                        choices=choices, help=help_text)
@@ -77,19 +79,10 @@ def _add_train_knobs(p: argparse.ArgumentParser) -> None:
                    help="return last-epoch weights instead of the best validation snapshot")
 
 
-def _train_config(knobs: dict, seed: int, select_best: bool) -> TrainConfig:
-    """TrainConfig from {flag or sweep key: value}; absent knobs keep their defaults."""
-    fields = {_TRAIN_KNOBS[name][0]: value for name, value in knobs.items()}
+def _train_config(values: dict, seed: int, select_best: bool) -> TrainConfig:
+    """TrainConfig from the value of every train flag or sweep key in `values`."""
+    fields = {field: values[name] for name, (field, _help) in _TRAIN_KNOBS.items()}
     return TrainConfig(**fields, seed=seed, select_best=select_best)
-
-
-def _subset(dataset: Dataset, indices: np.ndarray, role: Role) -> Dataset:
-    return Dataset(
-        dataset.X[indices],
-        dataset.y[indices],
-        np.full(len(indices), int(role)),
-        list(dataset.feature_names),
-    )
 
 
 def cmd_train(args) -> int:
@@ -101,7 +94,8 @@ def cmd_train(args) -> int:
     split = D.split_dataset(dataset, rng=substream(args.seed, "split"))
     test_rows = split.indices(Role.TEST)
     test_path = out / "test_split.csv"
-    D.write_csv(_subset(split, test_rows, Role.TEST), test_path, label_column=args.label_col)
+    D.write_csv(Dataset(split.X[test_rows], split.y[test_rows], split.roles[test_rows],
+                        split.feature_names), test_path, label_column=args.label_col)
     prepared = D.prepare_training(
         split,
         labeled_anomalies=args.labeled_anomalies,
@@ -109,8 +103,7 @@ def cmd_train(args) -> int:
         feature_fraction=args.feature_fraction,
         seed=args.seed,
     )
-    config = _train_config({name: getattr(args, name) for name in _TRAIN_KNOBS}, args.seed,
-                           select_best=not args.last_epoch)
+    config = _train_config(vars(args), args.seed, select_best=not args.last_epoch)
     progress = _print_progress if args.verbose else None
     params, history = train(prepared, config, progress=progress)
 
@@ -125,7 +118,7 @@ def cmd_train(args) -> int:
     model_path = out / "model.json"
     save_model(artifact, model_path)
     history_path = out / "history.json"
-    history_path.write_text(json.dumps(history.as_dicts(), indent=1), encoding="utf-8")
+    D.write_json(history_path, history.as_dicts(), indent=1)
 
     last = history.records[-1] if history.records else None
     metrics = {
@@ -180,6 +173,21 @@ def _load_scorable(args, require_labels: bool):
     return artifact, X, y
 
 
+def _write_scoring_manifest(command: str, args, out: Path, artifact: ModelArtifact,
+                            started: float, metrics: dict, outputs: dict) -> None:
+    """The manifest of `evaluate` or `score`: both record the model and data they read."""
+    write_manifest(
+        out / f"{command}_manifest.json",
+        command=command,
+        config={"model": str(args.model), "data": str(args.data), "label_col": args.label_col},
+        dataset_fingerprint=file_fingerprint(args.data),
+        seed=artifact.seed,
+        metrics=metrics,
+        wall_clock_s=time.perf_counter() - started,
+        outputs=outputs,
+    )
+
+
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args.out)
@@ -188,17 +196,9 @@ def cmd_evaluate(args) -> int:
     payload = {"auc_roc": report.auc_roc, "auc_pr": report.auc_pr,
                "n_pos": report.n_pos, "n_neg": report.n_neg}
     print(json.dumps(payload, indent=1))
-    (out / "metrics.json").write_text(json.dumps(payload, indent=1), encoding="utf-8")
-    write_manifest(
-        out / "evaluate_manifest.json",
-        command="evaluate",
-        config={"model": str(args.model), "data": str(args.data), "label_col": args.label_col},
-        dataset_fingerprint=file_fingerprint(args.data),
-        seed=artifact.seed,
-        metrics=payload,
-        wall_clock_s=time.perf_counter() - started,
-        outputs={"metrics": str(out / "metrics.json")},
-    )
+    D.write_json(out / "metrics.json", payload, indent=1)
+    _write_scoring_manifest("evaluate", args, out, artifact, started, payload,
+                            {"metrics": str(out / "metrics.json")})
     return 0
 
 
@@ -208,21 +208,9 @@ def cmd_score(args) -> int:
     artifact, X, _ = _load_scorable(args, require_labels=False)
     scores = score_batch(artifact.params, X)
     score_path = out / "scores.csv"
-    with open(score_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_index", "score"])
-        for i, s in enumerate(scores):
-            writer.writerow([i, repr(float(s))])
-    write_manifest(
-        out / "score_manifest.json",
-        command="score",
-        config={"model": str(args.model), "data": str(args.data), "label_col": args.label_col},
-        dataset_fingerprint=file_fingerprint(args.data),
-        seed=artifact.seed,
-        metrics={"rows_scored": int(len(scores))},
-        wall_clock_s=time.perf_counter() - started,
-        outputs={"scores": str(score_path)},
-    )
+    D.write_rows(score_path, ["row_index", "score"], enumerate(scores.tolist()))
+    _write_scoring_manifest("score", args, out, artifact, started,
+                            {"rows_scored": int(len(scores))}, {"scores": str(score_path)})
     print(f"{len(scores)} scores written to {score_path}")
     return 0
 
@@ -230,19 +218,15 @@ def cmd_score(args) -> int:
 def cmd_synth(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args.out)
-    outputs = {}
     if args.kind == "toy":
-        dataset = D.generate_toy(args.n, args.seed, args.anomaly_fraction)
-        path = out / "toy.csv"
-        D.write_csv(dataset, path)
-        outputs["data"] = str(path)
+        files = {"data": ("toy.csv", D.generate_toy(args.n, args.seed, args.anomaly_fraction))}
     else:
-        train_ds, test_ds = D.generate_case(args.kind, args.n, args.seed, args.anomaly_fraction)
-        train_path = out / f"{args.kind}_train.csv"
-        test_path = out / f"{args.kind}_test.csv"
-        D.write_csv(train_ds, train_path)
-        D.write_csv(test_ds, test_path)
-        outputs = {"train": str(train_path), "test": str(test_path)}
+        pair = D.generate_case(args.kind, args.n, args.seed, args.anomaly_fraction)
+        files = {part: (f"{args.kind}_{part}.csv", ds) for part, ds in zip(("train", "test"), pair)}
+    outputs = {}
+    for label, (name, dataset) in files.items():
+        D.write_csv(dataset, out / name)
+        outputs[label] = str(out / name)
     write_manifest(
         out / "synth_manifest.json",
         command="synth",
@@ -260,73 +244,86 @@ def cmd_synth(args) -> int:
 
 
 def _sweep_cell(dataset: Dataset, level: float, budget: int, cell_seed: int,
-                overrides: dict) -> dict:
+                cfg: dict) -> MetricsReport:
     split = D.split_dataset(dataset, rng=substream(cell_seed, "split"))
     prepared = D.prepare_training(
         split,
         labeled_anomalies=budget,
         contamination=level,
-        feature_fraction=overrides.get("feature_fraction", 0.05),
+        feature_fraction=cfg["feature_fraction"],
         seed=cell_seed,
     )
-    knobs = {name: value for name, value in overrides.items() if name in _TRAIN_KNOBS}
-    config = _train_config(knobs, cell_seed, overrides.get("select_best", TrainConfig.select_best))
+    config = _train_config(cfg, cell_seed, cfg["select_best"])
     if budget <= 0:
         raise UnusableDatasetError("labeled budget must be positive")
     params, _history = train(prepared, config)
     test_idx = prepared.indices(Role.TEST)
-    report = evaluate_scores(score_batch(params, prepared.X[test_idx]), prepared.y[test_idx])
-    return {"auc_pr": report.auc_pr, "auc_roc": report.auc_roc}
+    return evaluate_scores(score_batch(params, prepared.X[test_idx]), prepared.y[test_idx])
+
+
+def _fits(value, default) -> bool:
+    """Whether a sweep value has its default's type; an int may stand for a float,
+    a bool never for a number, and a list's items must fit its first item."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(item, default[0]) for item in value)
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+def _read_sweep_config(path) -> dict:
+    """The sweep config as written, once every key and value is known valid."""
+    try:
+        sweep_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DatasetError(f"cannot read sweep config {path}: {exc}") from exc
+    if not isinstance(sweep_cfg, dict):
+        raise DatasetError(f"sweep config {path}: expected a JSON object, "
+                           f"got {type(sweep_cfg).__name__}")
+    if "data" not in sweep_cfg:
+        raise DatasetError(f"sweep config {path}: missing required key 'data'")
+    defaults = {**_SWEEP_SETTINGS, **_SWEEP_OVERRIDES}
+    unknown = sorted(set(sweep_cfg) - set(defaults))
+    if unknown:
+        raise DatasetError(f"sweep config {path}: unknown key(s) {', '.join(unknown)}; "
+                           f"train overrides are {', '.join(_SWEEP_OVERRIDES)}")
+    for key, value in sweep_cfg.items():
+        default = defaults[key]
+        if not _fits(value, default):
+            kind = (f"list of {type(default[0]).__name__}" if isinstance(default, list)
+                    else type(default).__name__)
+            raise DatasetError(f"sweep config {path}: {key!r} must be {kind}, got {value!r}")
+    return sweep_cfg
 
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
+    sweep_cfg = _read_sweep_config(args.config)
+    cfg = {**_SWEEP_SETTINGS, **_SWEEP_OVERRIDES, **sweep_cfg}
     out = _out_dir(args.out)
-    try:
-        sweep_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DatasetError(f"cannot read sweep config {args.config}: {exc}") from exc
-    data_path = sweep_cfg["data"]
-    label_col = sweep_cfg.get("label_col", "label")
-    levels = sweep_cfg.get("contamination_levels", [0.02])
-    budgets = sweep_cfg.get("labeled_budgets", [30])
-    repeats = int(sweep_cfg.get("repeats", 1))
-    master_seed = int(sweep_cfg.get("seed", 0))
-    overrides = {k: v for k, v in sweep_cfg.items() if k not in _SWEEP_KEYS}
-    unknown = sorted(set(overrides) - set(_SWEEP_OVERRIDES))
-    if unknown:
-        raise DatasetError(f"sweep config {args.config}: unknown key(s) {', '.join(unknown)}; "
-                           f"train overrides are {', '.join(_SWEEP_OVERRIDES)}")
-    dataset = D.load_csv(data_path, label_col)
+    dataset = D.load_csv(cfg["data"], cfg["label_col"])
 
     rows = []
-    for level in levels:
-        for budget in budgets:
-            for rep in range(repeats):
-                cell_seed = child_seed(master_seed, f"cell:{level}:{budget}:{rep}")
-                row = {"contamination": level, "labeled_anomalies": budget,
-                       "repeat": rep, "seed": cell_seed}
+    for level in cfg["contamination_levels"]:
+        for budget in cfg["labeled_budgets"]:
+            for rep in range(cfg["repeats"]):
+                cell_seed = child_seed(cfg["seed"], f"cell:{level}:{budget}:{rep}")
                 try:
-                    row.update(_sweep_cell(dataset, float(level), int(budget),
-                                           cell_seed, overrides))
-                    row["status"] = "ok"
+                    report = _sweep_cell(dataset, float(level), budget, cell_seed, cfg)
+                    outcome = ["ok", report.auc_pr, report.auc_roc]
                 except AnomixError as exc:
-                    row.update({"status": f"error: {exc}", "auc_pr": "", "auc_roc": ""})
-                rows.append(row)
+                    outcome = [f"error: {exc}", "", ""]
+                rows.append([level, budget, rep, cell_seed, *outcome])
 
     results_path = out / "sweep_results.csv"
-    with open(results_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    n_ok = sum(1 for r in rows if r["status"] == "ok")
+    D.write_rows(results_path, _SWEEP_COLUMNS, rows)
+    n_ok = sum(row[_SWEEP_COLUMNS.index("status")] == "ok" for row in rows)
     write_manifest(
         out / "sweep_manifest.json",
         command="sweep",
         config=sweep_cfg,
-        dataset_fingerprint=file_fingerprint(data_path),
-        seed=master_seed,
+        dataset_fingerprint=file_fingerprint(cfg["data"]),
+        seed=cfg["seed"],
         metrics={"cells": len(rows), "cells_ok": n_ok},
         wall_clock_s=time.perf_counter() - started,
         outputs={"results": str(results_path)},

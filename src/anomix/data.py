@@ -3,15 +3,21 @@
 A Dataset couples a float64 feature matrix with ground-truth anomaly
 flags and a per-row role: labeled anomaly, unlabeled (the training pool,
 possibly contaminated), validation, or test. All operations are pure:
-they return new datasets and never mutate their inputs.
+they return new datasets and never mutate their inputs. Every file
+anomix writes goes through `atomic_writer` below, so a failed write
+leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +39,7 @@ class Role(IntEnum):
 
 
 _TRAIN_ROLES = (Role.LABELED_ANOMALY, Role.UNLABELED)
+_LABEL_VALUES = (0.0, 1.0, -1.0)  # accepted in a CSV label column; 1 marks an anomaly
 
 
 @dataclass
@@ -108,11 +115,51 @@ class ContaminationSpec:
 
 
 # ---------------------------------------------------------------------------
-# CSV in / out
+# CSV in / out, and the one atomic writer
 # ---------------------------------------------------------------------------
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
+@contextmanager
+def atomic_writer(path):
+    """Text handle on a temp file beside `path`, synced and renamed over it on success.
+
+    Writers stream into it, so memory stays flat. A reader, or a run that
+    dies mid-write, sees the old file or the new one, never a partial one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_rows(path, header, rows) -> None:
+    """Atomically write a CSV: the header, then each row (floats as their repr)."""
+    with atomic_writer(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload, **dumps_options) -> None:
+    """Atomically write `json.dumps(payload, **dumps_options)`."""
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(payload, **dumps_options))
+
+
+def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]:
+    """(header, all cells as an (n, width) float64 matrix) of a headered CSV.
+
+    One bulk conversion (it accepts exactly the spellings float() does),
+    then vectorised finiteness and label checks; only if one fails does a
+    per-cell scan run, to name the first fault in row-major order.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -123,26 +170,39 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a header row") from None
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
-                )
-            rows.append(row)
-    return header, rows
-
-
-def _parse_cell(raw: str, line_no: int, column: str, path) -> float:
+        rows = list(reader)
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DatasetError(f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}")
+    if label_column is not None and label_column not in header:
+        raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
+    label_idx = None if label_column is None else header.index(label_column)
     try:
-        value = float(raw)
+        X = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
     except ValueError:
-        raise DatasetError(
-            f"{path}: row {line_no}, column {column!r}: non-numeric value {raw!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DatasetError(f"{path}: row {line_no}, column {column!r}: non-finite value {raw!r}")
-    return value
+        _raise_first_fault(path, header, rows, label_idx)
+    if not np.isfinite(X).all() or (
+            label_idx is not None and not np.isin(X[:, label_idx], _LABEL_VALUES).all()):
+        _raise_first_fault(path, header, rows, label_idx)
+    return header, X
+
+
+def _raise_first_fault(path, header, rows, label_idx) -> None:
+    """The per-cell scan, run only after a bulk pass failed: name the first bad cell."""
+    for line_no, row in enumerate(rows, start=2):
+        for i, raw in enumerate(row):
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: row {line_no}, column {header[i]!r}: non-numeric value {raw!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DatasetError(
+                    f"{path}: row {line_no}, column {header[i]!r}: non-finite value {raw!r}")
+            if i == label_idx and value not in _LABEL_VALUES:
+                raise DatasetError(f"{path}: row {line_no}: label {raw!r} is not binary "
+                                   "(accepted: 0/1 or -1/+1)")
 
 
 def load_csv(path, label_column: str) -> Dataset:
@@ -152,42 +212,15 @@ def load_csv(path, label_column: str) -> Dataset:
     {0, 1} or {-1, +1} and maps to 0/1 with 1 meaning anomaly. Errors
     name the offending row and column.
     """
-    header, rows = _read_table(path)
-    if label_column not in header:
-        raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
-    label_idx = header.index(label_column)
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    n, d = len(rows), len(feature_names)
-    X = np.zeros((n, d))
-    y = np.zeros(n, dtype=np.int64)
-    for r, row in enumerate(rows):
-        line_no = r + 2
-        c = 0
-        for i, raw in enumerate(row):
-            value = _parse_cell(raw, line_no, header[i], path)
-            if i == label_idx:
-                if value == 1.0:
-                    y[r] = 1
-                elif value in (0.0, -1.0):
-                    y[r] = 0
-                else:
-                    raise DatasetError(
-                        f"{path}: row {line_no}: label {raw!r} is not binary "
-                        "(accepted: 0/1 or -1/+1)"
-                    )
-            else:
-                X[r, c] = value
-                c += 1
-    return Dataset(X, y, np.full(n, int(Role.UNASSIGNED)), feature_names)
+    header, cells = _read_matrix(path, label_column)
+    i = header.index(label_column)
+    return Dataset(np.delete(cells, i, axis=1), cells[:, i] == 1.0,
+                   np.full(len(cells), int(Role.UNASSIGNED)), header[:i] + header[i + 1:])
 
 
 def load_features(path) -> tuple[np.ndarray, list[str]]:
     """Parse an unlabeled CSV: every column is a numeric feature."""
-    header, rows = _read_table(path)
-    X = np.zeros((len(rows), len(header)))
-    for r, row in enumerate(rows):
-        for c, raw in enumerate(row):
-            X[r, c] = _parse_cell(raw, r + 2, header[c], path)
+    header, X = _read_matrix(path, None)
     return X, header
 
 
@@ -195,11 +228,8 @@ def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
     """Write features plus the 0/1 label column; round-trips via load_csv."""
     if label_column in dataset.feature_names:
         raise DatasetError(f"label column {label_column!r} collides with a feature name")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*dataset.feature_names, label_column])
-        for row, label in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    write_rows(path, [*dataset.feature_names, label_column],
+               (row.tolist() + [label] for row, label in zip(dataset.X, dataset.y.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -85,14 +85,9 @@ class TrainHistory:
     def __len__(self) -> int:
         return len(self.records)
 
-    def as_dicts(self, include_timing: bool = False) -> list[dict]:
-        out = []
-        for rec in self.records:
-            d = asdict(rec)
-            if not include_timing:
-                d.pop("seconds")
-            out.append(d)
-        return out
+    def as_dicts(self) -> list[dict]:
+        """The records without wall-clock seconds, so history.json is deterministic."""
+        return [{k: v for k, v in asdict(rec).items() if k != "seconds"} for rec in self.records]
 
 
 def sample_batches(dataset: Dataset, b: int, rng: np.random.Generator):

@@ -1,5 +1,5 @@
-"""The benchmark times training by wrapping package names from outside
-(perfbench/tracer.py). A refactor that removes, renames or bypasses one of
+"""The benchmark times training, ingest and scoring by wrapping package
+names from outside (perfbench/tracer.py). A refactor that removes, renames or bypasses one of
 those names makes a traced benchmark run fail; this catches it in the
 tier-1 suite."""
 
@@ -7,7 +7,7 @@ import importlib
 from pathlib import Path
 
 from anomix.cli import main
-from anomix.data import generate_toy, write_csv
+from anomix.data import generate_toy, write_csv, write_rows
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -16,7 +16,10 @@ def test_tracer_sees_every_stage_of_a_cli_train(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
     data = tmp_path / "toy.csv"
-    write_csv(generate_toy(400, seed=1, anomaly_fraction=0.1), data)
+    toy = generate_toy(400, seed=1, anomaly_fraction=0.1)
+    write_csv(toy, data)
+    features = tmp_path / "features.csv"
+    write_rows(features, toy.feature_names, toy.X.tolist())
     traced = tracer.Tracer({})
     with traced.installed():
         assert main(["train", "--data", str(data), "--label-col", "label",
@@ -31,3 +34,12 @@ def test_tracer_sees_every_stage_of_a_cli_train(tmp_path, monkeypatch, capsys):
         assert acc["stage_calls"][name] == 2, name
     for name in tracer.STEP_STAGES + tracer.VALIDATION:
         assert acc["stage_parents"][name] == [tracer.TRAIN], name
+
+    # The data layer is timed through the names the CLI reaches as `D.<name>`.
+    with traced.installed():
+        assert main(["score", "--model", str(tmp_path / "run" / "model.json"),
+                     "--data", str(features), "--out", str(tmp_path / "run")]) == 0
+    calls = {name: traced.calls[name] for name in (
+        "data.load_csv", "data.write_csv", "data.load_features", "scorer.score_batch")}
+    assert calls == {"data.load_csv": 1, "data.write_csv": 1,
+                     "data.load_features": 1, "scorer.score_batch": 1}

@@ -219,24 +219,65 @@ def test_load_rejects_seed_and_train_config_tampering(tmp_path):
             load_model(bad)
 
 
-def test_failed_write_leaves_previous_file_intact(tmp_path, monkeypatch):
-    path = tmp_path / "model.json"
-    save_model(ModelArtifact(build_scorer(4, 8, seed=1), None, {}, 1), path)
-    manifest = tmp_path / "manifest.json"
-    write_manifest(manifest, command="train", config={}, dataset_fingerprint=None, seed=1,
-                   metrics={}, wall_clock_s=0.0, outputs={})
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+def _untrained_model(tmp_path, seed):
+    path = tmp_path / f"untrained_{seed}.json"
+    save_model(ModelArtifact(build_scorer(10, 8, seed=seed), None, {}, seed), path)
+    return str(path)
+
+
+def _sweep_config(tmp_path, toy_csv, seed):
+    path = tmp_path / f"sweep_{seed}.json"
+    path.write_text(json.dumps({
+        "data": str(toy_csv), "contamination_levels": [0.02], "labeled_budgets": [5],
+        "seed": seed, "epochs": 1, "batches_per_epoch": 2, "batch_size": 8, "rep_dim": 8,
+    }), encoding="utf-8")
+    return str(path)
+
+
+# Output file -> a call writing it into `out`, whose bytes depend on `seed`.
+_WRITE_SITES = {
+    "model.json": lambda tmp_path, toy_csv, out, seed: save_model(
+        ModelArtifact(build_scorer(4, 8, seed=seed), None, {}, seed), out / "model.json"),
+    "manifest.json": lambda tmp_path, toy_csv, out, seed: write_manifest(
+        out / "manifest.json", command="train", config={}, dataset_fingerprint=None,
+        seed=seed, metrics={}, wall_clock_s=0.0, outputs={}),
+    "data.csv": lambda tmp_path, toy_csv, out, seed: write_csv(
+        generate_toy(60, seed=seed), out / "data.csv"),
+    "scores.csv": lambda tmp_path, toy_csv, out, seed: main([
+        "score", "--model", _untrained_model(tmp_path, seed), "--data", str(toy_csv),
+        "--label-col", "label", "--out", str(out)]),
+    "metrics.json": lambda tmp_path, toy_csv, out, seed: main([
+        "evaluate", "--model", _untrained_model(tmp_path, seed), "--data", str(toy_csv),
+        "--label-col", "label", "--out", str(out)]),
+    "history.json": lambda tmp_path, toy_csv, out, seed: main(
+        _train_args(toy_csv, out, **{"--seed": seed})),
+    "sweep_results.csv": lambda tmp_path, toy_csv, out, seed: main([
+        "sweep", "--config", _sweep_config(tmp_path, toy_csv, seed), "--out", str(out)]),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_WRITE_SITES))
+def test_failed_write_leaves_previous_file_intact(target, toy_csv, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    write = _WRITE_SITES[target]
+    write(tmp_path, toy_csv, out, 1)
+    before = (out / target).read_bytes()
+    real_replace = os.replace
 
     def fail(src, dst):
-        raise OSError("disk full")
+        if os.path.basename(dst) == target:
+            raise OSError("disk full")
+        real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError):
-        save_model(ModelArtifact(build_scorer(4, 8, seed=2), None, {}, 2), path)
-    with pytest.raises(OSError):
-        write_manifest(manifest, command="score", config={}, dataset_fingerprint=None, seed=2,
-                       metrics={}, wall_clock_s=1.0, outputs={})
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path, toy_csv, out, 2)
+    assert (out / target).read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+    monkeypatch.undo()  # the second write does change the file once the rename works
+    write(tmp_path, toy_csv, out, 2)
+    assert (out / target).read_bytes() != before
 
 
 def test_save_rejects_nonfinite_weights(tmp_path):
@@ -277,18 +318,40 @@ def test_sweep_grid_and_infeasible_cells(toy_csv, tmp_path):
     assert all("error" in row for row in rows)
 
 
-def test_sweep_rejects_unknown_override_keys(toy_csv, tmp_path, capsys):
+@pytest.mark.parametrize("extra, expected", [
+    pytest.param({"n_epoch": 0, "epoch": 1}, "unknown key(s) epoch, n_epoch;", id="unknown-keys"),
+    pytest.param(None, "expected a JSON object, got list", id="not-an-object"),
+    pytest.param({"data": None}, "missing required key 'data'", id="no-data"),
+    pytest.param({"repeats": "x"}, "'repeats' must be int, got 'x'", id="repeats-str"),
+    pytest.param({"repeats": 2.0}, "'repeats' must be int", id="repeats-float"),
+    pytest.param({"contamination_levels": 0.02}, "'contamination_levels' must be list of float",
+                 id="levels-not-list"),
+    pytest.param({"labeled_budgets": [5, "10"]}, "'labeled_budgets' must be list of int",
+                 id="budget-str"),
+    pytest.param({"epochs": "2"}, "'epochs' must be int, got '2'", id="epochs-str"),
+    pytest.param({"epochs": True}, "'epochs' must be int, got True", id="epochs-bool"),
+    pytest.param({"lr": False}, "'lr' must be float, got False", id="lr-bool"),
+    pytest.param({"ablation": 1}, "'ablation' must be str", id="ablation-int"),
+    pytest.param({"select_best": "no"}, "'select_best' must be bool, got 'no'",
+                 id="select-best-str"),
+    pytest.param({"select_best": 0}, "'select_best' must be bool, got 0", id="select-best-int"),
+])
+def test_sweep_rejects_unknown_override_keys(extra, expected, toy_csv, tmp_path, capsys):
     out = tmp_path / "sweep"
     cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps({
-        "data": str(toy_csv), "label_col": "label", "contamination_levels": [0.02],
-        "n_epoch": 0, "epoch": 1,
-    }), encoding="utf-8")
+    if extra is None:
+        config = [1, 2]
+    else:
+        config = {"data": str(toy_csv), "label_col": "label", "contamination_levels": [0.02],
+                  **extra}
+        config = {key: value for key, value in config.items() if value is not None}
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "DatasetError"
-    assert "unknown key(s) epoch, n_epoch;" in record["message"]
+    assert expected in record["message"]
     assert not (out / "sweep_results.csv").exists()
+    assert not out.exists()  # rejected before anything is written
 
 
 def test_sweep_empty_grid(toy_csv, tmp_path):
@@ -297,6 +360,7 @@ def test_sweep_empty_grid(toy_csv, tmp_path):
     cfg_path.write_text(json.dumps({
         "data": str(toy_csv), "label_col": "label",
         "contamination_levels": [], "repeats": 2,
+        "alpha": 1, "select_best": False,  # an int may stand for a float
     }), encoding="utf-8")
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     lines = (out / "sweep_results.csv").read_text().strip().splitlines()

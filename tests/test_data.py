@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anomix.data import (
     CASE_NORMAL_CENTERS,
@@ -19,11 +22,13 @@ from anomix.data import (
     generate_toy,
     inject_anomaly,
     load_csv,
+    load_features,
     minmax_normalize,
     prepare_dataset,
     select_labeled_anomalies,
     split_dataset,
     write_csv,
+    write_rows,
 )
 from anomix.errors import (
     ContractViolationError,
@@ -84,6 +89,76 @@ def test_csv_rejects_nan_and_ragged_and_nonbinary(tmp_path):
     nonbin.write_text("a,label\n1,2\n", encoding="utf-8")
     with pytest.raises(DatasetError, match="not binary"):
         load_csv(nonbin, "label")
+
+    # Two faults: the first in row-major order is the one named.
+    two = tmp_path / "two.csv"
+    two.write_text("a,label\n1,2\noops,0\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"row 2: label '2' is not binary"):
+        load_csv(two, "label")
+
+
+# Cell spellings where a bulk parse could disagree with float().
+SPELLINGS = [" 1.5 ", "1_000", "+3", "-0", "0x10", "\u0661\u0662", "nan", "inf", "-inf", "",
+             "1,5", "1e400", "5e-324", "1__0", ".5"]
+
+
+@pytest.mark.parametrize("cell", SPELLINGS)
+def test_load_features_accepts_exactly_what_float_accepts(cell, tmp_path):
+    path = tmp_path / "cell.csv"
+    write_rows(path, ["a", "b"], [["1", cell]])
+    try:
+        expected = float(cell)
+    except ValueError:
+        with pytest.raises(DatasetError, match=r"row 2, column 'b': non-numeric value"):
+            load_features(path)
+        return
+    if not math.isfinite(expected):
+        with pytest.raises(DatasetError, match=r"row 2, column 'b': non-finite value"):
+            load_features(path)
+        return
+    X, header = load_features(path)
+    assert header == ["a", "b"]
+    assert X.tobytes() == np.array([[1.0, expected]]).tobytes()
+
+
+def test_header_only_file_gives_empty_matrix(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("a,b,label\n", encoding="utf-8")
+    X, header = load_features(path)
+    assert X.shape == (0, 3) and X.dtype == np.float64 and header == ["a", "b", "label"]
+    ds = load_csv(path, "label")
+    assert ds.X.shape == (0, 2) and ds.y.shape == (0,) and ds.feature_names == ["a", "b"]
+
+
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+
+
+@st.composite
+def _labeled_matrices(draw):
+    X = draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                     max_side=12),
+                        elements=st.sampled_from(_EDGE_VALUES)
+                        | st.floats(allow_nan=False, allow_infinity=False)))
+    y = draw(hnp.arrays(np.int64, len(X), elements=st.integers(0, 1)))
+    return X, y
+
+
+@settings(deadline=None, derandomize=True)
+@given(data=_labeled_matrices(), plus_minus=st.booleans())
+def test_csv_round_trip_is_bitwise(data, plus_minus, tmp_path_factory):
+    X, y = data
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    ds = _dataset(X, y)
+    if plus_minus:  # the {-1, +1} label encoding, written by hand
+        write_rows(path, [*ds.feature_names, "label"],
+                   (row + [("-1", "+1")[label]] for row, label in zip(X.tolist(), y.tolist())))
+    else:
+        write_csv(ds, path)
+    back = load_csv(path, "label")
+    assert back.X.shape == X.shape
+    assert back.X.tobytes() == X.tobytes()
+    assert back.y.tolist() == y.tolist()
+    assert back.feature_names == ds.feature_names
 
 
 def test_csv_missing_pieces(tmp_path):
