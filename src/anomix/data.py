@@ -3,14 +3,17 @@
 A Dataset couples a float64 feature matrix with ground-truth anomaly
 flags and a per-row role: labeled anomaly, unlabeled (the training pool,
 possibly contaminated), validation, or test. All operations are pure:
-they return new datasets and never mutate their inputs. Every file
-anomix writes goes through `atomic_writer` below, so a failed write
-leaves the previous file intact.
+they return new datasets and never mutate their inputs. CSV files are
+read and converted CHUNK_ROWS rows at a time, so ingest holds the float
+blocks plus one chunk of cells as text, never the whole file as text.
+Every file anomix writes goes through `atomic_writer` below, so a failed
+write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -40,6 +43,8 @@ class Role(IntEnum):
 
 _TRAIN_ROLES = (Role.LABELED_ANOMALY, Role.UNLABELED)
 _LABEL_VALUES = (0.0, 1.0, -1.0)  # accepted in a CSV label column; 1 marks an anomaly
+# Rows that the CSV reader holds as text and converts to float64 at a time.
+CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -156,9 +161,12 @@ def write_json(path, payload, **dumps_options) -> None:
 def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]:
     """(header, all cells as an (n, width) float64 matrix) of a headered CSV.
 
-    One bulk conversion (it accepts exactly the spellings float() does),
-    then vectorised finiteness and label checks; only if one fails does a
-    per-cell scan run, to name the first fault in row-major order.
+    Rows are read and converted CHUNK_ROWS at a time, so at most one chunk
+    of cells is held as str. Each chunk gets one bulk conversion (it
+    accepts exactly the spellings float() does) and vectorised finiteness
+    and label checks. The first chunk that fails is kept, and only it gets
+    the per-cell scan that names the first fault in row-major order. Every
+    row is still read, so a ragged row anywhere wins over a bad cell.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -170,26 +178,47 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DatasetError(f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}")
-    if label_column is not None and label_column not in header:
+        missing_label = label_column is not None and label_column not in header
+        label_idx = None if label_column is None or missing_label else header.index(label_column)
+        blocks: list[np.ndarray] = []
+        failed = None  # (line number of its first row, rows) of the first chunk that failed
+        line_no = 2
+        while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+            for offset, row in enumerate(rows):
+                if len(row) != len(header):
+                    raise DatasetError(f"{path}: row {line_no + offset} has {len(row)} fields, "
+                                       f"expected {len(header)}")
+            if not missing_label and failed is None:
+                block = _convert(rows, len(header), label_idx)
+                if block is None:
+                    failed = (line_no, rows)
+                else:
+                    blocks.append(block)
+            line_no += len(rows)
+            del rows  # so the chunk's str cells are freed before the next is read
+    if missing_label:
         raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
-    label_idx = None if label_column is None else header.index(label_column)
-    try:
-        X = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
-    except ValueError:
-        _raise_first_fault(path, header, rows, label_idx)
-    if not np.isfinite(X).all() or (
-            label_idx is not None and not np.isin(X[:, label_idx], _LABEL_VALUES).all()):
-        _raise_first_fault(path, header, rows, label_idx)
+    if failed is not None:
+        _raise_first_fault(path, header, *failed, label_idx)
+    X = np.concatenate(blocks) if blocks else np.empty((0, len(header)))
     return header, X
 
 
-def _raise_first_fault(path, header, rows, label_idx) -> None:
-    """The per-cell scan, run only after a bulk pass failed: name the first bad cell."""
-    for line_no, row in enumerate(rows, start=2):
+def _convert(rows, width: int, label_idx: int | None) -> np.ndarray | None:
+    """One chunk of rows as a float64 block, or None if any cell fails a check."""
+    try:
+        block = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    except ValueError:
+        return None
+    if not np.isfinite(block).all() or (
+            label_idx is not None and not np.isin(block[:, label_idx], _LABEL_VALUES).all()):
+        return None
+    return block
+
+
+def _raise_first_fault(path, header, first_line: int, rows, label_idx) -> None:
+    """The per-cell scan of a chunk that failed its bulk pass: name its first bad cell."""
+    for line_no, row in enumerate(rows, start=first_line):
         for i, raw in enumerate(row):
             try:
                 value = float(raw)
@@ -238,11 +267,12 @@ def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
 
 
 def _transform(X: np.ndarray, state: NormState) -> np.ndarray:
+    """(X - mins) / span, computed in one output array; constant features map to 0."""
     span = state.maxs - state.mins
-    out = np.zeros_like(X)
     varying = span > 0.0
-    out[:, varying] = (X[:, varying] - state.mins[varying]) / span[varying]
-    # constant training features map everything to 0
+    out = np.subtract(X, state.mins)
+    out /= np.where(varying, span, 1.0)
+    out[:, ~varying] = 0.0
     return out
 
 

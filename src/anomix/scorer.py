@@ -6,19 +6,31 @@ is the input width and H the representation width. Hidden layers use
 LeakyReLU. The representation output is linear so that distances in it
 are not range-compressed; the final score passes through tanh and lies
 strictly inside (-1, 1), higher meaning more anomalous.
+
+`score_batch` forwards BLOCK_ROWS rows at a time into one preallocated
+output, so its scratch memory is one block of activations whatever the
+row count. A batch of n <= BLOCK_ROWS rows scores bit for bit as a
+whole-matrix forward. Beyond that, a score's last bits (below 1e-16) can
+depend on the size of its block, as in a whole-matrix forward they depend
+on n. `score` has its own forward on one vector (matrix-vector products
+and a scalar tanh), within 1e-15 of its `score_batch` row. Both reject
+non-finite inputs, naming the row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .errors import ContractViolationError, InvalidArchitectureError
+from .errors import ContractViolationError, InvalidArchitectureError, InvalidParameterError
 from .nn import DenseLayer, Var
 
 LAYER_NAMES = ("rep_hidden", "rep_out", "score_hidden", "score_out")
+# Rows per forward block in score_batch.
+BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -97,19 +109,46 @@ def represent(params: ScorerParams, x) -> np.ndarray:
 
 
 def score_batch(params: ScorerParams, X) -> np.ndarray:
-    """Anomaly scores for each row of X, in row order."""
-    z = represent_batch(params, X)
-    hidden = nn.leaky_relu(z @ params.score_hidden.weights.T + params.score_hidden.bias, params.slope)
-    raw = hidden @ params.score_out.weights.T + params.score_out.bias
-    return np.clip(np.tanh(raw[:, 0]), -nn.TANH_LIMIT, nn.TANH_LIMIT)
+    """Anomaly scores for each row of X, in row order.
+
+    Raises ContractViolationError naming the first row that holds a
+    non-finite value.
+    """
+    X = _as_batch(X, params.d_in)
+    scores = np.empty(len(X))
+    for start in range(0, len(X), BLOCK_ROWS):
+        block = X[start:start + BLOCK_ROWS]
+        if not np.isfinite(block).all():
+            bad = start + int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise ContractViolationError(f"input row {bad} holds a non-finite value")
+        hidden = nn.leaky_relu(represent_batch(params, block) @ params.score_hidden.weights.T
+                               + params.score_hidden.bias, params.slope)
+        raw = hidden @ params.score_out.weights.T + params.score_out.bias
+        scores[start:start + len(block)] = np.clip(np.tanh(raw[:, 0]), -nn.TANH_LIMIT,
+                                                   nn.TANH_LIMIT)
+    return scores
 
 
 def score(params: ScorerParams, x) -> float:
-    """Anomaly score of a single input vector, strictly inside (-1, 1)."""
+    """Anomaly score of a single input vector, strictly inside (-1, 1).
+
+    Raises ContractViolationError if the vector holds a non-finite value.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.d_in,):
         raise ContractViolationError(f"expected input of length {params.d_in}, got shape {x.shape}")
-    return float(score_batch(params, x[None, :])[0])
+    if not np.isfinite(x).all():
+        raise ContractViolationError("input vector holds a non-finite value")
+    slope = params.slope
+    if not 0.0 < slope < 1.0:
+        raise InvalidParameterError("slope must lie in (0, 1)")
+    # max(h, slope*h) is LeakyReLU for 0 < slope < 1.
+    h = params.rep_hidden.weights @ x + params.rep_hidden.bias
+    z = params.rep_out.weights @ np.maximum(h, slope * h) + params.rep_out.bias
+    h = params.score_hidden.weights @ z + params.score_hidden.bias
+    raw = (float(params.score_out.weights[0] @ np.maximum(h, slope * h))
+           + float(params.score_out.bias[0]))
+    return min(max(math.tanh(raw), -nn.TANH_LIMIT), nn.TANH_LIMIT)
 
 
 class ScorerGraph:

@@ -6,7 +6,7 @@ import pytest
 
 from anomix.artifact import ModelArtifact, load_model, save_model, write_manifest
 from anomix.cli import main
-from anomix.data import generate_toy, load_csv, write_csv
+from anomix.data import NormState, generate_toy, load_csv, write_csv, write_rows
 from anomix.errors import CorruptArtifactError
 from anomix.scorer import build_scorer, score_batch
 
@@ -44,6 +44,9 @@ def test_train_happy_path(toy_csv, tmp_path, capsys):
     history = json.loads((out / "history.json").read_text())
     assert len(history) == 4
     assert all("seconds" not in rec for rec in history)  # timing lives in the manifest
+    epoch_seconds = manifest["metrics"]["epoch_seconds"]
+    assert len(epoch_seconds) == 4
+    assert all(isinstance(s, float) and s >= 0.0 for s in epoch_seconds)
 
 
 def test_train_rejects_zero_labeled_anomalies(toy_csv, tmp_path, capsys):
@@ -116,6 +119,23 @@ def test_score_outputs_rows_in_order(toy_csv, tmp_path, capsys):
     assert all(-1.0 < s < 1.0 for s in scores)
     indices = [int(line.split(",")[0]) for line in lines[1:]]
     assert indices == list(range(test_rows))
+
+
+def test_score_rejects_rows_that_normalize_to_non_finite(tmp_path, capsys):
+    # A span of 1e-10 sends the finite cell 1e300 past the float range.
+    model = tmp_path / "model.json"
+    save_model(ModelArtifact(build_scorer(2, 4, seed=0), NormState([0.0, 0.0], [1e-10, 1.0]),
+                             {}, 0), model)
+    data = tmp_path / "rows.csv"
+    write_rows(data, ["a", "b"], [[0.5e-10, 0.5]] * 6 + [[1e300, 0.5]])
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["score", "--model", str(model), "--data", str(data), "--out", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ContractViolationError",
+                      "message": "input row 6 holds a non-finite value"}
+    assert not (out / "scores.csv").exists()
 
 
 def test_score_empty_input_gives_header_only(toy_csv, tmp_path):

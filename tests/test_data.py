@@ -24,6 +24,7 @@ from anomix.data import (
     load_csv,
     load_features,
     minmax_normalize,
+    normalize_features,
     prepare_dataset,
     select_labeled_anomalies,
     split_dataset,
@@ -161,6 +162,55 @@ def test_csv_round_trip_is_bitwise(data, plus_minus, tmp_path_factory):
     assert back.feature_names == ds.feature_names
 
 
+CHUNK = 4
+
+
+@pytest.mark.parametrize("n", [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_chunked_read_equals_one_shot_conversion(n, tmp_path, monkeypatch, rng):
+    monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
+    rows = [[repr(v) for v in row] for row in rng.normal(size=(n, 3)).tolist()]
+    labels = [("0", "1", "-1")[i % 3] for i in range(n)]
+    path = tmp_path / "rows.csv"
+    write_rows(path, ["a", "b", "c", "label"], (row + [y] for row, y in zip(rows, labels)))
+    X, header = load_features(path)
+    expected = np.array([row + [y] for row, y in zip(rows, labels)],
+                        dtype=np.float64).reshape(n, 4)
+    assert header == ["a", "b", "c", "label"]
+    assert X.tobytes() == expected.tobytes() and X.shape == (n, 4)
+    ds = load_csv(path, "label")
+    assert ds.X.tobytes() == np.ascontiguousarray(expected[:, :3]).tobytes()
+    assert ds.y.tolist() == [int(y == "1") for y in labels]
+
+
+def _chunked_file(tmp_path, faults, header=("a", "label")):
+    """A 12-row file, chunks of CHUNK rows, with `faults` mapping line number -> row."""
+    rows = {line: ["0.5", "0"] for line in range(2, 14)}
+    rows.update(faults)
+    path = tmp_path / "faults.csv"
+    write_rows(path, header, (rows[line] for line in sorted(rows)))
+    return path
+
+
+@pytest.mark.parametrize("faults,header,expected", [
+    # A bad cell in chunk 1 and a ragged row in chunk 3: the ragged row wins.
+    ({3: ["oops", "0"], 11: ["1"]}, ("a", "label"), r"row 11 has 1 fields, expected 2"),
+    # No label column and a ragged row in a later chunk: the ragged row wins.
+    ({12: ["1", "0", "2"]}, ("a", "b"), r"row 12 has 3 fields, expected 2"),
+    ({2: ["0.5", "0"]}, ("a", "b"), r"label column 'label' not in header"),
+    # Bad cells in chunks 2 and 3: the chunk-2 cell, with its line number.
+    ({8: ["0.5", "7"], 10: ["inf", "0"]}, ("a", "label"), r"row 8: label '7' is not binary"),
+    ({9: ["nan", "0"], 12: ["x", "0"]}, ("a", "label"),
+     r"row 9, column 'a': non-finite value 'nan'$"),
+    ({7: ["0.5", "0"], 13: ["0.5", "1,0"]}, ("a", "label"),
+     r"row 13, column 'label': non-numeric value '1,0'$"),
+])
+def test_fault_precedence_across_chunks(faults, header, expected, tmp_path, monkeypatch):
+    monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
+    path = _chunked_file(tmp_path, faults, header)
+    with pytest.raises(DatasetError, match=expected):
+        load_csv(path, "label")
+
+
 def test_csv_missing_pieces(tmp_path):
     missing = tmp_path / "nope.csv"
     with pytest.raises(DatasetError):
@@ -189,6 +239,9 @@ def test_minmax_constant_feature_maps_to_zero():
     ds = _dataset([[3.0, 1.0], [3.0, 2.0]], [0, 1])
     out = minmax_normalize(ds)
     assert np.all(out.X[:, 0] == 0.0)
+    # New rows too, whatever their value in the constant feature.
+    fresh = normalize_features(np.array([[7.0, 1.5], [-2.0, 3.0]]), out.norm_state)
+    assert fresh.tolist() == [[0.0, 0.5], [0.0, 2.0]]
 
 
 def test_minmax_uses_training_stats_only():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from anomix import scorer
 from anomix.errors import ContractViolationError, InvalidArchitectureError
-from anomix.nn import DenseLayer, leaky_relu
+from anomix.nn import TANH_LIMIT, DenseLayer, leaky_relu
 from anomix.scorer import (
     ScorerGraph,
     ScorerParams,
@@ -101,16 +102,65 @@ def test_scores_live_inside_open_interval(rng):
         X = rng.uniform(-1e3, 1e3, size=(20, 5))
         s = score_batch(params, X)
         assert np.all(s > -1.0) and np.all(s < 1.0)
+        assert all(-1.0 < score(params, x) < 1.0 for x in X)
 
 
-def test_score_batch_equals_rowwise_loop(rng):
-    params = build_scorer(4, 8, seed=2)
-    X = rng.uniform(0, 1, size=(17, 4))
+@pytest.mark.parametrize("d,h,shift", [(4, 8, 0.0), (10, 128, 0.0), (10, 128, 18.5)])
+def test_score_batch_equals_rowwise_loop(d, h, shift, rng):
+    params = build_scorer(d, h, seed=2)
+    params.score_out.bias[:] = shift  # 18.5 pushes most rows into the tanh clamp
+    X = rng.uniform(0, 1, size=(300, d))
     batch = score_batch(params, X)
     loop = np.array([score(params, row) for row in X])
+    if shift:
+        assert 0 < np.count_nonzero(np.abs(batch) == TANH_LIMIT) < len(X)
     # matrix-matrix and matrix-vector BLAS kernels round differently in
     # the last ulp; the two paths are mathematically identical
-    assert np.allclose(batch, loop, rtol=0, atol=1e-12)
+    assert np.allclose(batch, loop, rtol=0, atol=1e-15)
+
+
+def _one_shot_scores(params, X):
+    """The whole forward as one chain of matrix products over every row of X."""
+    h = leaky_relu(X @ params.rep_hidden.weights.T + params.rep_hidden.bias, params.slope)
+    z = h @ params.rep_out.weights.T + params.rep_out.bias
+    h = leaky_relu(z @ params.score_hidden.weights.T + params.score_hidden.bias, params.slope)
+    raw = (h @ params.score_out.weights.T + params.score_out.bias)[:, 0]
+    return np.clip(np.tanh(raw), -TANH_LIMIT, TANH_LIMIT)
+
+
+BLOCK = 8
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_blocked_scores_equal_each_block_scored_alone(n, rng, monkeypatch):
+    monkeypatch.setattr(scorer, "BLOCK_ROWS", BLOCK)
+    params = build_scorer(5, 12, seed=4)
+    X = rng.normal(size=(n, 5))
+    X[::3] *= 1e3  # both LeakyReLU branches and the tanh clamp
+    scores = score_batch(params, X)
+    assert scores.shape == (n,)
+    for start in range(0, n, BLOCK):
+        alone = score_batch(params, X[start:start + BLOCK].copy())
+        assert scores[start:start + BLOCK].tobytes() == alone.tobytes()
+    one_shot = _one_shot_scores(params, X)
+    if n <= BLOCK:
+        assert scores.tobytes() == one_shot.tobytes()
+    else:
+        assert np.allclose(scores, one_shot, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_are_rejected_by_row(bad, rng, monkeypatch):
+    monkeypatch.setattr(scorer, "BLOCK_ROWS", 4)
+    params = build_scorer(3, 6, seed=1)
+    X = rng.uniform(0, 1, size=(12, 3))
+    X[9, 2] = bad
+    X[11, 0] = bad
+    with pytest.raises(ContractViolationError, match=r"^input row 9 holds a non-finite value$"):
+        score_batch(params, X)
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        score(params, X[9])
+    assert np.isfinite(score_batch(params, X[:8])).all()
 
 
 def test_score_batch_edges(rng):
