@@ -105,8 +105,18 @@ def test_scores_live_inside_open_interval(rng):
         assert all(-1.0 < score(params, x) < 1.0 for x in X)
 
 
+def test_score_batch_equals_rowwise_loop(rng):
+    params = build_scorer(4, 8, seed=2)
+    X = rng.uniform(0, 1, size=(17, 4))
+    batch = score_batch(params, X)
+    loop = np.array([score(params, row) for row in X])
+    # matrix-matrix and matrix-vector BLAS kernels round differently in
+    # the last ulp; the two paths are mathematically identical
+    assert np.allclose(batch, loop, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("d,h,shift", [(4, 8, 0.0), (10, 128, 0.0), (10, 128, 18.5)])
-def test_score_batch_equals_rowwise_loop(d, h, shift, rng):
+def test_score_batch_equals_rowwise_loop_across_shapes(d, h, shift, rng):
     params = build_scorer(d, h, seed=2)
     params.score_out.bias[:] = shift  # 18.5 pushes most rows into the tanh clamp
     X = rng.uniform(0, 1, size=(300, d))
