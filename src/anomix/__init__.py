@@ -9,39 +9,33 @@ representation, and a softmax balance between the two losses.
 
 from .artifact import ModelArtifact, load_model, save_model
 from .data import (
-    ContaminationSpec,
     Dataset,
     NormState,
     Role,
-    adjust_contamination,
     generate_case,
     generate_toy,
-    inject_anomaly,
     load_csv,
+    load_features,
     minmax_normalize,
-    prepare_case_pair,
+    normalize_features,
     prepare_dataset,
     prepare_training,
-    select_labeled_anomalies,
     split_dataset,
     write_csv,
 )
-from .interpolation import AugmentedBatch, augment_batch, sample_weights
-from .losses import LossState, dynamic_weight, update_epoch_averages
-from .metrics import MetricsReport, auc_pr, auc_roc, evaluate_scores
-from .scorer import ScorerParams, build_scorer, represent, score, score_batch
-from .training import TrainConfig, TrainHistory, predict, sample_batches, train
+from .metrics import MetricsReport, evaluate_scores
+from .scorer import ScorerParams, score, score_batch
+from .training import TrainConfig, TrainHistory, train
 
 __version__ = "0.1.0"
 
+# What running the CLI's workflow from Python needs: synth, load, split and
+# prepare, train, save and load, score, evaluate. Everything else stays
+# importable from its submodule.
 __all__ = [
-    "AugmentedBatch", "ContaminationSpec", "Dataset", "LossState", "MetricsReport",
-    "ModelArtifact", "NormState", "Role", "ScorerParams", "TrainConfig", "TrainHistory",
-    "adjust_contamination", "augment_batch", "auc_pr", "auc_roc", "build_scorer",
-    "dynamic_weight", "evaluate_scores", "generate_case", "generate_toy",
-    "inject_anomaly", "load_csv", "load_model", "minmax_normalize", "predict",
-    "prepare_case_pair", "prepare_dataset", "prepare_training", "represent",
-    "sample_batches", "sample_weights", "save_model", "score", "score_batch",
-    "select_labeled_anomalies", "split_dataset", "train", "update_epoch_averages",
-    "write_csv",
+    "Dataset", "MetricsReport", "ModelArtifact", "NormState", "Role", "ScorerParams",
+    "TrainConfig", "TrainHistory", "evaluate_scores", "generate_case", "generate_toy",
+    "load_csv", "load_features", "load_model", "minmax_normalize", "normalize_features",
+    "prepare_dataset", "prepare_training", "save_model", "score", "score_batch",
+    "split_dataset", "train", "write_csv",
 ]

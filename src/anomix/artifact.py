@@ -90,12 +90,14 @@ def load_model(path) -> ModelArtifact:
 
     arch = payload.get("architecture")
     _require(isinstance(arch, dict), f"{path}: missing architecture block")
-    try:
-        d_in, rep_dim = int(arch["d_in"]), int(arch["rep_dim"])
-        h1, h2 = int(arch["h1"]), int(arch["h2"])
-        slope = float(arch["slope"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptArtifactError(f"{path}: malformed architecture block") from exc
+    for key in ("d_in", "rep_dim", "h1", "h2"):
+        _require(type(arch.get(key)) is int and arch[key] > 0,
+                 f"{path}: architecture {key!r} is {arch.get(key)!r}, not a positive integer")
+    d_in, rep_dim, h1, h2 = arch["d_in"], arch["rep_dim"], arch["h1"], arch["h2"]
+    slope = arch.get("slope")
+    _require(type(slope) is float and 0.0 < slope < 1.0,
+             f"{path}: architecture 'slope' is {slope!r}, not a number in (0, 1)")
+    _require(rep_dim > 1, f"{path}: architecture 'rep_dim' is 1, which leaves no scoring unit")
     _require((h1, h2) == hidden_sizes(d_in, rep_dim), f"{path}: architecture violates the sizing rule")
 
     expected = {

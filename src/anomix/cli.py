@@ -62,11 +62,12 @@ _TRAIN_KNOBS = {
 # Sweep settings and train overrides -> default; a sweep value must have its
 # default's type (see _fits), and "data" is required. The train flags take
 # their defaults from _SWEEP_OVERRIDES too.
-_SWEEP_SETTINGS = {"data": "", "label_col": "label", "contamination_levels": [0.02],
-                   "labeled_budgets": [30], "repeats": 1, "seed": 0}
+_SWEEP_SETTINGS = {"data": "", "label_col": "label", "contamination_levels": [D.CONTAMINATION],
+                   "labeled_budgets": [D.LABELED_ANOMALIES], "repeats": 1, "seed": 0}
 _SWEEP_OVERRIDES = {**{name: getattr(TrainConfig(), field)
                        for name, (field, _help) in _TRAIN_KNOBS.items()},
-                    "select_best": TrainConfig.select_best, "feature_fraction": 0.05}
+                    "select_best": TrainConfig.select_best,
+                    "feature_fraction": D.FEATURE_FRACTION}
 
 
 def _add_train_knobs(p: argparse.ArgumentParser) -> None:
@@ -247,14 +248,8 @@ def cmd_synth(args) -> int:
 
 def _sweep_cell(dataset: Dataset, level: float, budget: int, cell_seed: int,
                 cfg: dict) -> MetricsReport:
-    split = D.split_dataset(dataset, rng=substream(cell_seed, "split"))
-    prepared = D.prepare_training(
-        split,
-        labeled_anomalies=budget,
-        contamination=level,
-        feature_fraction=cfg["feature_fraction"],
-        seed=cell_seed,
-    )
+    prepared = D.prepare_dataset(dataset, labeled_anomalies=budget, contamination=level,
+                                 feature_fraction=cfg["feature_fraction"], seed=cell_seed)
     config = _train_config(cfg, cell_seed, cfg["select_best"])
     if budget <= 0:
         raise UnusableDatasetError("labeled budget must be positive")
@@ -345,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="split, normalize, label, adjust contamination, train")
     p.add_argument("--data", required=True, help="CSV with a header row and a binary label column")
     p.add_argument("--label-col", required=True)
-    p.add_argument("--labeled-anomalies", type=int, default=30)
-    p.add_argument("--contamination", type=float, default=0.02,
+    p.add_argument("--labeled-anomalies", type=int, default=D.LABELED_ANOMALIES)
+    p.add_argument("--contamination", type=float, default=D.CONTAMINATION,
                    help="target anomaly share of the unlabeled pool")
-    p.add_argument("--feature-fraction", type=float, default=0.05,
+    p.add_argument("--feature-fraction", type=float, default=D.FEATURE_FRACTION,
                    help="feature share spliced when injecting anomalies")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

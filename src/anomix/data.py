@@ -45,6 +45,13 @@ _TRAIN_ROLES = (Role.LABELED_ANOMALY, Role.UNLABELED)
 _LABEL_VALUES = (0.0, 1.0, -1.0)  # accepted in a CSV label column; 1 marks an anomaly
 # Rows that the CSV reader holds as text and converts to float64 at a time.
 CHUNK_ROWS = 4096
+# Train / validation / test shares of each class in split_dataset.
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
+# Protocol defaults, written only here: labeled anomalies, the target anomaly
+# share of the unlabeled pool, and the feature share spliced per injected anomaly.
+LABELED_ANOMALIES = 30
+CONTAMINATION = 0.02
+FEATURE_FRACTION = 0.05
 
 
 @dataclass
@@ -110,7 +117,7 @@ class ContaminationSpec:
     """Target anomaly share of the unlabeled pool, plus injection knobs."""
 
     target_ratio: float
-    feature_fraction: float = 0.05
+    feature_fraction: float = FEATURE_FRACTION
 
     def __post_init__(self):
         if not 0.0 <= self.target_ratio < 0.5:
@@ -290,58 +297,54 @@ def minmax_normalize(dataset: Dataset) -> Dataset:
     return replace(dataset, X=_transform(dataset.X, state), norm_state=state)
 
 
-def apply_normalization(dataset: Dataset, state: NormState) -> Dataset:
-    """Scale with previously recorded bounds (e.g. from a saved model)."""
-    if len(state.mins) != dataset.n_features:
-        raise DatasetError(
-            f"normalization state covers {len(state.mins)} features, data has {dataset.n_features}"
-        )
-    return replace(dataset, X=_transform(dataset.X, state), norm_state=state)
-
-
 def normalize_features(X: np.ndarray, state: NormState) -> np.ndarray:
-    """Bare-matrix variant of apply_normalization for scoring paths."""
+    """Scale a bare matrix by recorded bounds (e.g. from a saved model).
+
+    Raises DatasetError naming the first row (0-based) that scaling made
+    non-finite, e.g. a finite value far outside the bounds of a tiny span.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(state.mins):
         raise DatasetError(f"expected (n, {len(state.mins)}) features, got {X.shape}")
-    return _transform(X, state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _transform(X, state)
+        # min and max carry any nan or inf, without a temporary the size of X.
+        finite = out.size == 0 or math.isfinite(out.min()) and math.isfinite(out.max())
+    if not finite:
+        bad = int(np.argmin(np.isfinite(out).all(axis=1)))
+        cause = ("holds a non-finite value" if not np.isfinite(X[bad]).all()
+                 else "became non-finite when scaled by the model's min-max bounds")
+        raise DatasetError(f"input row {bad} {cause}")
+    return out
 
 
-def split_dataset(dataset: Dataset, ratios=(0.6, 0.2, 0.2),
-                  rng: np.random.Generator | None = None) -> Dataset:
-    """Random train/valid/test split, stratified by the anomaly label.
+def split_dataset(dataset: Dataset, rng: np.random.Generator) -> Dataset:
+    """Random train/valid/test split at SPLIT_RATIOS, stratified by the anomaly label.
 
-    Each class is split independently at the given ratios so the anomaly
-    proportion is preserved; rounding remainders go to train. Train rows
-    start as unlabeled.
+    Each class is split independently so the anomaly proportion is
+    preserved; rounding remainders go to train. Train rows start as
+    unlabeled.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise InvalidParameterError("ratios must be three nonnegative numbers summing to 1")
     if dataset.n_rows < 5:
         raise DatasetError("need at least 5 rows to split")
+    _, valid_share, test_share = SPLIT_RATIOS
     roles = np.full(dataset.n_rows, int(Role.UNLABELED))
     for cls in (0, 1):
         idx = rng.permutation(np.flatnonzero(dataset.y == cls))
-        n_valid = int(ratios[1] * len(idx))
-        n_test = int(ratios[2] * len(idx))
+        n_valid = int(valid_share * len(idx))
+        n_test = int(test_share * len(idx))
         n_train = len(idx) - n_valid - n_test
         roles[idx[n_train:n_train + n_valid]] = int(Role.VALID)
         roles[idx[n_train + n_valid:]] = int(Role.TEST)
     return replace(dataset, roles=roles)
 
 
-def select_labeled_anomalies(dataset: Dataset, n: int,
-                             rng: np.random.Generator | None = None) -> Dataset:
+def select_labeled_anomalies(dataset: Dataset, n: int, rng: np.random.Generator) -> Dataset:
     """Mark min(n, available) random training anomalies as labeled.
 
     Every other training row, leftover anomalies included, becomes
     unlabeled; those leftovers are the contamination.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if n < 0:
         raise InvalidParameterError("labeled-anomaly count cannot be negative")
     train = dataset.train_indices()
@@ -373,7 +376,7 @@ def inject_anomaly(source_a, source_b, feature_fraction: float,
 
 
 def adjust_contamination(dataset: Dataset, spec: ContaminationSpec,
-                         rng: np.random.Generator | None = None) -> Dataset:
+                         rng: np.random.Generator) -> Dataset:
     """Move the unlabeled pool's anomaly share to the target ratio.
 
     Above target: random unlabeled anomalies are dropped. Below target:
@@ -383,8 +386,6 @@ def adjust_contamination(dataset: Dataset, spec: ContaminationSpec,
     sources. The achieved ratio lands within 1/|pool| of the target
     (exactly zero when the target is zero).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     pool = dataset.indices(Role.UNLABELED)
     n_pool = len(pool)
     if n_pool == 0:
@@ -572,9 +573,8 @@ def generate_case(kind: str, n: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def prepare_training(dataset: Dataset, *, labeled_anomalies: int = 30,
-                     contamination: float = 0.02, feature_fraction: float = 0.05,
-                     seed: int = 0) -> Dataset:
+def prepare_training(dataset: Dataset, *, labeled_anomalies: int, contamination: float,
+                     feature_fraction: float, seed: int) -> Dataset:
     """normalize -> label selection -> contamination control.
 
     Expects roles already assigned (via split_dataset or a generator).
@@ -586,30 +586,10 @@ def prepare_training(dataset: Dataset, *, labeled_anomalies: int = 30,
     return adjust_contamination(dataset, spec, substream(seed, "contamination"))
 
 
-def prepare_dataset(dataset: Dataset, *, labeled_anomalies: int = 30,
-                    contamination: float = 0.02, feature_fraction: float = 0.05,
-                    ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
-    """Full pipeline from an unsplit dataset: split, then prepare_training."""
-    dataset = split_dataset(dataset, ratios, substream(seed, "split"))
-    return prepare_training(
-        dataset,
-        labeled_anomalies=labeled_anomalies,
-        contamination=contamination,
-        feature_fraction=feature_fraction,
-        seed=seed,
-    )
-
-
-def prepare_case_pair(train: Dataset, test: Dataset, *, labeled_anomalies: int = 30,
-                      contamination: float = 0.02, feature_fraction: float = 0.05,
-                      seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Prepare a generate_case pair: the test split reuses train bounds."""
-    train = prepare_training(
-        train,
-        labeled_anomalies=labeled_anomalies,
-        contamination=contamination,
-        feature_fraction=feature_fraction,
-        seed=seed,
-    )
-    assert train.norm_state is not None
-    return train, apply_normalization(test, train.norm_state)
+def prepare_dataset(dataset: Dataset, *, labeled_anomalies: int = LABELED_ANOMALIES,
+                    contamination: float = CONTAMINATION,
+                    feature_fraction: float = FEATURE_FRACTION, seed: int) -> Dataset:
+    """Full pipeline from an unsplit dataset: split_dataset, then prepare_training."""
+    return prepare_training(split_dataset(dataset, substream(seed, "split")),
+                            labeled_anomalies=labeled_anomalies, contamination=contamination,
+                            feature_fraction=feature_fraction, seed=seed)

@@ -34,16 +34,15 @@ ABLATION_MODES = (
 
 @dataclass
 class LossState:
-    """Running per-epoch loss averages and the current balancing weight.
+    """The softmax temperature and the running per-epoch loss averages.
 
     Both averages start at 1 and are replaced after every epoch by that
-    epoch's per-batch means; `w` is refreshed every batch.
+    epoch's per-batch means.
     """
 
+    temperature: float
     l_bar: float = 1.0
     l_prime_bar: float = 1.0
-    temperature: float = 2.0
-    w: float = 0.5
 
 
 def dynamic_weight(loss_scoring: float, loss_feature: float, state: LossState) -> float:

@@ -44,14 +44,6 @@ class DenseLayer:
                 f"bias shape {self.bias.shape} does not match {self.weights.shape[0]} output units"
             )
 
-    @property
-    def n_in(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.weights.shape[0]
-
 
 def init_dense(n_out: int, n_in: int, rng: np.random.Generator) -> DenseLayer:
     """Uniform(-1/sqrt(n_in), 1/sqrt(n_in)) weights, zero bias."""
@@ -288,11 +280,11 @@ def backward(loss: Var, param_pairs, tape: GradientTape) -> GradientTape:
 class AdamState:
     """Adam moments plus step counter, one buffer per parameter array."""
 
-    lr: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-5
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    weight_decay: float
     t: int = 0
     m_weights: list = field(default_factory=list)
     v_weights: list = field(default_factory=list)
@@ -300,14 +292,13 @@ class AdamState:
     v_bias: list = field(default_factory=list)
 
     @classmethod
-    def for_layers(cls, layers, *, lr=0.005, beta1=0.9, beta2=0.999, eps=1e-8,
-                   weight_decay=1e-5) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
-        state.m_weights = [np.zeros_like(layer.weights) for layer in layers]
-        state.v_weights = [np.zeros_like(layer.weights) for layer in layers]
-        state.m_bias = [np.zeros_like(layer.bias) for layer in layers]
-        state.v_bias = [np.zeros_like(layer.bias) for layer in layers]
-        return state
+    def for_layers(cls, layers, **hyperparameters) -> "AdamState":
+        """Zeroed moments for `layers`; the five hyperparameters come from TrainConfig."""
+        return cls(**hyperparameters,
+                   m_weights=[np.zeros_like(layer.weights) for layer in layers],
+                   v_weights=[np.zeros_like(layer.weights) for layer in layers],
+                   m_bias=[np.zeros_like(layer.bias) for layer in layers],
+                   v_bias=[np.zeros_like(layer.bias) for layer in layers])
 
 
 def adam_step(layers, tape: GradientTape, state: AdamState, names=None) -> None:

@@ -100,14 +100,6 @@ def represent_batch(params: ScorerParams, X) -> np.ndarray:
     return hidden @ params.rep_out.weights.T + params.rep_out.bias
 
 
-def represent(params: ScorerParams, x) -> np.ndarray:
-    """Representation of a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.d_in,):
-        raise ContractViolationError(f"expected input of length {params.d_in}, got shape {x.shape}")
-    return represent_batch(params, x[None, :])[0]
-
-
 def score_batch(params: ScorerParams, X) -> np.ndarray:
     """Anomaly scores for each row of X, in row order.
 

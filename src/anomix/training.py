@@ -195,7 +195,6 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
                 objective = loss_var * w + feature_var * (1.0 - w)
             backward(objective, graph.param_pairs(), tape)
             adam_step(params.layers(), tape, optimizer, names=LAYER_NAMES)
-            state.w = w
             scoring_vals.append(loss_val)
             weights.append(w)
             if feature_val is not None:
@@ -226,8 +225,3 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
     if config.select_best and best_params is not None:
         return best_params, history
     return params, history
-
-
-def predict(params: ScorerParams, X) -> np.ndarray:
-    """Scores for new rows; never touches labels."""
-    return score_batch(params, X)

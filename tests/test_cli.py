@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -129,12 +131,15 @@ def test_score_rejects_rows_that_normalize_to_non_finite(tmp_path, capsys):
     data = tmp_path / "rows.csv"
     write_rows(data, ["a", "b"], [[0.5e-10, 0.5]] * 6 + [[1e300, 0.5]])
     out = tmp_path / "run"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would fail here
         code = main(["score", "--model", str(model), "--data", str(data), "--out", str(out)])
     assert code == 1
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record == {"error": "ContractViolationError",
-                      "message": "input row 6 holds a non-finite value"}
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "DatasetError",
+        "message": "input row 6 became non-finite when scaled by the model's min-max bounds"}
     assert not (out / "scores.csv").exists()
 
 
@@ -229,13 +234,22 @@ def test_load_rejects_seed_and_train_config_tampering(tmp_path):
     params = build_scorer(4, 8, seed=1)
     path = tmp_path / "model.json"
     save_model(ModelArtifact(params, None, {}, 1), path)
+    bad = tmp_path / "tampered.json"
     for key, value in (("seed", "abc"), ("seed", None), ("seed", 1.5),
-                       ("train_config", [1, 2])):
+                       ("train_config", [1, 2]),
+                       ("architecture.d_in", 3.9), ("architecture.d_in", "4"),
+                       ("architecture.d_in", 0), ("architecture.h1", None),
+                       ("architecture.rep_dim", True), ("architecture.rep_dim", 1),
+                       ("architecture.slope", "0.01"), ("architecture.slope", True),
+                       ("architecture.slope", 1.5), ("architecture.slope", 0.0),
+                       ("architecture.slope", -0.2)):
         payload = json.loads(path.read_text())
-        payload[key] = value
-        bad = tmp_path / "tampered.json"
+        *parents, field = key.split(".")
+        block = payload[parents[0]] if parents else payload
+        block[field] = value
         bad.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(CorruptArtifactError, match=key):
+        # The error names the file and the field.
+        with pytest.raises(CorruptArtifactError, match=re.escape(str(bad)) + ".*" + field):
             load_model(bad)
 
 
@@ -385,3 +399,10 @@ def test_sweep_empty_grid(toy_csv, tmp_path):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     lines = (out / "sweep_results.csv").read_text().strip().splitlines()
     assert len(lines) == 1  # header only
+
+
+def test_package_exports_resolve():
+    import anomix
+
+    assert len(set(anomix.__all__)) == len(anomix.__all__)
+    assert all(hasattr(anomix, name) for name in anomix.__all__)

@@ -17,7 +17,6 @@ from anomix.data import (
     Dataset,
     Role,
     adjust_contamination,
-    apply_normalization,
     generate_case,
     generate_toy,
     inject_anomaly,
@@ -26,6 +25,7 @@ from anomix.data import (
     minmax_normalize,
     normalize_features,
     prepare_dataset,
+    prepare_training,
     select_labeled_anomalies,
     split_dataset,
     write_csv,
@@ -38,6 +38,7 @@ from anomix.errors import (
     UnusableDatasetError,
 )
 from anomix.metrics import auc_roc
+from anomix.rng import substream
 
 
 def _dataset(X, y, role=Role.UNLABELED):
@@ -267,11 +268,10 @@ def test_minmax_requires_training_rows():
         minmax_normalize(ds)
 
 
-def test_apply_normalization_dimension_check():
-    ds = _dataset([[1.0, 2.0]], [0])
+def test_normalize_features_dimension_check():
     state = minmax_normalize(_dataset([[0.0], [2.0]], [0, 0])).norm_state
     with pytest.raises(DatasetError):
-        apply_normalization(ds, state)
+        normalize_features(np.array([[1.0, 2.0]]), state)
 
 
 # -- splitting ----------------------------------------------------------------------
@@ -308,8 +308,6 @@ def test_split_determinism_and_validation():
     a = split_dataset(ds, rng=np.random.default_rng(9))
     b = split_dataset(ds, rng=np.random.default_rng(9))
     assert np.array_equal(a.roles, b.roles)
-    with pytest.raises(InvalidParameterError):
-        split_dataset(ds, ratios=(0.6, 0.2, 0.3))
     tiny = _dataset([[1.0]] * 4, [0, 0, 0, 1])
     with pytest.raises(DatasetError):
         split_dataset(tiny, rng=np.random.default_rng(0))
@@ -565,3 +563,17 @@ def test_prepare_dataset_end_state():
     train_rows = prepared.X[prepared.train_indices()]
     assert train_rows.min() >= 0.0 and train_rows.max() <= 1.0
     assert (prepared.roles != int(Role.UNASSIGNED)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_prepare_dataset_is_split_then_prepare_training(seed):
+    # The sweep runs prepare_dataset, while `anomix train` splits first (to
+    # write test_split.csv) and then calls prepare_training: both must agree.
+    toy = generate_toy(1500, seed=seed)
+    knobs = dict(labeled_anomalies=12, contamination=0.05, feature_fraction=0.3)
+    one_call = prepare_dataset(toy, seed=seed, **knobs)
+    two_steps = prepare_training(split_dataset(toy, substream(seed, "split")), seed=seed, **knobs)
+    for name in ("X", "y", "roles"):
+        assert np.array_equal(getattr(one_call, name), getattr(two_steps, name)), name
+    assert np.array_equal(one_call.norm_state.mins, two_steps.norm_state.mins)
+    assert np.array_equal(one_call.norm_state.maxs, two_steps.norm_state.maxs)

@@ -195,7 +195,7 @@ def test_feature_regularizer_graph_matches_plain(rng):
 
 
 def test_dynamic_weight_symmetry_and_worked_example():
-    state = LossState()
+    state = LossState(temperature=2.0)
     assert dynamic_weight(3.0, 3.0, state) == pytest.approx(0.5, abs=1e-15)
     w = dynamic_weight(2.0, 1.0, LossState(l_bar=1.0, l_prime_bar=1.0, temperature=2.0))
     expected = math.e / (math.e + math.exp(0.5))
@@ -224,13 +224,13 @@ def test_dynamic_weight_overflow_guard():
 
 def test_dynamic_weight_validation():
     with pytest.raises(InvalidParameterError):
-        dynamic_weight(1.0, 1.0, LossState(l_bar=0.0))
+        dynamic_weight(1.0, 1.0, LossState(temperature=2.0, l_bar=0.0))
     with pytest.raises(InvalidParameterError):
         dynamic_weight(1.0, 1.0, LossState(temperature=0.0))
 
 
 def test_update_epoch_averages():
-    state = LossState()
+    state = LossState(temperature=2.0)
     assert state.l_bar == 1.0 and state.l_prime_bar == 1.0  # pre-first-epoch init
     updated = update_epoch_averages(state, [4.0, 4.0, 4.0], [1.0, 2.0, 3.0])
     assert updated.l_bar == 4.0

@@ -17,6 +17,7 @@ from anomix.nn import (
     v_tanh,
 )
 from anomix.scorer import ScorerGraph, build_scorer
+from anomix.training import TrainConfig
 
 
 def _affine(layer: DenseLayer, rows) -> np.ndarray:
@@ -139,6 +140,14 @@ def test_backward_zeroes_previous_gradients(rng):
 # -- optimizer ---------------------------------------------------------------
 
 
+def _adam(layers, **overrides) -> AdamState:
+    """AdamState for `layers` with TrainConfig's hyperparameters, some overridden."""
+    cfg = TrainConfig()
+    hyper = dict(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
+                 weight_decay=cfg.weight_decay)
+    return AdamState.for_layers(layers, **{**hyper, **overrides})
+
+
 def _scalar_setup(weight=0.5):
     layer = DenseLayer(np.array([[weight]]), np.zeros(1))
     tape = GradientTape([layer])
@@ -147,7 +156,7 @@ def _scalar_setup(weight=0.5):
 
 def test_adam_zero_gradient_is_identity():
     layer, tape = _scalar_setup()
-    state = AdamState.for_layers([layer], weight_decay=0.0)
+    state = _adam([layer], weight_decay=0.0)
     before = layer.weights.copy()
     adam_step([layer], tape, state)
     assert np.array_equal(layer.weights, before)
@@ -156,14 +165,14 @@ def test_adam_zero_gradient_is_identity():
 
 def test_adam_first_step_closed_form():
     layer, tape = _scalar_setup()
-    state = AdamState.for_layers([layer], lr=0.005, weight_decay=0.0)
+    state = _adam([layer], lr=0.005, weight_decay=0.0)
     tape.d_weights[0][0, 0] = 1.0
     adam_step([layer], tape, state)
     expected_delta = -0.005 * (1.0 / (1.0 + 1e-8))
     assert layer.weights[0, 0] == pytest.approx(0.5 + expected_delta, abs=1e-15)
 
     layer2, tape2 = _scalar_setup()
-    state2 = AdamState.for_layers([layer2], lr=0.005, weight_decay=0.0)
+    state2 = _adam([layer2], lr=0.005, weight_decay=0.0)
     tape2.d_weights[0][0, 0] = -1.0
     adam_step([layer2], tape2, state2)
     assert layer2.weights[0, 0] == pytest.approx(0.5 - expected_delta, abs=1e-15)
@@ -171,7 +180,7 @@ def test_adam_first_step_closed_form():
 
 def test_adam_decoupled_decay_applies_before_delta():
     layer, tape = _scalar_setup(weight=2.0)
-    state = AdamState.for_layers([layer], lr=0.1, weight_decay=0.5)
+    state = _adam([layer], lr=0.1, weight_decay=0.5)
     adam_step([layer], tape, state)
     # zero gradient: only the decay factor acts
     assert layer.weights[0, 0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5), abs=1e-15)
@@ -179,7 +188,7 @@ def test_adam_decoupled_decay_applies_before_delta():
 
 def test_adam_rejects_nonfinite_gradient():
     layer, tape = _scalar_setup()
-    state = AdamState.for_layers([layer])
+    state = _adam([layer])
     tape.d_weights[0][0, 0] = np.nan
     with pytest.raises(TrainingDivergedError, match="weights"):
         adam_step([layer], tape, state, names=["only"])
@@ -187,7 +196,7 @@ def test_adam_rejects_nonfinite_gradient():
 
 def test_adam_step_counter_strictly_increases():
     layer, tape = _scalar_setup()
-    state = AdamState.for_layers([layer])
+    state = _adam([layer])
     for expected in (1, 2, 3):
         adam_step([layer], tape, state)
         assert state.t == expected

@@ -9,7 +9,6 @@ from anomix.scorer import (
     ScorerParams,
     build_scorer,
     hidden_sizes,
-    represent,
     represent_batch,
     score,
     score_batch,
@@ -60,7 +59,7 @@ def test_represent_matches_hand_chain(rng):
     x = rng.normal(size=3)
     hidden = leaky_relu(w1 @ x + b1, 0.01)
     expected = w2 @ hidden + b2
-    assert np.allclose(represent(params, x), expected, atol=1e-14)
+    assert np.allclose(represent_batch(params, x[None, :])[0], expected, atol=1e-14)
 
 
 def test_score_matches_hand_chain():
@@ -82,7 +81,7 @@ def test_score_matches_hand_chain():
 def test_zero_network_outputs():
     params = identity_representation_scorer(3)
     x = np.array([0.3, 0.6, 0.9])
-    assert np.array_equal(represent(params, x), x)  # identity representation
+    assert np.array_equal(represent_batch(params, x[None, :])[0], x)  # identity representation
     assert score(params, x) == 0.0  # zero score head -> tanh(0)
 
     zero = ScorerParams(
@@ -92,7 +91,7 @@ def test_zero_network_outputs():
         score_out=DenseLayer(np.zeros((1, 1)), np.zeros(1)),
         d_in=2, rep_dim=2, h1=2, h2=1,
     )
-    assert np.array_equal(represent(zero, np.array([5.0, -3.0])), np.zeros(2))
+    assert np.array_equal(represent_batch(zero, np.array([[5.0, -3.0]])), np.zeros((1, 2)))
 
 
 def test_scores_live_inside_open_interval(rng):
@@ -186,7 +185,7 @@ def test_dimension_mismatches_raise(rng):
     with pytest.raises(ContractViolationError):
         score(params, np.ones(5))
     with pytest.raises(ContractViolationError):
-        represent(params, np.ones(3))
+        represent_batch(params, np.ones((2, 3)))
     with pytest.raises(ContractViolationError):
         score_batch(params, np.ones((3, 5)))
 

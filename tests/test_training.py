@@ -8,8 +8,8 @@ from anomix.losses import ABLATION_MODES, LossState, dynamic_weight, update_epoc
 from anomix.metrics import auc_pr
 from anomix.nn import AdamState, GradientTape, adam_step, backward
 from anomix.rng import child_seed, substream
-from anomix.scorer import LAYER_NAMES, ScorerGraph, build_scorer
-from anomix.training import TrainConfig, predict, sample_batches, train
+from anomix.scorer import LAYER_NAMES, ScorerGraph, build_scorer, score_batch
+from anomix.training import TrainConfig, sample_batches, train
 from tests.conftest import step_losses
 
 
@@ -185,17 +185,17 @@ def test_model_selection_returns_best_validation_snapshot():
                       select_best=True)
     params, history = train(prepared, cfg)
     val_idx = prepared.indices(Role.VALID)
-    achieved = auc_pr(predict(params, prepared.X[val_idx]), prepared.y[val_idx])
+    achieved = auc_pr(score_batch(params, prepared.X[val_idx]), prepared.y[val_idx])
     best_recorded = max(r.val_auc_pr for r in history.records)
     assert achieved == pytest.approx(best_recorded, abs=1e-12)
 
 
-def test_predict_contract():
+def test_score_batch_contract_after_training():
     ds = _tiny_dataset()
     params, _ = train(ds, _fast_config())
-    assert predict(params, np.empty((0, 3))).shape == (0,)
-    once = predict(params, ds.X)
-    again = predict(params, ds.X)
+    assert score_batch(params, np.empty((0, 3))).shape == (0,)
+    once = score_batch(params, ds.X)
+    again = score_batch(params, ds.X)
     assert np.array_equal(once, again)
 
 
@@ -206,4 +206,4 @@ def test_trained_toy_scores_anomalies_higher():
     params, _ = train(prepared, cfg)
     anom = prepared.X[prepared.indices(Role.LABELED_ANOMALY)]
     unlab = prepared.X[prepared.indices(Role.UNLABELED)]
-    assert predict(params, anom).mean() > predict(params, unlab).mean()
+    assert score_batch(params, anom).mean() > score_batch(params, unlab).mean()
