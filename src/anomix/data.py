@@ -288,13 +288,26 @@ def minmax_normalize(dataset: Dataset) -> Dataset:
 
     Training rows land in [0, 1]; validation and test rows reuse the
     training bounds and may fall outside. Constant features map to 0.
-    Applying the op twice is the identity on X.
+    Applying the op twice is the identity on X. Raises DatasetError naming
+    the first feature column whose training span (max - min) overflows
+    float64, or whose scaled values are not finite.
     """
     train = dataset.train_indices()
     if len(train) == 0:
         raise DatasetError("normalization requires assigned training rows")
     state = NormState(dataset.X[train].min(axis=0), dataset.X[train].max(axis=0))
-    return replace(dataset, X=_transform(dataset.X, state), norm_state=state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _transform(dataset.X, state)
+        # min and max carry any nan or inf of a column, without a temporary the size of X.
+        finite = np.isfinite(X.min(axis=0)) & np.isfinite(X.max(axis=0))
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        span = float(state.maxs[bad]) - float(state.mins[bad])  # a Python float: no warning
+        cause = ("became non-finite when scaled by its training min-max bounds"
+                 if math.isfinite(span)
+                 else "has a training span (max - min) beyond the float64 range")
+        raise DatasetError(f"feature column {dataset.feature_names[bad]!r} {cause}")
+    return replace(dataset, X=X, norm_state=state)
 
 
 def normalize_features(X: np.ndarray, state: NormState) -> np.ndarray:

@@ -3,10 +3,14 @@
 Each synthetic sample is a weighted sum of k distinct rows of the source
 batch, and its target is the same weighted sum of the rows' +/-1 labels,
 so mixing an anomaly with an unlabeled row yields a target strictly
-between the extremes. Weights come from Beta(alpha, alpha) for k=2 and
-from the symmetric Dirichlet(alpha) for k>2 (which reduces to the Beta at
-k=2). With alpha=0.5 the weights pile up near 0 and 1, keeping most mixes
-close to one of their sources.
+between the extremes. The weights of every sample come from one
+symmetric Dirichlet(alpha) draw, for every k; at k=2 that is the
+Beta(alpha, alpha) pair (lambda, 1 - lambda). With alpha=0.5 the weights
+pile up near the simplex corners, keeping most mixes close to one of
+their sources. A mix whose sources share a label gets that label
+exactly: Dirichlet weights sum to 1 only up to rounding, so the target
+is computed as y0 + sum_i lambda_i (y_i - y0), which is exact when every
+y_i equals y0.
 """
 
 from __future__ import annotations
@@ -31,58 +35,34 @@ class AugmentedBatch:
         return len(self.x)
 
 
-def sample_weights(k: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """One simplex draw of k nonnegative weights summing to 1."""
-    if k < 2:
-        raise InvalidParameterError("k must be at least 2")
-    if not alpha > 0:
-        raise InvalidParameterError("alpha must be positive")
-    if k == 2:
-        lam = rng.beta(alpha, alpha)
-        return np.array([lam, 1.0 - lam])
-    return rng.dirichlet(np.full(k, alpha))
-
-
-def mix(source_x, source_y, lambdas) -> tuple[np.ndarray, float]:
-    """Weighted sums of rows and labels, exactly as later stored.
-
-    The target is clamped to [-1, 1]: Dirichlet weights for k > 2 sum to
-    1 only up to rounding, which could push a pure-anomaly mix an ulp
-    past the bound.
-    """
-    lam = np.asarray(lambdas, dtype=np.float64)
-    x = lam @ np.asarray(source_x, dtype=np.float64)
-    y = float(np.clip(lam @ np.asarray(source_y, dtype=np.float64), -1.0, 1.0))
-    return x, y
-
-
 def augment_batch(x, y, k: int, alpha: float, m: int,
                   rng: np.random.Generator) -> AugmentedBatch:
     """m mixed samples, each built from k distinct rows of (x, y).
 
-    Source rows are drawn uniformly without replacement per sample; the
-    drawn indices and weights are retained so the consistency term can
-    recompute the weighted sum of the sources' scores.
+    All m samples are drawn at once: the k smallest of n uniform keys pick
+    each sample's sources without replacement, and one Dirichlet call
+    gives every sample's weights. The drawn indices and weights are
+    retained so the consistency term can recompute the weighted sum of
+    the sources' scores.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(x)
     if x.ndim != 2 or y.shape != (n,):
         raise InvalidParameterError("sources must be an (n, d) matrix with n labels")
+    if k < 2:
+        raise InvalidParameterError("k must be at least 2")
+    if not alpha > 0:
+        raise InvalidParameterError("alpha must be positive")
     if n < k:
         raise InsufficientBatchError(f"batch of {n} rows cannot supply {k} distinct sources")
     if m < 1:
         raise InvalidParameterError("need at least one augmented sample")
     if not np.all(np.abs(y) == 1.0):
         raise InvalidParameterError("source labels must be +1 (anomaly) or -1 (unlabeled)")
-    sources = np.empty((m, k), dtype=np.int64)
-    lambdas = np.empty((m, k))
-    x_mixed = np.empty((m, x.shape[1]))
-    y_mixed = np.empty(m)
-    for i in range(m):
-        idx = rng.choice(n, size=k, replace=False)
-        lam = sample_weights(k, alpha, rng)
-        sources[i] = idx
-        lambdas[i] = lam
-        x_mixed[i], y_mixed[i] = mix(x[idx], y[idx], lam)
-    return AugmentedBatch(x_mixed, y_mixed, sources, lambdas)
+    sources = np.argpartition(rng.random((m, n)), k - 1, axis=1)[:, :k]
+    lambdas = rng.dirichlet(np.full(k, alpha), size=m)
+    x_mixed = np.einsum("ik,ikd->id", lambdas, x[sources])
+    y_src = y[sources]
+    y_mixed = y_src[:, 0] + np.einsum("ik,ik->i", lambdas, y_src - y_src[:, :1])
+    return AugmentedBatch(x_mixed, np.clip(y_mixed, -1.0, 1.0), sources, lambdas)

@@ -143,6 +143,24 @@ def test_score_rejects_rows_that_normalize_to_non_finite(tmp_path, capsys):
     assert not (out / "scores.csv").exists()
 
 
+def test_train_names_a_feature_whose_span_overflows(tmp_path, capsys):
+    toy = generate_toy(600, seed=1)
+    toy.X[::2, 3], toy.X[1::2, 3] = 1.5e308, -1.5e308  # each finite, their span is not
+    data = tmp_path / "huge.csv"
+    write_csv(toy, data)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would fail here
+        code = main(_train_args(data, out))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "DatasetError",
+        "message": "feature column 'f3' has a training span (max - min) beyond the float64 range"}
+    assert not (out / "model.json").exists()
+
+
 def test_score_empty_input_gives_header_only(toy_csv, tmp_path):
     out = tmp_path / "run"
     main(_train_args(toy_csv, out))

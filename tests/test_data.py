@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,27 @@ def test_minmax_requires_training_rows():
     ds = _dataset([[1.0], [2.0]], [0, 1], role=Role.TEST)
     with pytest.raises(DatasetError):
         minmax_normalize(ds)
+
+
+def test_minmax_names_the_column_whose_span_or_scale_overflows():
+    X = np.zeros((4, 3))
+    X[:, 2] = [0.5, 1.0, 0.0, 2.0]
+    X[0, 1], X[1, 1] = 1.5e308, -1.5e308  # each finite, their span is not
+    ds = _dataset(X, [0, 0, 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would fail here
+        with pytest.raises(DatasetError) as err:
+            minmax_normalize(ds)
+        assert str(err.value) == ("feature column 'f1' has a training span (max - min) "
+                                  "beyond the float64 range")
+        # A finite span of 1e-10 sends a finite test row past the float range.
+        roles = [int(Role.UNLABELED)] * 2 + [int(Role.TEST)]
+        tiny = Dataset(np.array([[0.0, 0.0], [1.0, 1e-10], [0.5, 1e300]]), np.array([0, 0, 1]),
+                       np.array(roles))
+        with pytest.raises(DatasetError) as err:
+            minmax_normalize(tiny)
+        assert str(err.value) == ("feature column 'f1' became non-finite when scaled by its "
+                                  "training min-max bounds")
 
 
 def test_normalize_features_dimension_check():

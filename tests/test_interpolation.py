@@ -2,62 +2,57 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anomix.errors import InsufficientBatchError, InvalidParameterError
-from anomix.interpolation import augment_batch, mix, sample_weights
+from anomix.interpolation import augment_batch
+
+
+def _weights(k, alpha, m, rng):
+    """The (m, k) mixing weights of one augment_batch call over k sources."""
+    x = np.zeros((k, 1))
+    y = np.array([1.0] + [-1.0] * (k - 1))
+    return augment_batch(x, y, k=k, alpha=alpha, m=m, rng=rng).lambdas
 
 
 def test_weights_sum_to_one_for_pairs(rng):
-    for _ in range(200):
-        lam = sample_weights(2, 0.5, rng)
-        assert lam.shape == (2,)
-        assert np.all(lam >= 0)
-        assert abs(lam.sum() - 1.0) <= 1e-12
+    lam = _weights(2, 0.5, 200, rng)
+    assert lam.shape == (200, 2)
+    assert np.all(lam >= 0)
+    assert np.all(np.abs(lam.sum(axis=1) - 1.0) <= 1e-12)
 
 
 def test_weights_simplex_for_k3(rng):
-    for _ in range(200):
-        lam = sample_weights(3, 0.5, rng)
-        assert lam.shape == (3,)
-        assert np.all(lam >= 0)
-        assert abs(lam.sum() - 1.0) <= 1e-12
+    lam = _weights(3, 0.5, 200, rng)
+    assert lam.shape == (200, 3)
+    assert np.all(lam >= 0)
+    assert np.all(np.abs(lam.sum(axis=1) - 1.0) <= 1e-12)
 
 
 def test_weights_parameter_validation(rng):
+    x = rng.normal(size=(3, 2))
+    y = np.array([1.0, -1.0, -1.0])
     with pytest.raises(InvalidParameterError):
-        sample_weights(1, 0.5, rng)
+        augment_batch(x, y, k=1, alpha=0.5, m=2, rng=rng)
     with pytest.raises(InvalidParameterError):
-        sample_weights(2, 0.0, rng)
+        augment_batch(x, y, k=2, alpha=0.0, m=2, rng=rng)
     with pytest.raises(InvalidParameterError):
-        sample_weights(2, -1.0, rng)
+        augment_batch(x, y, k=2, alpha=-1.0, m=2, rng=rng)
 
 
 def test_pair_weights_are_symmetric_and_u_shaped(rng):
-    draws = np.array([sample_weights(2, 0.5, rng)[0] for _ in range(20000)])
+    draws = _weights(2, 0.5, 20000, rng)[:, 0]
     assert abs(draws.mean() - 0.5) < 0.02
     tail = np.mean((draws < 0.1) | (draws > 0.9))
     assert tail > 0.35  # Beta(0.5, 0.5) piles mass near the endpoints
 
 
-def test_mix_worked_example():
-    x, y = mix(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([-1.0, 1.0]), [0.3, 0.7])
-    assert np.allclose(x, [0.7, 0.7], atol=1e-15)
-    assert y == pytest.approx(0.4, abs=1e-12)
-
-
-def test_mix_degenerate_weight_recovers_source():
-    x1 = np.array([0.25, -0.5, 3.0])
-    x2 = np.array([9.0, 9.0, 9.0])
-    x, y = mix(np.vstack([x1, x2]), np.array([-1.0, 1.0]), [1.0, 0.0])
-    assert np.array_equal(x, x1)
-    assert y == -1.0
-
-
-def test_mix_of_equal_labels_stays_extreme(rng):
-    for _ in range(50):
-        lam = sample_weights(2, 0.5, rng)
-        _, y = mix(rng.normal(size=(2, 3)), np.array([1.0, 1.0]), lam)
-        assert y == 1.0
+def test_triple_weights_have_symmetric_marginals(rng):
+    # each weight of a symmetric Dirichlet over 3 sources has mean 1/3
+    draws = _weights(3, 0.5, 20000, rng)[:, 0]
+    assert abs(draws.mean() - 1.0 / 3.0) < 0.02
 
 
 def test_augment_batch_shapes_and_bookkeeping(rng):
@@ -121,7 +116,57 @@ def test_augment_batch_validation(rng):
 
 def test_beta_tail_mass_matches_arcsine_law(rng):
     # Monte-Carlo check against the closed-form Beta(0.5, 0.5) CDF
-    draws = np.array([sample_weights(2, 0.5, rng)[0] for _ in range(30000)])
+    draws = _weights(2, 0.5, 30000, rng)[:, 0]
     expected_tail = 2.0 * (2.0 / math.pi) * math.asin(math.sqrt(0.1))
     observed = np.mean((draws < 0.1) | (draws > 0.9))
     assert abs(observed - expected_tail) < 0.03
+
+
+@st.composite
+def _augment_inputs(draw):
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 5))
+    x = draw(hnp.arrays(np.float64, (n, d),
+                        elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+    y = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    k = draw(st.integers(2, n))
+    m = draw(st.integers(1, 20))
+    alpha = draw(st.floats(0.05, 5.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return x, y, k, alpha, m, seed
+
+
+@settings(deadline=None, derandomize=True)
+@given(inputs=_augment_inputs())
+def test_augment_batch_properties(inputs):
+    x, y, k, alpha, m, seed = inputs
+    batch = augment_batch(x, y, k, alpha, m, np.random.default_rng(seed))
+    n, d = x.shape
+    assert batch.x.shape == (m, d) and batch.y.shape == (m,)
+    assert batch.sources.shape == (m, k) and batch.lambdas.shape == (m, k)
+    assert np.all(batch.y >= -1.0) and np.all(batch.y <= 1.0)
+    assert np.all(batch.lambdas >= 0.0)
+    assert np.all(np.abs(batch.lambdas.sum(axis=1) - 1.0) <= 1e-12)
+    assert np.all((batch.sources >= 0) & (batch.sources < n))
+    for row in batch.sources:
+        assert len(set(row.tolist())) == k
+    for i in range(m):  # the row-by-row reference, 1e-12 relative to the sources' magnitude
+        rows = x[batch.sources[i]]
+        tol = 1e-12 * np.abs(rows).max() + np.finfo(np.float64).tiny  # slack for subnormals
+        assert np.all(np.abs(batch.x[i] - batch.lambdas[i] @ rows) <= tol)
+    again = augment_batch(x, y, k, alpha, m, np.random.default_rng(seed))
+    for field in ("x", "y", "sources", "lambdas"):
+        assert getattr(again, field).tobytes() == getattr(batch, field).tobytes()
+
+
+@settings(deadline=None, derandomize=True)
+@given(inputs=_augment_inputs(), k=st.sampled_from([2, 3]))
+def test_mix_of_equal_labels_stays_extreme(inputs, k):
+    # Dirichlet weights sum to 1 only up to rounding; a same-label mix must
+    # still get its label exactly, not a value an ulp inside it.
+    x, y, _k, alpha, m, seed = inputs
+    assume(k <= len(x))
+    batch = augment_batch(x, y, k, alpha, m, np.random.default_rng(seed))
+    labels = y[batch.sources]
+    same = np.all(labels == labels[:, :1], axis=1)
+    assert np.array_equal(batch.y[same], labels[same, 0])

@@ -81,10 +81,13 @@ def test_zero_epochs_returns_initialized_params():
 
 
 def test_train_replay_oracle_matches_exactly():
-    """Replaying the loop step by step reproduces train() bit for bit, in every mode."""
+    """Replaying the loop step by step reproduces train() bit for bit, in every mode.
+
+    The last run mixes k=3 sources per sample, as the wide benchmark does.
+    """
     ds = _tiny_dataset(n_anom=2, n_unlab=8)
-    for mode in ABLATION_MODES:
-        cfg = _fast_config(n_epoch=2, n_batch=2, ablation=mode)
+    for mode, k in [*((mode, 2) for mode in ABLATION_MODES), ("full", 3)]:
+        cfg = _fast_config(n_epoch=2, n_batch=2, ablation=mode, k=k)
         trained, history = train(ds, cfg)
 
         params = build_scorer(3, cfg.rep_dim, seed=child_seed(cfg.seed, "init"), slope=cfg.slope)
@@ -122,8 +125,8 @@ def test_train_replay_oracle_matches_exactly():
                 state = update_epoch_averages(state, ls, lps)
 
         for got, want in zip(trained.layers(), params.layers()):
-            assert np.array_equal(got.weights, want.weights), mode
-            assert np.array_equal(got.bias, want.bias), mode
+            assert np.array_equal(got.weights, want.weights), (mode, k)
+            assert np.array_equal(got.bias, want.bias), (mode, k)
         # first-epoch weights were computed against the initial averages of 1
         assert history.records[0].weight == pytest.approx(
             np.mean(expected_weights[:cfg.n_batch]), abs=0)
