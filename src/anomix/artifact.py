@@ -21,7 +21,7 @@ import numpy as np
 from .data import NormState, write_json
 from .errors import CorruptArtifactError
 from .nn import DenseLayer
-from .scorer import LAYER_NAMES, ScorerParams, hidden_sizes
+from .scorer import LAYER_NAMES, ScorerParams, hidden_sizes, layer_shapes
 
 FORMAT_NAME = "anomix-model"
 FORMAT_VERSION = 1
@@ -100,30 +100,20 @@ def load_model(path) -> ModelArtifact:
     _require(rep_dim > 1, f"{path}: architecture 'rep_dim' is 1, which leaves no scoring unit")
     _require((h1, h2) == hidden_sizes(d_in, rep_dim), f"{path}: architecture violates the sizing rule")
 
-    expected = {
-        "rep_hidden": (h1, d_in),
-        "rep_out": (rep_dim, h1),
-        "score_hidden": (h2, rep_dim),
-        "score_out": (1, h2),
-    }
     stored = payload.get("layers")
     _require(isinstance(stored, dict), f"{path}: missing layers block")
-    built = {}
-    for name in LAYER_NAMES:
+    built = []
+    for name, shape in zip(LAYER_NAMES, layer_shapes(d_in, rep_dim)):
         block = stored.get(name)
         _require(isinstance(block, dict), f"{path}: missing layer {name!r}")
         weights = np.asarray(block.get("weights"), dtype=np.float64)
         bias = np.asarray(block.get("bias"), dtype=np.float64)
-        _require(weights.shape == expected[name], f"{path}: layer {name!r} has shape {weights.shape}")
-        _require(bias.shape == (expected[name][0],), f"{path}: layer {name!r} bias mis-sized")
+        _require(weights.shape == shape, f"{path}: layer {name!r} has shape {weights.shape}")
+        _require(bias.shape == (shape[0],), f"{path}: layer {name!r} bias mis-sized")
         _require(bool(np.isfinite(weights).all() and np.isfinite(bias).all()),
                  f"{path}: layer {name!r} holds non-finite values")
-        built[name] = DenseLayer(weights, bias)
-    params = ScorerParams(
-        rep_hidden=built["rep_hidden"], rep_out=built["rep_out"],
-        score_hidden=built["score_hidden"], score_out=built["score_out"],
-        d_in=d_in, rep_dim=rep_dim, h1=h1, h2=h2, slope=slope,
-    )
+        built.append(DenseLayer(weights, bias))
+    params = ScorerParams(*built, slope=slope)
 
     norm = payload.get("normalization")
     norm_state = None

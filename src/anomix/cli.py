@@ -30,7 +30,7 @@ from .errors import AnomixError, DatasetError, UnusableDatasetError
 from .losses import ABLATION_MODES
 from .metrics import MetricsReport, evaluate_scores
 from .rng import child_seed, substream
-from .scorer import score_batch
+from .scorer import hidden_sizes, score_batch
 from .training import TrainConfig, train
 
 _SWEEP_COLUMNS = ("contamination", "labeled_anomalies", "repeat", "seed", "status",
@@ -88,10 +88,15 @@ def _train_config(values: dict, seed: int, select_best: bool) -> TrainConfig:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    out = _out_dir(args.out)
     if args.labeled_anomalies <= 0:
         raise UnusableDatasetError("--labeled-anomalies must be positive: training needs anomaly examples")
+    # Every flag is checked before the first write.
+    config = _train_config(vars(args), args.seed, select_best=not args.last_epoch)
+    config.validate()
+    D.ContaminationSpec(args.contamination, args.feature_fraction)
     dataset = D.load_csv(args.data, args.label_col)
+    hidden_sizes(dataset.n_features, config.rep_dim)
+    out = _out_dir(args.out)
     split = D.split_dataset(dataset, rng=substream(args.seed, "split"))
     test_rows = split.indices(Role.TEST)
     test_path = out / "test_split.csv"
@@ -104,7 +109,6 @@ def cmd_train(args) -> int:
         feature_fraction=args.feature_fraction,
         seed=args.seed,
     )
-    config = _train_config(vars(args), args.seed, select_best=not args.last_epoch)
     progress = _print_progress if args.verbose else None
     params, history = train(prepared, config, progress=progress)
 
@@ -220,12 +224,12 @@ def cmd_score(args) -> int:
 
 def cmd_synth(args) -> int:
     started = time.perf_counter()
-    out = _out_dir(args.out)
     if args.kind == "toy":
         files = {"data": ("toy.csv", D.generate_toy(args.n, args.seed, args.anomaly_fraction))}
     else:
         pair = D.generate_case(args.kind, args.n, args.seed, args.anomaly_fraction)
         files = {part: (f"{args.kind}_{part}.csv", ds) for part, ds in zip(("train", "test"), pair)}
+    out = _out_dir(args.out)
     outputs = {}
     for label, (name, dataset) in files.items():
         D.write_csv(dataset, out / name)
@@ -290,6 +294,8 @@ def _read_sweep_config(path) -> dict:
             kind = (f"list of {type(default[0]).__name__}" if isinstance(default, list)
                     else type(default).__name__)
             raise DatasetError(f"sweep config {path}: {key!r} must be {kind}, got {value!r}")
+        if key in ("repeats", "seed") and value < 0:
+            raise DatasetError(f"sweep config {path}: {key!r} cannot be negative, got {value!r}")
     return sweep_cfg
 
 

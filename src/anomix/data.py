@@ -479,6 +479,8 @@ def generate_toy(n: int, seed: int = 0, anomaly_fraction: float = 0.05) -> Datas
     """Seeded 10-feature toy dataset with a 3-cluster anomaly class."""
     if n < 50:
         raise InvalidParameterError("toy generator needs n >= 50")
+    if seed < 0:
+        raise InvalidParameterError("seed cannot be negative")
     if not 0.0 < anomaly_fraction < 0.5:
         raise InvalidParameterError("anomaly_fraction must lie in (0, 0.5)")
     rng = np.random.default_rng(seed)
@@ -571,6 +573,8 @@ def generate_case(kind: str, n: int, seed: int = 0,
         raise InvalidParameterError(f"unknown case kind {kind!r}; expected one of {CASE_KINDS}")
     if n < 100:
         raise InvalidParameterError("case generator needs n >= 100")
+    if seed < 0:
+        raise InvalidParameterError("seed cannot be negative")
     if not 0.0 < anomaly_fraction < 0.5:
         raise InvalidParameterError("anomaly_fraction must lie in (0, 0.5)")
     rng = np.random.default_rng(seed)

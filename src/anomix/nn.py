@@ -3,9 +3,12 @@
 Everything runs in float64 numpy. Batch losses reduce by the mean, so the
 learning rate does not depend on batch size. The tape covers only the
 scorer's operations: its forward pass and the terms of its training
-losses. It is not a general autodiff framework. Training-time state
-(tape, optimizer) is single-writer; pure forward evaluation with frozen
-parameters is safe to call concurrently.
+losses. It is not a general autodiff framework. `backward` returns one
+gradient per leaf, in the order of the leaves it is given; `adam_step`
+walks (label, array) pairs in that same order, with one first and one
+second moment per array. Training-time state (tape nodes, optimizer) is
+single-writer; pure forward evaluation with frozen parameters is safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -234,51 +237,26 @@ def v_reshape(x: Var, shape: tuple) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# Gradient buffers and the optimizer
+# Gradients and the optimizer
 # ---------------------------------------------------------------------------
 
 
-class GradientTape:
-    """Per-parameter gradient buffers mirroring a list of layers."""
+def backward(loss: Var, leaves) -> list[np.ndarray]:
+    """d(loss)/d(leaf) for each leaf Var, in the order of `leaves`.
 
-    def __init__(self, layers):
-        self.d_weights = [np.zeros_like(layer.weights) for layer in layers]
-        self.d_bias = [np.zeros_like(layer.bias) for layer in layers]
-
-    def zero(self) -> None:
-        for g in self.d_weights:
-            g.fill(0.0)
-        for g in self.d_bias:
-            g.fill(0.0)
-
-
-def backward(loss: Var, param_pairs, tape: GradientTape) -> GradientTape:
-    """Fill `tape` with d(loss)/d(parameter).
-
-    `param_pairs` is the ordered (weight Var, bias Var) list matching the
-    layers the tape was built from. Buffers are zeroed first. The loss
-    must be a scalar tape node; batch reduction inside the losses is the
-    mean, so these are mean-gradients.
+    The loss must be a scalar tape node; batch reduction inside the
+    losses is the mean, so these are mean-gradients. A leaf the loss does
+    not reach gets zeros.
     """
     if not isinstance(loss, Var) or loss.value.size != 1:
         raise ContractViolationError("backward expects a scalar loss recorded on the tape")
-    if len(param_pairs) != len(tape.d_weights):
-        raise ContractViolationError("tape does not match the parameter list")
-    tape.zero()
     loss.run_backward()
-    for i, (wv, bv) in enumerate(param_pairs):
-        if wv.value.shape != tape.d_weights[i].shape or bv.value.shape != tape.d_bias[i].shape:
-            raise ContractViolationError("tape buffer shapes do not match the parameters")
-        if wv.grad is not None:
-            tape.d_weights[i] += wv.grad
-        if bv.grad is not None:
-            tape.d_bias[i] += bv.grad
-    return tape
+    return [np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad for leaf in leaves]
 
 
 @dataclass
 class AdamState:
-    """Adam moments plus step counter, one buffer per parameter array."""
+    """Adam moments plus step counter, one `m` and one `v` per parameter array."""
 
     lr: float
     beta1: float
@@ -286,52 +264,41 @@ class AdamState:
     eps: float
     weight_decay: float
     t: int = 0
-    m_weights: list = field(default_factory=list)
-    v_weights: list = field(default_factory=list)
-    m_bias: list = field(default_factory=list)
-    v_bias: list = field(default_factory=list)
+    m: list = field(default_factory=list)
+    v: list = field(default_factory=list)
 
     @classmethod
-    def for_layers(cls, layers, **hyperparameters) -> "AdamState":
-        """Zeroed moments for `layers`; the five hyperparameters come from TrainConfig."""
-        return cls(**hyperparameters,
-                   m_weights=[np.zeros_like(layer.weights) for layer in layers],
-                   v_weights=[np.zeros_like(layer.weights) for layer in layers],
-                   m_bias=[np.zeros_like(layer.bias) for layer in layers],
-                   v_bias=[np.zeros_like(layer.bias) for layer in layers])
+    def for_arrays(cls, named_arrays, **hyperparameters) -> "AdamState":
+        """Zeroed moments for (label, array) pairs; the hyperparameters come from TrainConfig."""
+        return cls(**hyperparameters, m=[np.zeros_like(a) for _, a in named_arrays],
+                   v=[np.zeros_like(a) for _, a in named_arrays])
 
 
-def adam_step(layers, tape: GradientTape, state: AdamState, names=None) -> None:
+def adam_step(named_arrays, grads, state: AdamState) -> None:
     """One in-place Adam update with decoupled weight decay.
 
-    Decay shrinks each parameter first (p <- p - lr*decay*p); the
-    bias-corrected Adam delta follows. Raises TrainingDivergedError,
-    naming the parameter, if any gradient or updated value is non-finite.
+    `named_arrays` holds (label, array) pairs and `grads` one gradient per
+    array, in the same order as `state`'s moments. Decay shrinks each
+    parameter first (p <- p - lr*decay*p); the bias-corrected Adam delta
+    follows. Raises TrainingDivergedError, naming the parameter, if any
+    gradient or updated value is non-finite.
     """
-    labels = list(names) if names is not None else [f"layer{i}" for i in range(len(layers))]
-    for i in range(len(layers)):
-        if not np.isfinite(tape.d_weights[i]).all():
-            raise TrainingDivergedError(f"non-finite gradient in {labels[i]}.weights")
-        if not np.isfinite(tape.d_bias[i]).all():
-            raise TrainingDivergedError(f"non-finite gradient in {labels[i]}.bias")
+    if not len(named_arrays) == len(grads) == len(state.m) == len(state.v):
+        raise ContractViolationError("gradients and moments do not match the parameter list")
+    for (label, _), g in zip(named_arrays, grads):
+        if not np.isfinite(g).all():
+            raise TrainingDivergedError(f"non-finite gradient in {label}")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
     shrink = 1.0 - state.lr * state.weight_decay
-    for i, layer in enumerate(layers):
-        updates = (
-            (layer.weights, tape.d_weights[i], state.m_weights[i], state.v_weights[i],
-             f"{labels[i]}.weights"),
-            (layer.bias, tape.d_bias[i], state.m_bias[i], state.v_bias[i],
-             f"{labels[i]}.bias"),
-        )
-        for p, g, m, v, label in updates:
-            if state.weight_decay != 0.0:
-                p *= shrink
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
-            p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-            if not np.isfinite(p).all():
-                raise TrainingDivergedError(f"non-finite parameter in {label}")
+    for (label, p), g, m, v in zip(named_arrays, grads, state.m, state.v):
+        if state.weight_decay != 0.0:
+            p *= shrink
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        if not np.isfinite(p).all():
+            raise TrainingDivergedError(f"non-finite parameter in {label}")

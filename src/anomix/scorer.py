@@ -7,6 +7,11 @@ LeakyReLU. The representation output is linear so that distances in it
 are not range-compressed; the final score passes through tanh and lies
 strictly inside (-1, 1), higher meaning more anomalous.
 
+`ScorerParams` owns the layout: four (weights, bias) layers in
+LAYER_NAMES order, shaped as `layer_shapes` says. Its widths are read
+from the weights, and `arrays()` lists the eight arrays in the order that
+every gradient list and every Adam moment follows.
+
 `score_batch` forwards BLOCK_ROWS rows at a time into one preallocated
 output, so its scratch memory is one block of activations whatever the
 row count. A batch of n <= BLOCK_ROWS rows scores bit for bit as a
@@ -39,11 +44,13 @@ class ScorerParams:
     rep_out: DenseLayer
     score_hidden: DenseLayer
     score_out: DenseLayer
-    d_in: int
-    rep_dim: int
-    h1: int
-    h2: int
     slope: float = 0.01
+
+    # Widths D, h1, H, h2, read from the weight shapes.
+    d_in = property(lambda self: self.rep_hidden.weights.shape[1])
+    h1 = property(lambda self: self.rep_hidden.weights.shape[0])
+    rep_dim = property(lambda self: self.rep_out.weights.shape[0])
+    h2 = property(lambda self: self.score_hidden.weights.shape[0])
 
     def layers(self) -> list[DenseLayer]:
         return [self.rep_hidden, self.rep_out, self.score_hidden, self.score_out]
@@ -51,39 +58,39 @@ class ScorerParams:
     def named_layers(self) -> list[tuple[str, DenseLayer]]:
         return list(zip(LAYER_NAMES, self.layers()))
 
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """The eight (label, array) pairs, e.g. ("rep_hidden.weights", W), in layer order."""
+        return [(f"{name}.{part}", getattr(layer, part))
+                for name, layer in self.named_layers() for part in ("weights", "bias")]
+
     def copy(self) -> "ScorerParams":
-        return ScorerParams(
-            *(DenseLayer(layer.weights.copy(), layer.bias.copy()) for layer in self.layers()),
-            d_in=self.d_in, rep_dim=self.rep_dim, h1=self.h1, h2=self.h2, slope=self.slope,
-        )
+        layers = (DenseLayer(layer.weights.copy(), layer.bias.copy()) for layer in self.layers())
+        return ScorerParams(*layers, slope=self.slope)
 
 
 def hidden_sizes(d_in: int, rep_dim: int) -> tuple[int, int]:
     """(h1, h2) from the sizing rule; rejects widths that collapse."""
     if d_in < 1 or rep_dim < 1:
         raise InvalidArchitectureError("input and representation widths must be positive")
+    # h1 = floor((D + H) / 2) >= 1 here, so only h2 can collapse.
     h1 = d_in + (rep_dim - d_in) // 2
     h2 = rep_dim // 2
-    if h1 < 1:
-        raise InvalidArchitectureError(
-            f"sizing rule gives h1={h1} for d_in={d_in}, rep_dim={rep_dim}"
-        )
     if h2 < 1:
         raise InvalidArchitectureError(f"rep_dim={rep_dim} leaves no scoring hidden units")
     return h1, h2
 
 
+def layer_shapes(d_in: int, rep_dim: int) -> list[tuple[int, int]]:
+    """(n_out, n_in) weight shape of each layer, in LAYER_NAMES order."""
+    h1, h2 = hidden_sizes(d_in, rep_dim)
+    return [(h1, d_in), (rep_dim, h1), (h2, rep_dim), (1, h2)]
+
+
 def build_scorer(d_in: int, rep_dim: int, seed: int = 0, slope: float = 0.01) -> ScorerParams:
     """Freshly initialized scorer; bit-reproducible for a given seed."""
-    h1, h2 = hidden_sizes(d_in, rep_dim)
     rng = np.random.default_rng(seed)
-    return ScorerParams(
-        rep_hidden=nn.init_dense(h1, d_in, rng),
-        rep_out=nn.init_dense(rep_dim, h1, rng),
-        score_hidden=nn.init_dense(h2, rep_dim, rng),
-        score_out=nn.init_dense(1, h2, rng),
-        d_in=d_in, rep_dim=rep_dim, h1=h1, h2=h2, slope=slope,
-    )
+    return ScorerParams(*(nn.init_dense(n_out, n_in, rng)
+                          for n_out, n_in in layer_shapes(d_in, rep_dim)), slope=slope)
 
 
 def _as_batch(x, d_in: int) -> np.ndarray:
@@ -149,24 +156,22 @@ class ScorerGraph:
     Build one graph per optimization step: the Vars alias the live
     parameter arrays, so gradients from several forward passes (mixed
     batch, source batch, triplet blocks) accumulate into the same leaves.
+    `leaves` follows the order of `params.arrays()`.
     """
 
     def __init__(self, params: ScorerParams):
         self.params = params
-        self._pairs = [(Var(layer.weights), Var(layer.bias)) for layer in params.layers()]
-
-    def param_pairs(self) -> list[tuple[Var, Var]]:
-        return self._pairs
+        self.leaves = [Var(array) for _, array in params.arrays()]
 
     def represent(self, X) -> Var:
         x = Var(_as_batch(X, self.params.d_in))
-        (w1, b1), (w2, b2) = self._pairs[0], self._pairs[1]
+        w1, b1, w2, b2 = self.leaves[:4]
         hidden = nn.v_leaky_relu(nn.v_linear(x, w1, b1), self.params.slope)
         return nn.v_linear(hidden, w2, b2)
 
     def score(self, X) -> Var:
         z = self.represent(X)
-        (w3, b3), (w4, b4) = self._pairs[2], self._pairs[3]
+        w3, b3, w4, b4 = self.leaves[4:]
         hidden = nn.v_leaky_relu(nn.v_linear(z, w3, b3), self.params.slope)
         out = nn.v_tanh(nn.v_linear(hidden, w4, b4))
         return nn.v_reshape(out, (out.value.shape[0],))

@@ -22,9 +22,9 @@ from .errors import InvalidParameterError, TrainingDivergedError, UnusableDatase
 from .interpolation import augment_batch
 from .losses import ABLATION_MODES, LossState
 from .metrics import auc_pr
-from .nn import AdamState, GradientTape, adam_step, backward
+from .nn import AdamState, adam_step, backward
 from .rng import child_seed, substream
-from .scorer import LAYER_NAMES, ScorerGraph, ScorerParams, build_scorer, score_batch
+from .scorer import ScorerGraph, ScorerParams, build_scorer, score_batch
 
 
 @dataclass
@@ -60,6 +60,8 @@ class TrainConfig:
             raise InvalidParameterError("lr, alpha, margin, temperature, smooth_beta must be positive")
         if self.weight_decay < 0:
             raise InvalidParameterError("weight_decay cannot be negative")
+        if self.seed < 0:
+            raise InvalidParameterError("seed cannot be negative")
         if not 0.0 < self.slope < 1.0:
             raise InvalidParameterError("slope must lie in (0, 1)")
         if self.ablation not in ABLATION_MODES:
@@ -145,9 +147,9 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
 
     rng_batch = substream(config.seed, "batching")
     rng_augment = substream(config.seed, "augmentation")
-    tape = GradientTape(params.layers())
-    optimizer = AdamState.for_layers(
-        params.layers(), lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+    named_arrays = params.arrays()
+    optimizer = AdamState.for_arrays(
+        named_arrays, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
         eps=config.eps, weight_decay=config.weight_decay,
     )
     state = LossState(temperature=config.temperature)
@@ -193,8 +195,8 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
                     )
                 w = L.dynamic_weight(loss_val, feature_val, state)
                 objective = loss_var * w + feature_var * (1.0 - w)
-            backward(objective, graph.param_pairs(), tape)
-            adam_step(params.layers(), tape, optimizer, names=LAYER_NAMES)
+            grads = backward(objective, graph.leaves)
+            adam_step(named_arrays, grads, optimizer)
             scoring_vals.append(loss_val)
             weights.append(w)
             if feature_val is not None:

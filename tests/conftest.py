@@ -18,7 +18,6 @@ def identity_representation_scorer(d: int) -> ScorerParams:
         rep_out=DenseLayer(eye.copy(), np.zeros(d)),
         score_hidden=DenseLayer(np.zeros((h2, d)), np.zeros(h2)),
         score_out=DenseLayer(np.zeros((1, h2)), np.zeros(1)),
-        d_in=d, rep_dim=d, h1=d, h2=h2,
     )
 
 
@@ -33,7 +32,6 @@ def tanh_line_scorer(gain: float = 1.0, shift: float = 10.0) -> ScorerParams:
         rep_out=DenseLayer(np.array([[1.0]]), np.array([0.0])),
         score_hidden=DenseLayer(np.array([[1.0]]), np.array([0.0])),
         score_out=DenseLayer(np.array([[gain]]), np.array([-gain * shift])),
-        d_in=1, rep_dim=1, h1=1, h2=1,
     )
 
 

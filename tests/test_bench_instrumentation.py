@@ -6,8 +6,10 @@ tier-1 suite."""
 import importlib
 from pathlib import Path
 
+from anomix.artifact import load_model
 from anomix.cli import main
 from anomix.data import generate_toy, write_csv, write_rows
+from anomix.scorer import LAYER_NAMES, layer_shapes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,6 +36,14 @@ def test_tracer_sees_every_stage_of_a_cli_train(tmp_path, monkeypatch, capsys):
         assert acc["stage_calls"][name] == 2, name
     for name in tracer.STEP_STAGES + tracer.VALIDATION:
         assert acc["stage_parents"][name] == [tracer.TRAIN], name
+
+    # perfbench/session.py and check.py read these names off the trained model.
+    params = load_model(tmp_path / "run" / "model.json").params
+    assert (params.d_in, params.rep_dim) == (toy.X.shape[1], 8)
+    named = params.named_layers()
+    assert [name for name, _layer in named] == list(LAYER_NAMES)
+    assert ([layer.weights.shape for _name, layer in named]
+            == layer_shapes(params.d_in, params.rep_dim))
 
     # The data layer is timed through the names the CLI reaches as `D.<name>`.
     with traced.installed():

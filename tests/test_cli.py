@@ -59,6 +59,38 @@ def test_train_rejects_zero_labeled_anomalies(toy_csv, tmp_path, capsys):
     assert record["error"] == "UnusableDatasetError"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--batch-size", 0), ("--contamination", 0.7), ("--rep-dim", 1),
+    ("--k", 17),  # above 2 * batch_size = 16
+])
+def test_train_checks_its_flags_before_writing(flag, value, toy_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_train_args(toy_csv, out, **{flag: value})) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] in ("InvalidParameterError", "InvalidArchitectureError")
+    assert not (out / "test_split.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth-toy", "synth-novel", "sweep"])
+def test_negative_seed_is_an_error_record_and_writes_nothing(command, toy_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    if command == "train":
+        argv, error = _train_args(toy_csv, out, **{"--seed": -1}), "InvalidParameterError"
+    elif command.startswith("synth"):
+        argv = ["synth", "--kind", command.split("-")[1], "--seed", "-1", "--out", str(out)]
+        error = "InvalidParameterError"
+    else:
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"data": str(toy_csv), "seed": -2}), encoding="utf-8")
+        argv, error = ["sweep", "--config", str(cfg_path), "--out", str(out)], "DatasetError"
+    assert main(argv) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == error
+    assert "seed" in record["message"] and "negative" in record["message"]
+    assert not out.exists()
+
+
 def test_train_determinism_byte_identical(toy_csv, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(_train_args(toy_csv, out1)) == 0
@@ -376,6 +408,7 @@ def test_sweep_grid_and_infeasible_cells(toy_csv, tmp_path):
     pytest.param({"data": None}, "missing required key 'data'", id="no-data"),
     pytest.param({"repeats": "x"}, "'repeats' must be int, got 'x'", id="repeats-str"),
     pytest.param({"repeats": 2.0}, "'repeats' must be int", id="repeats-float"),
+    pytest.param({"repeats": -3}, "'repeats' cannot be negative, got -3", id="repeats-negative"),
     pytest.param({"contamination_levels": 0.02}, "'contamination_levels' must be list of float",
                  id="levels-not-list"),
     pytest.param({"labeled_budgets": [5, "10"]}, "'labeled_budgets' must be list of int",

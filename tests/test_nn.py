@@ -5,7 +5,6 @@ from anomix.errors import ContractViolationError, InvalidParameterError, Trainin
 from anomix.nn import (
     AdamState,
     DenseLayer,
-    GradientTape,
     Var,
     adam_step,
     backward,
@@ -89,12 +88,11 @@ def test_init_dense_deterministic_and_scaled():
 
 
 def test_constant_loss_gives_zero_gradients():
+    # a leaf the loss does not reach gets zeros of its own shape
     layer = DenseLayer(np.ones((2, 2)), np.zeros(2))
-    tape = GradientTape([layer])
-    loss = Var(0.0)
-    backward(loss, [(Var(layer.weights), Var(layer.bias))], tape)
-    assert np.array_equal(tape.d_weights[0], np.zeros((2, 2)))
-    assert np.array_equal(tape.d_bias[0], np.zeros(2))
+    d_w, d_b = backward(Var(0.0), [Var(layer.weights), Var(layer.bias)])
+    assert np.array_equal(d_w, np.zeros((2, 2)))
+    assert np.array_equal(d_b, np.zeros(2))
 
 
 def test_single_layer_squared_error_closed_form(rng):
@@ -108,95 +106,93 @@ def test_single_layer_squared_error_closed_form(rng):
     # power-of-two beta keeps the rescaling to a sum of squares exact
     beta = 1024.0
     loss = v_mean(v_smooth_l1(diff, beta)) * (2.0 * beta * diff.value.size)
-    tape = GradientTape([layer])
-    backward(loss, [(w_var, b_var)], tape)
+    d_w, d_b = backward(loss, [w_var, b_var])
     residual = (x @ layer.weights.T + layer.bias) - target
     expected_w = 2.0 * residual.T @ x
     expected_b = 2.0 * residual[0]
-    assert np.allclose(tape.d_weights[0], expected_w, atol=1e-12)
-    assert np.allclose(tape.d_bias[0], expected_b, atol=1e-12)
+    assert np.allclose(d_w, expected_w, atol=1e-12)
+    assert np.allclose(d_b, expected_b, atol=1e-12)
 
 
 def test_backward_rejects_nonscalar_loss():
     layer = DenseLayer(np.eye(2), np.zeros(2))
-    tape = GradientTape([layer])
     w_var, b_var = Var(layer.weights), Var(layer.bias)
     vec = v_linear(Var(np.ones((1, 2))), w_var, b_var)
     with pytest.raises(ContractViolationError):
-        backward(vec, [(w_var, b_var)], tape)
-
-
-def test_backward_zeroes_previous_gradients(rng):
-    layer = DenseLayer(rng.normal(size=(2, 2)), rng.normal(size=2))
-    tape = GradientTape([layer])
-    tape.d_weights[0][:] = 123.0
-
-    w_var, b_var = Var(layer.weights), Var(layer.bias)
-    loss = v_mean(v_linear(Var(np.ones((1, 2))), w_var, b_var))
-    backward(loss, [(w_var, b_var)], tape)
-    assert np.abs(tape.d_weights[0]).max() < 10.0
+        backward(vec, [w_var, b_var])
 
 
 # -- optimizer ---------------------------------------------------------------
 
 
-def _adam(layers, **overrides) -> AdamState:
-    """AdamState for `layers` with TrainConfig's hyperparameters, some overridden."""
+def _adam(named_arrays, **overrides) -> AdamState:
+    """AdamState for `named_arrays` with TrainConfig's hyperparameters, some overridden."""
     cfg = TrainConfig()
     hyper = dict(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
                  weight_decay=cfg.weight_decay)
-    return AdamState.for_layers(layers, **{**hyper, **overrides})
+    return AdamState.for_arrays(named_arrays, **{**hyper, **overrides})
 
 
 def _scalar_setup(weight=0.5):
+    """A 1x1 layer as (label, array) pairs, with zero gradients to fill in."""
     layer = DenseLayer(np.array([[weight]]), np.zeros(1))
-    tape = GradientTape([layer])
-    return layer, tape
+    named = [("only.weights", layer.weights), ("only.bias", layer.bias)]
+    return layer, named, [np.zeros((1, 1)), np.zeros(1)]
 
 
 def test_adam_zero_gradient_is_identity():
-    layer, tape = _scalar_setup()
-    state = _adam([layer], weight_decay=0.0)
+    layer, named, grads = _scalar_setup()
+    state = _adam(named, weight_decay=0.0)
     before = layer.weights.copy()
-    adam_step([layer], tape, state)
+    adam_step(named, grads, state)
     assert np.array_equal(layer.weights, before)
     assert state.t == 1
 
 
 def test_adam_first_step_closed_form():
-    layer, tape = _scalar_setup()
-    state = _adam([layer], lr=0.005, weight_decay=0.0)
-    tape.d_weights[0][0, 0] = 1.0
-    adam_step([layer], tape, state)
+    layer, named, grads = _scalar_setup()
+    state = _adam(named, lr=0.005, weight_decay=0.0)
+    grads[0][0, 0] = 1.0
+    adam_step(named, grads, state)
     expected_delta = -0.005 * (1.0 / (1.0 + 1e-8))
     assert layer.weights[0, 0] == pytest.approx(0.5 + expected_delta, abs=1e-15)
 
-    layer2, tape2 = _scalar_setup()
-    state2 = _adam([layer2], lr=0.005, weight_decay=0.0)
-    tape2.d_weights[0][0, 0] = -1.0
-    adam_step([layer2], tape2, state2)
+    layer2, named2, grads2 = _scalar_setup()
+    state2 = _adam(named2, lr=0.005, weight_decay=0.0)
+    grads2[0][0, 0] = -1.0
+    adam_step(named2, grads2, state2)
     assert layer2.weights[0, 0] == pytest.approx(0.5 - expected_delta, abs=1e-15)
 
 
 def test_adam_decoupled_decay_applies_before_delta():
-    layer, tape = _scalar_setup(weight=2.0)
-    state = _adam([layer], lr=0.1, weight_decay=0.5)
-    adam_step([layer], tape, state)
+    layer, named, grads = _scalar_setup(weight=2.0)
+    state = _adam(named, lr=0.1, weight_decay=0.5)
+    adam_step(named, grads, state)
     # zero gradient: only the decay factor acts
     assert layer.weights[0, 0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5), abs=1e-15)
 
 
 def test_adam_rejects_nonfinite_gradient():
-    layer, tape = _scalar_setup()
-    state = _adam([layer])
-    tape.d_weights[0][0, 0] = np.nan
-    with pytest.raises(TrainingDivergedError, match="weights"):
-        adam_step([layer], tape, state, names=["only"])
+    layer, named, grads = _scalar_setup()
+    state = _adam(named)
+    grads[0][0, 0] = np.nan
+    with pytest.raises(TrainingDivergedError, match=r"only\.weights"):
+        adam_step(named, grads, state)
+    # the label comes from the pairs, and nothing moved
+    assert layer.weights[0, 0] == 0.5 and state.t == 0
+
+
+def test_adam_rejects_a_gradient_list_of_another_length():
+    layer, named, grads = _scalar_setup()
+    state = _adam(named)
+    with pytest.raises(ContractViolationError):
+        adam_step(named, grads[:1], state)
+    assert layer.weights[0, 0] == 0.5 and state.t == 0
 
 
 def test_adam_step_counter_strictly_increases():
-    layer, tape = _scalar_setup()
-    state = _adam([layer])
+    _layer, named, grads = _scalar_setup()
+    state = _adam(named)
     for expected in (1, 2, 3):
-        adam_step([layer], tape, state)
+        adam_step(named, grads, state)
         assert state.t == expected

@@ -54,7 +54,6 @@ def test_represent_matches_hand_chain(rng):
         rep_out=DenseLayer(w2, b2),
         score_hidden=DenseLayer(np.zeros((1, 2)), np.zeros(1)),
         score_out=DenseLayer(np.zeros((1, 1)), np.zeros(1)),
-        d_in=3, rep_dim=2, h1=4, h2=1,
     )
     x = rng.normal(size=3)
     hidden = leaky_relu(w1 @ x + b1, 0.01)
@@ -68,7 +67,6 @@ def test_score_matches_hand_chain():
         rep_out=DenseLayer(np.array([[0.5, 0.5], [1.0, -1.0]]), np.array([0.2, 0.0])),
         score_hidden=DenseLayer(np.array([[1.0, 2.0]]), np.array([-0.3])),
         score_out=DenseLayer(np.array([[2.0]]), np.array([0.1])),
-        d_in=2, rep_dim=2, h1=2, h2=1,
     )
     x = np.array([0.4, 0.7])
     h1 = leaky_relu(params.rep_hidden.weights @ x + params.rep_hidden.bias, 0.01)
@@ -89,7 +87,6 @@ def test_zero_network_outputs():
         rep_out=DenseLayer(np.zeros((2, 2)), np.zeros(2)),
         score_hidden=DenseLayer(np.zeros((1, 2)), np.zeros(1)),
         score_out=DenseLayer(np.zeros((1, 1)), np.zeros(1)),
-        d_in=2, rep_dim=2, h1=2, h2=1,
     )
     assert np.array_equal(represent_batch(zero, np.array([[5.0, -3.0]])), np.zeros((1, 2)))
 

@@ -6,9 +6,9 @@ from anomix.errors import InvalidParameterError, UnusableDatasetError
 from anomix.interpolation import augment_batch
 from anomix.losses import ABLATION_MODES, LossState, dynamic_weight, update_epoch_averages
 from anomix.metrics import auc_pr
-from anomix.nn import AdamState, GradientTape, adam_step, backward
+from anomix.nn import AdamState, adam_step, backward
 from anomix.rng import child_seed, substream
-from anomix.scorer import LAYER_NAMES, ScorerGraph, build_scorer, score_batch
+from anomix.scorer import ScorerGraph, build_scorer, score_batch
 from anomix.training import TrainConfig, sample_batches, train
 from tests.conftest import step_losses
 
@@ -93,8 +93,7 @@ def test_train_replay_oracle_matches_exactly():
         params = build_scorer(3, cfg.rep_dim, seed=child_seed(cfg.seed, "init"), slope=cfg.slope)
         rng_batch = substream(cfg.seed, "batching")
         rng_augment = substream(cfg.seed, "augmentation")
-        tape = GradientTape(params.layers())
-        optimizer = AdamState.for_layers(params.layers(), lr=cfg.lr, beta1=cfg.beta1,
+        optimizer = AdamState.for_arrays(params.arrays(), lr=cfg.lr, beta1=cfg.beta1,
                                          beta2=cfg.beta2, eps=cfg.eps,
                                          weight_decay=cfg.weight_decay)
         state = LossState(temperature=cfg.temperature)
@@ -118,8 +117,7 @@ def test_train_replay_oracle_matches_exactly():
                     objective = l_var * w + f_var * (1.0 - w)
                     lps.append(float(f_var.value))
                 expected_weights.append(w)
-                backward(objective, graph.param_pairs(), tape)
-                adam_step(params.layers(), tape, optimizer, names=LAYER_NAMES)
+                adam_step(params.arrays(), backward(objective, graph.leaves), optimizer)
                 ls.append(float(l_var.value))
             if lps:
                 state = update_epoch_averages(state, ls, lps)
@@ -156,6 +154,8 @@ def test_train_preconditions_and_validation():
         _fast_config(margin=0.0).validate()
     with pytest.raises(InvalidParameterError):
         _fast_config(smooth_beta=0.0).validate()
+    with pytest.raises(InvalidParameterError, match="seed"):
+        _fast_config(seed=-1).validate()
 
 
 def test_no_regularizer_mode_runs_without_feature_loss():
