@@ -26,7 +26,7 @@ from .artifact import (
     write_manifest,
 )
 from .data import Dataset, Role
-from .errors import AnomixError, DatasetError, UnusableDatasetError
+from .errors import AnomixError, DatasetError, InvalidParameterError, UnusableDatasetError
 from .losses import ABLATION_MODES
 from .metrics import MetricsReport, evaluate_scores
 from .rng import child_seed, substream
@@ -296,6 +296,18 @@ def _read_sweep_config(path) -> dict:
             raise DatasetError(f"sweep config {path}: {key!r} must be {kind}, got {value!r}")
         if key in ("repeats", "seed") and value < 0:
             raise DatasetError(f"sweep config {path}: {key!r} cannot be negative, got {value!r}")
+    # Values no cell could use fail here, before any data is read or written.
+    # Each message starts with the field it rejects; the record names the key.
+    cfg = {**defaults, **sweep_cfg}
+    keys = {**{field: name for name, (field, _help) in _TRAIN_KNOBS.items()},
+            "target_ratio": "contamination_levels"}
+    try:
+        _train_config(cfg, seed=0, select_best=cfg["select_best"]).validate()
+        for level in cfg["contamination_levels"]:
+            D.ContaminationSpec(level, cfg["feature_fraction"])
+    except InvalidParameterError as exc:
+        field = str(exc).split()[0]
+        raise DatasetError(f"sweep config {path}: {keys.get(field, field)!r}: {exc}") from exc
     return sweep_cfg
 
 

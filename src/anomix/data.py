@@ -121,9 +121,11 @@ class ContaminationSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.target_ratio < 0.5:
-            raise InvalidParameterError("target_ratio must lie in [0, 0.5)")
+            raise InvalidParameterError(
+                f"target_ratio must lie in [0, 0.5), got {self.target_ratio!r}")
         if not 0.0 < self.feature_fraction <= 1.0:
-            raise InvalidParameterError("feature_fraction must lie in (0, 1]")
+            raise InvalidParameterError(
+                f"feature_fraction must lie in (0, 1], got {self.feature_fraction!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,10 @@ def augment_batch(x, y, k: int, alpha: float, m: int,
                   rng: np.random.Generator) -> AugmentedBatch:
     """m mixed samples, each built from k distinct rows of (x, y).
 
-    All m samples are drawn at once: the k smallest of n uniform keys pick
-    each sample's sources without replacement, and one Dirichlet call
-    gives every sample's weights. The drawn indices and weights are
+    All m samples are drawn at once. Each sample's sources are a uniform
+    k-subset of the n rows, from Floyd's subset sampling run on every row
+    together (k integer draws per row, whatever n is), and one Dirichlet
+    call gives every sample's weights. The drawn indices and weights are
     retained so the consistency term can recompute the weighted sum of
     the sources' scores.
     """
@@ -60,7 +61,12 @@ def augment_batch(x, y, k: int, alpha: float, m: int,
         raise InvalidParameterError("need at least one augmented sample")
     if not np.all(np.abs(y) == 1.0):
         raise InvalidParameterError("source labels must be +1 (anomaly) or -1 (unlabeled)")
-    sources = np.argpartition(rng.random((m, n)), k - 1, axis=1)[:, :k]
+    sources = np.empty((m, k), dtype=np.intp)
+    for col, top in enumerate(range(n - k, n)):
+        # Floyd: draw from [0, top]; a value the row already holds is replaced by top.
+        draw = rng.integers(0, top + 1, size=m)
+        taken = (sources[:, :col] == draw[:, None]).any(axis=1)
+        sources[:, col] = np.where(taken, top, draw)
     lambdas = rng.dirichlet(np.full(k, alpha), size=m)
     x_mixed = np.einsum("ik,ikd->id", lambdas, x[sources])
     y_src = y[sources]

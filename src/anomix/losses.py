@@ -6,8 +6,15 @@ weighted sum of its sources' scores), a triplet hinge on the intermediate
 representation that repels labeled anomalies from unlabeled anchors, and
 a softmax weight over epoch-normalized losses that balances the two. The
 weight is held constant during gradient computation. Every loss reduces
-over its batch by the mean and is recorded on the gradient tape: its
-`.value` is the batch loss and `nn.backward` gives its gradient.
+over its batch by the mean.
+
+Each step stacks its distinct rows once, as [mixed (2b, absent in
+plain_regression); anomaly (b); unlabeled (b); anchor (b, absent in
+no_regularizer)]. `scoring_loss_graph` runs the scorer's one forward
+over that stack and records the scoring loss as a single tape node;
+`feature_regularizer_graph` adds the triplet hinge as a second node on
+the representation the forward kept. Both nodes carry hand-written
+gradients, with respect to the scores and the representation rows.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import nn
 from .errors import ContractViolationError, InvalidParameterError
 from .interpolation import AugmentedBatch
 from .nn import Var
@@ -76,56 +82,108 @@ def update_epoch_averages(state: LossState, scoring_losses, feature_losses) -> L
 
 
 # ---------------------------------------------------------------------------
-# The objectives, recorded on the gradient tape
+# The objectives, each one fused node on the gradient tape
 # ---------------------------------------------------------------------------
 
 
-def _check_augmented(batch: AugmentedBatch, n_sources: int) -> None:
-    if len(batch) < 1:
-        raise ContractViolationError("augmented batch is empty")
-    if batch.sources.min() < 0 or batch.sources.max() >= n_sources:
-        raise ContractViolationError("augmented sample references a row outside the source batch")
+def smooth_l1(residual: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise smooth-L1 and its derivative.
 
-
-def scoring_loss_graph(graph: ScorerGraph, augmented: AugmentedBatch, source_x,
-                       beta: float = 1.0, *, discrete_targets: bool = False,
-                       consistency: bool = True) -> Var:
-    """Mean smooth-L1 regression of mixed-sample scores onto their targets.
-
-    With `consistency`, each mixed score is additionally pulled toward
-    the weighted sum of its source rows' scores; both passes use the same
-    live parameters. `discrete_targets` snaps targets to sign(y), mapping
-    an exactly balanced mix (y = 0) to -1.
+    0.5 r^2 / beta inside |r| < beta, |r| - beta/2 outside.
     """
-    source_x = np.asarray(source_x, dtype=np.float64)
-    _check_augmented(augmented, len(source_x))
-    s_mixed = graph.score(augmented.x)
-    targets = np.where(augmented.y > 0, 1.0, -1.0) if discrete_targets else augmented.y
-    per_sample = nn.v_smooth_l1(s_mixed - targets, beta)
-    if consistency:
-        s_sources = graph.score(source_x)
-        interp = nn.v_weighted_gather(s_sources, augmented.sources, augmented.lambdas)
-        per_sample = per_sample + nn.v_smooth_l1(s_mixed - interp, beta)
-    return nn.v_mean(per_sample)
+    r = residual
+    quadratic = np.abs(r) < beta
+    return (np.where(quadratic, 0.5 * r * r / beta, np.abs(r) - 0.5 * beta),
+            np.where(quadratic, r / beta, np.sign(r)))
 
 
-def plain_regression_graph(graph: ScorerGraph, x, y, beta: float = 1.0) -> Var:
-    """Mean smooth-L1 regression of raw-batch scores straight onto the +/-1 labels."""
-    scores = graph.score(x)
-    return nn.v_mean(nn.v_smooth_l1(scores - np.asarray(y, dtype=np.float64), beta))
+def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBatch | None,
+                       beta: float = 1.0) -> Var:
+    """Forward the step's stacked rows; mean smooth-L1 of the scores onto their targets.
+
+    `blocks` is the (anomaly, unlabeled, anchor) triple of b rows each, and
+    `mixed` the batch mixed from the first two (None in plain_regression,
+    which regresses those 2b rows straight onto their +/-1 labels). The
+    mixed rows are regressed onto their targets, which discrete_targets
+    snaps to sign(y), mapping an exactly balanced mix (y = 0) to -1.
+    Unless the mode is no_consistency, each mixed score is also pulled
+    toward the weighted sum of its source rows' scores; the sources are
+    then scored in the same forward.
+    """
+    if mode not in ABLATION_MODES:
+        raise InvalidParameterError(f"unknown ablation {mode!r}; expected one of {ABLATION_MODES}")
+    x_anomaly, x_unlabeled, x_anchor = blocks
+    b = len(x_anomaly)
+    rows = [x_anomaly, x_unlabeled] + ([] if mode == "no_regularizer" else [x_anchor])
+    mix = None
+    if mode == "plain_regression":
+        targets = np.concatenate([np.ones(b), -np.ones(b)])
+    else:
+        if len(mixed) < 1:
+            raise ContractViolationError("augmented batch is empty")
+        if mixed.sources.min() < 0 or mixed.sources.max() >= 2 * b:
+            raise ContractViolationError(
+                "augmented sample references a row outside the source batch")
+        rows.insert(0, mixed.x)
+        targets = np.where(mixed.y > 0, 1.0, -1.0) if mode == "discrete_targets" else mixed.y
+        mix = None if mode == "no_consistency" else mixed
+    m = len(targets)
+    scores = graph.forward(np.vstack(rows), m if mix is None else m + 2 * b)
+    s = scores.value[:, 0]
+    per_sample, slope = smooth_l1(s[:m] - targets, beta)
+    if mix is not None:
+        interp = (s[m:][mix.sources] * mix.lambdas).sum(axis=1)
+        consistency, slope_c = smooth_l1(s[:m] - interp, beta)
+        per_sample = per_sample + consistency
+        slope = slope + slope_c
+
+    def vjp(g):
+        g_s = np.empty(len(s))
+        g_s[:m] = (g / m) * slope
+        if mix is not None:
+            # Each source row collects minus its weight in every mix it entered.
+            pulled = ((g / m) * slope_c)[:, None] * mix.lambdas
+            g_s[m:] = -np.bincount(mix.sources.ravel(), weights=pulled.ravel(),
+                                   minlength=len(s) - m)
+        return (g_s[:, None],)
+
+    return Var(per_sample.mean(), (scores,), vjp)
 
 
-def feature_regularizer_graph(graph: ScorerGraph, x_anomaly, x_unlabeled, x_anchor,
-                              margin: float) -> Var:
+def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """diff / dist row by row; a zero-length row gets the zero subgradient."""
+    return np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0.0)
+
+
+def feature_regularizer_graph(graph: ScorerGraph, b: int, margin: float) -> Var:
     """Mean of max(d(unlabeled, anchor) - d(anomaly, anchor) + margin, 0).
 
-    Distances are Euclidean between row-aligned representations of the
-    three blocks. Only the representation stage is involved; the scoring
-    head never sees this term.
+    The anomaly, unlabeled and anchor blocks are the last 3b rows of the
+    representation `scoring_loss_graph` kept on `graph`. Distances are
+    Euclidean between row-aligned blocks. Only the representation stage is
+    involved; the scoring head never sees this term.
     """
-    z_anomaly = graph.represent(x_anomaly)
-    z_unlabeled = graph.represent(x_unlabeled)
-    z_anchor = graph.represent(x_anchor)
-    d_neg = nn.v_row_distance(z_unlabeled, z_anchor)
-    d_pos = nn.v_row_distance(z_anomaly, z_anchor)
-    return nn.v_mean(nn.v_hinge(d_neg - d_pos + margin))
+    z = graph.rep
+    if z is None or len(z.value) < 3 * b:
+        raise ContractViolationError(
+            "the graph holds no forward with anomaly, unlabeled and anchor rows")
+    n = len(z.value)
+    z_anomaly, z_unlabeled, z_anchor = z.value[n - 3 * b:].reshape(3, b, -1)
+    diff_neg = z_unlabeled - z_anchor
+    diff_pos = z_anomaly - z_anchor
+    d_neg = np.sqrt(np.einsum("ij,ij->i", diff_neg, diff_neg))
+    d_pos = np.sqrt(np.einsum("ij,ij->i", diff_pos, diff_pos))
+    hinge = d_neg - d_pos + margin
+    active = hinge > 0.0
+
+    def vjp(g):
+        coef = ((g / b) * active)[:, None]
+        g_neg = coef * _unit_rows(diff_neg, d_neg)
+        g_pos = coef * _unit_rows(diff_pos, d_pos)
+        g_z = np.zeros_like(z.value)
+        g_z[n - 3 * b:n - 2 * b] = -g_pos
+        g_z[n - 2 * b:n - b] = g_neg
+        g_z[n - b:] = g_pos - g_neg
+        return (g_z,)
+
+    return Var(np.where(active, hinge, 0.0).mean(), (z,), vjp)

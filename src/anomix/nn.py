@@ -1,14 +1,15 @@
 """Dense layers, a small reverse-mode gradient tape, and Adam.
 
 Everything runs in float64 numpy. Batch losses reduce by the mean, so the
-learning rate does not depend on batch size. The tape covers only the
-scorer's operations: its forward pass and the terms of its training
-losses. It is not a general autodiff framework. `backward` returns one
-gradient per leaf, in the order of the leaves it is given; `adam_step`
-walks (label, array) pairs in that same order, with one first and one
-second moment per array. Training-time state (tape nodes, optimizer) is
-single-writer; pure forward evaluation with frozen parameters is safe to
-call concurrently.
+learning rate does not depend on batch size. The tape records only the
+scorer's dense layers and their activations, plus whatever fused nodes
+the losses build on top of them: each training loss is one node whose
+backward rule is written out by hand (see `losses`). It is not a general
+autodiff framework. `backward` returns one gradient per leaf, in the
+order of the leaves it is given; `adam_step` walks (label, array) pairs
+in that same order, with one first and one second moment per array.
+Training-time state (tape nodes, optimizer) is single-writer; pure
+forward evaluation with frozen parameters is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -79,161 +80,53 @@ class Var:
         self._parents = _parents
         self._vjp = _vjp
 
-    def run_backward(self) -> None:
-        """Push d(self)/d(ancestor) into every ancestor's .grad."""
-        if self.value.size != 1:
-            raise ContractViolationError("backward needs a scalar loss")
-        topo: list[Var] = []
-        seen: set[int] = set()
-        stack: list[tuple[Var, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                stack.append((parent, False))
-        self.grad = np.ones_like(self.value)
-        for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
-                continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
-
-    def __add__(self, other):
-        return v_add(self, _as_var(other))
-
-    def __sub__(self, other):
-        return v_add(self, v_scale(_as_var(other), -1.0))
+    def __add__(self, other: "Var"):
+        return v_add(self, other)
 
     def __mul__(self, c: float):
         return v_scale(self, float(c))
 
 
-def _as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def v_add(a: Var, b: Var) -> Var:
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
-
-    return Var(a.value + b.value, (a, b), vjp)
+    """Sum of two nodes of one shape."""
+    return Var(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def v_scale(a: Var, c: float) -> Var:
+    return Var(a.value * c, (a,), lambda g: (g * c,))
+
+
+def v_linear(x, w: Var, b: Var) -> Var:
+    """x (n, d) @ w (o, d)^T + b (o,) -> (n, o).
+
+    An ndarray `x` is a constant input (the data): no gradient is computed
+    for it.
+    """
+    if not isinstance(x, Var):
+        return Var(x @ w.value.T + b.value, (w, b), lambda g: (g.T @ x, g.sum(axis=0)))
+    return Var(x.value @ w.value.T + b.value, (x, w, b),
+               lambda g: (g @ w.value, g.T @ x.value, g.sum(axis=0)))
+
+
+def v_rows(x: Var, n: int) -> Var:
+    """The first n rows of x; the gradient of the other rows is zero."""
+
     def vjp(g):
-        return (g * c,)
+        full = np.zeros_like(x.value)
+        full[:n] = g
+        return (full,)
 
-    return Var(a.value * c, (a,), vjp)
-
-
-def v_linear(x: Var, w: Var, b: Var) -> Var:
-    """x (n, d) @ w (o, d)^T + b (o,) -> (n, o)."""
-
-    def vjp(g):
-        return g @ w.value, g.T @ x.value, g.sum(axis=0)
-
-    return Var(x.value @ w.value.T + b.value, (x, w, b), vjp)
+    return Var(x.value[:n], (x,), vjp)
 
 
 def v_leaky_relu(x: Var, slope: float) -> Var:
     factor = np.where(x.value >= 0.0, 1.0, slope)
-
-    def vjp(g):
-        return (g * factor,)
-
-    return Var(x.value * factor, (x,), vjp)
+    return Var(x.value * factor, (x,), lambda g: (g * factor,))
 
 
 def v_tanh(x: Var) -> Var:
     t = np.clip(np.tanh(x.value), -TANH_LIMIT, TANH_LIMIT)
-
-    def vjp(g):
-        return (g * (1.0 - t * t),)
-
-    return Var(t, (x,), vjp)
-
-
-def v_hinge(x: Var) -> Var:
-    """max(x, 0); subgradient 0 at the kink."""
-    mask = x.value > 0.0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return Var(np.where(mask, x.value, 0.0), (x,), vjp)
-
-
-def v_mean(x: Var) -> Var:
-    n = x.value.size
-    shape = x.value.shape
-
-    def vjp(g):
-        return (np.full(shape, float(g) / n),)
-
-    return Var(x.value.mean(), (x,), vjp)
-
-
-def v_smooth_l1(residual: Var, beta: float) -> Var:
-    """Elementwise: 0.5 r^2 / beta inside |r| < beta, |r| - beta/2 outside."""
-    r = residual.value
-    quadratic = np.abs(r) < beta
-    value = np.where(quadratic, 0.5 * r * r / beta, np.abs(r) - 0.5 * beta)
-    slope = np.where(quadratic, r / beta, np.sign(r))
-
-    def vjp(g):
-        return (g * slope,)
-
-    return Var(value, (residual,), vjp)
-
-
-def v_row_distance(a: Var, b: Var) -> Var:
-    """Euclidean distance between matching rows of two (n, d) arrays."""
-    diff = a.value - b.value
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    safe = np.where(dist > 0.0, dist, 1.0)
-    unit = diff / safe[:, None]
-    unit[dist == 0.0] = 0.0
-
-    def vjp(g):
-        ga = g[:, None] * unit
-        return ga, -ga
-
-    return Var(dist, (a, b), vjp)
-
-
-def v_weighted_gather(values: Var, indices: np.ndarray, weights: np.ndarray) -> Var:
-    """Row-wise weighted sums of gathered entries of a flat vector."""
-
-    def vjp(g):
-        gv = np.zeros_like(values.value)
-        np.add.at(gv, indices, g[:, None] * weights)
-        return (gv,)
-
-    return Var((values.value[indices] * weights).sum(axis=1), (values,), vjp)
-
-
-def v_reshape(x: Var, shape: tuple) -> Var:
-    def vjp(g):
-        return (g.reshape(x.value.shape),)
-
-    return Var(x.value.reshape(shape), (x,), vjp)
+    return Var(t, (x,), lambda g: (g * (1.0 - t * t),))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +143,22 @@ def backward(loss: Var, leaves) -> list[np.ndarray]:
     """
     if not isinstance(loss, Var) or loss.value.size != 1:
         raise ContractViolationError("backward expects a scalar loss recorded on the tape")
-    loss.run_backward()
+    topo: list[Var] = []  # every node after all of its parents
+    seen: set[int] = set()
+    stack: list[tuple[Var, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    loss.grad = np.ones_like(loss.value)
+    for node in reversed(topo):
+        if node._vjp is not None and node.grad is not None:
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
+                parent.grad = g if parent.grad is None else parent.grad + g
     return [np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad for leaf in leaves]
 
 

@@ -20,6 +20,12 @@ depend on the size of its block, as in a whole-matrix forward they depend
 on n. `score` has its own forward on one vector (matrix-vector products
 and a scalar tanh), within 1e-15 of its `score_batch` row. Both reject
 non-finite inputs, naming the row.
+
+Training differentiates through `ScorerGraph`, which puts only the four
+dense layers on the gradient tape, with their activations and the slice
+that feeds the score head. It has one layout: a step's rows stacked
+once, represented once, with the score head run on the prefix of rows
+that need a score.
 """
 
 from __future__ import annotations
@@ -151,27 +157,37 @@ def score(params: ScorerParams, x) -> float:
 
 
 class ScorerGraph:
-    """Differentiable forward passes sharing one set of parameter Vars.
+    """The scorer on the gradient tape: one stacked forward per optimization step.
 
-    Build one graph per optimization step: the Vars alias the live
-    parameter arrays, so gradients from several forward passes (mixed
-    batch, source batch, triplet blocks) accumulate into the same leaves.
-    `leaves` follows the order of `params.arrays()`.
+    The Vars in `leaves` alias the live parameter arrays, in the order of
+    `params.arrays()`. `forward` represents every row of its stack once
+    and runs the score head on a prefix of it; the representation stays
+    on the graph as `rep`, so a loss on it (the triplet regularizer)
+    shares the nodes, and the gradients of both losses meet in one pass.
     """
 
     def __init__(self, params: ScorerParams):
         self.params = params
         self.leaves = [Var(array) for _, array in params.arrays()]
+        self.rep: Var | None = None
 
     def represent(self, X) -> Var:
-        x = Var(_as_batch(X, self.params.d_in))
+        """(n, H) representations; the input rows are a constant of the tape."""
         w1, b1, w2, b2 = self.leaves[:4]
-        hidden = nn.v_leaky_relu(nn.v_linear(x, w1, b1), self.params.slope)
+        hidden = nn.v_leaky_relu(nn.v_linear(_as_batch(X, self.params.d_in), w1, b1),
+                                 self.params.slope)
         return nn.v_linear(hidden, w2, b2)
 
-    def score(self, X) -> Var:
-        z = self.represent(X)
+    def forward(self, X, n_scored: int) -> Var:
+        """(n_scored, 1) scores of the first n_scored rows of X.
+
+        Every row of X is represented, once, and kept as `rep`.
+        """
+        X = _as_batch(X, self.params.d_in)
+        if not 1 <= n_scored <= len(X):
+            raise ContractViolationError(f"cannot score {n_scored} of {len(X)} rows")
+        self.rep = self.represent(X)
+        z = self.rep if n_scored == len(X) else nn.v_rows(self.rep, n_scored)
         w3, b3, w4, b4 = self.leaves[4:]
         hidden = nn.v_leaky_relu(nn.v_linear(z, w3, b3), self.params.slope)
-        out = nn.v_tanh(nn.v_linear(hidden, w4, b4))
-        return nn.v_reshape(out, (out.value.shape[0],))
+        return nn.v_tanh(nn.v_linear(hidden, w4, b4))

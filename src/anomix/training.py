@@ -1,9 +1,10 @@
 """The end-to-end training loop.
 
 Per batch: sample a labeled-anomaly block and two unlabeled blocks (pool
-and anchors), build the mixed batch, evaluate the scoring loss and the
-representation regularizer, balance them with the softmax weight (held
-constant for the gradient), and take one Adam step. Epoch-average losses
+and anchors), build the mixed batch, evaluate the scoring loss (which
+runs the step's one stacked forward) and the representation regularizer
+on that forward, balance them with the softmax weight (held constant for
+the gradient), and take one Adam step. Epoch-average losses
 update exactly once per epoch, after its last batch. A master seed fans
 out to the "init", "batching", and "augmentation" substreams, so a fixed
 (dataset, config, seed) triple reproduces the run bit for bit.
@@ -49,25 +50,23 @@ class TrainConfig:
     eps: float = 1e-8
 
     def validate(self) -> None:
-        if self.batch_size < 1:
-            raise InvalidParameterError("batch_size must be positive")
-        if self.n_epoch < 0 or self.n_batch < 1:
-            raise InvalidParameterError("epoch and batch counts must be sensible")
-        if self.k < 2 or self.k > 2 * self.batch_size:
-            raise InvalidParameterError("k must lie in [2, 2 * batch_size]")
-        if not (self.lr > 0 and self.alpha > 0 and self.margin > 0
-                and self.temperature > 0 and self.smooth_beta > 0):
-            raise InvalidParameterError("lr, alpha, margin, temperature, smooth_beta must be positive")
-        if self.weight_decay < 0:
-            raise InvalidParameterError("weight_decay cannot be negative")
-        if self.seed < 0:
-            raise InvalidParameterError("seed cannot be negative")
-        if not 0.0 < self.slope < 1.0:
-            raise InvalidParameterError("slope must lie in (0, 1)")
-        if self.ablation not in ABLATION_MODES:
-            raise InvalidParameterError(
-                f"unknown ablation {self.ablation!r}; expected one of {ABLATION_MODES}"
-            )
+        """Raise InvalidParameterError naming the first field out of range, its limit, its value."""
+        checks = (
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("n_epoch", self.n_epoch >= 0, "must be >= 0"),
+            ("n_batch", self.n_batch >= 1, "must be >= 1"),
+            ("k", 2 <= self.k <= 2 * self.batch_size,
+             f"must lie in [2, 2 * batch_size] = [2, {2 * self.batch_size}]"),
+            *((name, getattr(self, name) > 0, "must be positive")
+              for name in ("lr", "alpha", "margin", "temperature", "smooth_beta")),
+            ("weight_decay", self.weight_decay >= 0, "cannot be negative"),
+            ("seed", self.seed >= 0, "cannot be negative"),
+            ("slope", 0.0 < self.slope < 1.0, "must lie in (0, 1)"),
+            ("ablation", self.ablation in ABLATION_MODES, f"must be one of {ABLATION_MODES}"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise InvalidParameterError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -166,19 +165,13 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
         feature_vals: list[float] = []
         weights: list[float] = []
         for batch_no in range(config.n_batch):
-            x_anom, x_unlab, x_anchor = sample_batches(dataset, b, rng_batch)
-            x_block = np.vstack([x_anom, x_unlab])
-            graph = ScorerGraph(params)
-            if mode == "plain_regression":
-                loss_var = L.plain_regression_graph(graph, x_block, block_labels, config.smooth_beta)
-            else:
-                mixed = augment_batch(x_block, block_labels, config.k, config.alpha,
+            blocks = sample_batches(dataset, b, rng_batch)
+            mixed = None
+            if mode != "plain_regression":
+                mixed = augment_batch(np.vstack(blocks[:2]), block_labels, config.k, config.alpha,
                                       m=2 * b, rng=rng_augment)
-                loss_var = L.scoring_loss_graph(
-                    graph, mixed, x_block, config.smooth_beta,
-                    discrete_targets=(mode == "discrete_targets"),
-                    consistency=(mode != "no_consistency"),
-                )
+            graph = ScorerGraph(params)
+            loss_var = L.scoring_loss_graph(graph, mode, blocks, mixed, config.smooth_beta)
             loss_val = float(loss_var.value)
             if not np.isfinite(loss_val):
                 raise TrainingDivergedError(f"scoring loss diverged at epoch {epoch}, batch {batch_no}")
@@ -187,7 +180,7 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
                 w = 1.0
                 objective = loss_var
             else:
-                feature_var = L.feature_regularizer_graph(graph, x_anom, x_unlab, x_anchor, config.margin)
+                feature_var = L.feature_regularizer_graph(graph, b, config.margin)
                 feature_val = float(feature_var.value)
                 if not np.isfinite(feature_val):
                     raise TrainingDivergedError(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anomix.losses import feature_regularizer_graph, plain_regression_graph, scoring_loss_graph
+from anomix.losses import feature_regularizer_graph, scoring_loss_graph
 from anomix.nn import DenseLayer
 from anomix.scorer import ScorerParams
 
@@ -39,21 +39,13 @@ def step_losses(graph, mode, blocks, mixed, beta=1.0, margin=1.0):
     """(scoring loss, feature loss or None) as train() records them in `mode`.
 
     `blocks` is the (anomaly, unlabeled, anchor) triple from sample_batches
-    and `mixed` the augmented batch drawn from its first two blocks (unused
-    by plain_regression).
+    and `mixed` the augmented batch drawn from its first two blocks (None
+    in plain_regression).
     """
-    x_anom, x_unlab, x_anchor = blocks
-    x_block = np.vstack([x_anom, x_unlab])
-    if mode == "plain_regression":
-        labels = np.concatenate([np.ones(len(x_anom)), -np.ones(len(x_unlab))])
-        loss = plain_regression_graph(graph, x_block, labels, beta)
-    else:
-        loss = scoring_loss_graph(graph, mixed, x_block, beta,
-                                  discrete_targets=(mode == "discrete_targets"),
-                                  consistency=(mode != "no_consistency"))
+    loss = scoring_loss_graph(graph, mode, blocks, mixed, beta)
     if mode == "no_regularizer":
         return loss, None
-    return loss, feature_regularizer_graph(graph, x_anom, x_unlab, x_anchor, margin)
+    return loss, feature_regularizer_graph(graph, len(blocks[0]), margin)
 
 
 @pytest.fixture

@@ -36,6 +36,17 @@ def test_tracer_sees_every_stage_of_a_cli_train(tmp_path, monkeypatch, capsys):
         assert acc["stage_calls"][name] == 2, name
     for name in tracer.STEP_STAGES + tracer.VALIDATION:
         assert acc["stage_parents"][name] == [tracer.TRAIN], name
+    # One stacked forward per step, inside the scoring loss: in `full` mode
+    # it holds 2b mixed rows and the b anomaly, b unlabeled and b anchor
+    # rows, each once, and the loss nodes sit on four dense layers.
+    assert traced.counts["scorer.rows_forwarded"] == 6 * 5 * 8
+    assert traced.counts["nn.var_nodes"] <= 6 * 25
+    linear = {name: sorted(map(str, parents)) for name, parents in traced.parents.items()
+              if name.startswith("nn.v_linear")}
+    assert linear and traced.calls["nn.v_linear.other"] == 6 * 4
+    # A dense layer timed outside the scoring loss would land in train()'s
+    # self time and break check.py's accounting of train().
+    assert all(parents == ["losses.scoring_loss_graph"] for parents in linear.values()), linear
 
     # perfbench/session.py and check.py read these names off the trained model.
     params = load_model(tmp_path / "run" / "model.json").params

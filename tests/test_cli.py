@@ -72,6 +72,19 @@ def test_train_checks_its_flags_before_writing(flag, value, toy_csv, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--contamination", 0.7, "target_ratio must lie in [0, 0.5), got 0.7"),
+    ("--epochs", -1, "n_epoch must be >= 0, got -1"),
+])
+def test_train_error_states_the_value_and_the_limit(flag, value, expected, toy_csv, tmp_path,
+                                                    capsys):
+    out = tmp_path / "run"
+    assert main(_train_args(toy_csv, out, **{flag: value})) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "InvalidParameterError", "message": expected}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "synth-toy", "synth-novel", "sweep"])
 def test_negative_seed_is_an_error_record_and_writes_nothing(command, toy_csv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -420,6 +433,12 @@ def test_sweep_grid_and_infeasible_cells(toy_csv, tmp_path):
     pytest.param({"select_best": "no"}, "'select_best' must be bool, got 'no'",
                  id="select-best-str"),
     pytest.param({"select_best": 0}, "'select_best' must be bool, got 0", id="select-best-int"),
+    pytest.param({"batch_size": 0}, "'batch_size': batch_size must be >= 1, got 0",
+                 id="batch-size-zero"),
+    pytest.param({"epochs": -1}, "'epochs': n_epoch must be >= 0, got -1", id="epochs-negative"),
+    pytest.param({"contamination_levels": [0.02, 0.7]},
+                 "'contamination_levels': target_ratio must lie in [0, 0.5), got 0.7",
+                 id="contamination-0.7"),
 ])
 def test_sweep_rejects_unknown_override_keys(extra, expected, toy_csv, tmp_path, capsys):
     out = tmp_path / "sweep"

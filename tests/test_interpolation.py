@@ -71,6 +71,18 @@ def test_augment_batch_shapes_and_bookkeeping(rng):
         assert batch.y[i] == pytest.approx(float(lam @ y[idx]), abs=1e-15)
 
 
+def test_source_subsets_are_uniform():
+    # n=5, k=3: each of the C(5, 3) = 10 subsets has probability 1/10. Over
+    # 20000 rows a frequency's standard deviation is 0.0021; the 0.01
+    # tolerance is about 4.7 of them.
+    x = np.zeros((5, 1))
+    y = np.array([1.0, 1.0, -1.0, -1.0, -1.0])
+    batch = augment_batch(x, y, k=3, alpha=0.5, m=20000, rng=np.random.default_rng(5))
+    subsets, counts = np.unique(np.sort(batch.sources, axis=1), axis=0, return_counts=True)
+    assert len(subsets) == 10
+    assert np.all(np.abs(counts / 20000 - 0.1) <= 0.01)
+
+
 def test_augment_targets_interpolate_between_classes(rng):
     x = rng.uniform(0, 1, size=(6, 2))
     y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])

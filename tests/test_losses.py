@@ -10,17 +10,17 @@ from anomix.losses import (
     LossState,
     dynamic_weight,
     feature_regularizer_graph,
-    plain_regression_graph,
     scoring_loss_graph,
+    smooth_l1,
     update_epoch_averages,
 )
-from anomix.nn import DenseLayer, Var, backward, v_smooth_l1
+from anomix.nn import DenseLayer, backward
 from anomix.scorer import ScorerGraph, build_scorer, represent_batch, score_batch
 from tests.conftest import identity_representation_scorer, step_losses, tanh_line_scorer
 
 
 def _smooth(residual, beta=1.0):
-    return v_smooth_l1(Var(residual), beta).value
+    return smooth_l1(np.asarray(residual, dtype=np.float64), beta)[0]
 
 
 def _huber(residual):
@@ -28,13 +28,22 @@ def _huber(residual):
     return np.where(np.abs(residual) < 1.0, 0.5 * residual * residual, np.abs(residual) - 0.5)
 
 
-def _scoring(params, batch, source_x, **flags):
-    return float(scoring_loss_graph(ScorerGraph(params), batch, source_x, **flags).value)
+def _halves(source_x):
+    """(anomaly, unlabeled, anchor) blocks from 2b source rows; the anchors repeat the anomalies."""
+    source_x = np.asarray(source_x, dtype=np.float64)
+    b = len(source_x) // 2
+    return source_x[:b], source_x[b:], source_x[:b]
+
+
+def _scoring(params, batch, source_x, mode="full"):
+    return float(scoring_loss_graph(ScorerGraph(params), mode, _halves(source_x), batch).value)
 
 
 def _feature(params, anomalies, unlabeled, anchors, margin=1.0):
     graph = ScorerGraph(params)
-    return float(feature_regularizer_graph(graph, anomalies, unlabeled, anchors, margin).value)
+    blocks = tuple(np.asarray(x, dtype=np.float64) for x in (anomalies, unlabeled, anchors))
+    scoring_loss_graph(graph, "plain_regression", blocks, None)
+    return float(feature_regularizer_graph(graph, len(blocks[0]), margin).value)
 
 
 # -- smooth l1 ----------------------------------------------------------------
@@ -85,9 +94,9 @@ def test_scoring_loss_worked_example():
     batch = AugmentedBatch(mixed_x, np.array([0.4]), np.array([[0, 1]]),
                            np.array([[0.5, 0.5]]))
     assert _scoring(params, batch, source_x) == pytest.approx(0.025, abs=1e-10)
-    assert _scoring(params, batch, source_x, consistency=False) == pytest.approx(0.02, abs=1e-10)
+    assert _scoring(params, batch, source_x, "no_consistency") == pytest.approx(0.02, abs=1e-10)
     # discretized target snaps 0.4 up to +1: 0.5 * 0.8^2 + 0.5 * 0.1^2
-    assert _scoring(params, batch, source_x, discrete_targets=True) == \
+    assert _scoring(params, batch, source_x, "discrete_targets") == \
         pytest.approx(0.325, abs=1e-9)
 
 
@@ -116,8 +125,8 @@ def test_consistency_term_vanishes_for_constant_scorer(rng):
     x = rng.uniform(0, 1, size=(6, 3))
     y = np.array([1.0] * 3 + [-1.0] * 3)
     batch = augment_batch(x, y, 2, 0.5, 9, rng)
-    with_consistency = _scoring(params, batch, x, consistency=True)
-    without = _scoring(params, batch, x, consistency=False)
+    with_consistency = _scoring(params, batch, x)
+    without = _scoring(params, batch, x, "no_consistency")
     assert with_consistency == without
 
 
@@ -191,6 +200,38 @@ def test_feature_regularizer_graph_matches_plain(rng):
     assert _feature(params, xa, xu, xq) == expected
 
 
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_fused_nodes_equal_the_per_block_formulas(mode, rng):
+    # each loss node's value, written out in numpy over a reference forward
+    # of every block on its own, where the graph forwards one stack
+    params = build_scorer(3, 6, seed=8)
+    b = 4
+    blocks = tuple(rng.uniform(0, 1, size=(b, 3)) for _ in range(3))
+    labels = np.concatenate([np.ones(b), -np.ones(b)])
+    sources = np.vstack(blocks[:2])
+    mixed = None
+    if mode != "plain_regression":
+        mixed = augment_batch(sources, labels, 2, 0.5, 2 * b, rng)
+    loss, feature = step_losses(ScorerGraph(params), mode, blocks, mixed)
+    if mode == "plain_regression":
+        expected = np.mean(_huber(score_batch(params, sources) - labels))
+    else:
+        s_mixed = score_batch(params, mixed.x)
+        targets = np.where(mixed.y > 0, 1.0, -1.0) if mode == "discrete_targets" else mixed.y
+        per_sample = _huber(s_mixed - targets)
+        if mode != "no_consistency":
+            interp = (score_batch(params, sources)[mixed.sources] * mixed.lambdas).sum(axis=1)
+            per_sample = per_sample + _huber(s_mixed - interp)
+        expected = np.mean(per_sample)
+    assert float(loss.value) == expected
+    if mode == "no_regularizer":
+        assert feature is None
+        return
+    za, zu, zq = (represent_batch(params, x) for x in blocks)
+    hinge = np.linalg.norm(zu - zq, axis=1) - np.linalg.norm(za - zq, axis=1) + 1.0
+    assert float(feature.value) == np.mean(np.maximum(hinge, 0.0)) > 0.0
+
+
 # -- dynamic weighting ----------------------------------------------------------
 
 
@@ -248,7 +289,7 @@ def test_ablation_plain_regression_value(rng):
     x = rng.uniform(0, 1, size=(6, 2))
     y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     expected = float(np.mean(_huber(score_batch(params, x) - y)))
-    assert float(plain_regression_graph(ScorerGraph(params), x, y).value) == expected
+    assert _scoring(params, None, x, "plain_regression") == expected
 
 
 def test_ablation_discrete_maps_balanced_mix_to_negative(rng):
@@ -257,7 +298,7 @@ def test_ablation_discrete_maps_balanced_mix_to_negative(rng):
                            np.array([[0, 1]]), np.array([[0.5, 0.5]]))
     x = np.array([[0.0], [0.0]])
     # sign(0) -> -1: the loss targets -1, not +1; the consistency residual is 0
-    assert _scoring(params, batch, x, discrete_targets=True) == pytest.approx(0.5, abs=1e-12)
+    assert _scoring(params, batch, x, "discrete_targets") == pytest.approx(0.5, abs=1e-12)
 
 
 # -- gradients ------------------------------------------------------------------

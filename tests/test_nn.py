@@ -11,8 +11,7 @@ from anomix.nn import (
     init_dense,
     leaky_relu,
     v_linear,
-    v_mean,
-    v_smooth_l1,
+    v_rows,
     v_tanh,
 )
 from anomix.scorer import ScorerGraph, build_scorer
@@ -42,7 +41,7 @@ def test_affine_dimension_mismatch():
     # the tape's forward pass checks input widths before any layer runs
     graph = ScorerGraph(build_scorer(2, 4, seed=0))
     with pytest.raises(ContractViolationError):
-        graph.score(np.ones((1, 3)))
+        graph.forward(np.ones((1, 3)), 1)
     with pytest.raises(ContractViolationError):
         graph.represent(np.ones(2))
 
@@ -99,19 +98,30 @@ def test_single_layer_squared_error_closed_form(rng):
     layer = DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2))
     x = rng.normal(size=(1, 3))
     target = rng.normal(size=(1, 2))
-    w_var, b_var = Var(layer.weights), Var(layer.bias)
-    pred = v_linear(Var(x), w_var, b_var)
-    diff = pred - target
-    # smooth L1 with beta above every residual is 0.5 r^2 / beta; the
-    # power-of-two beta keeps the rescaling to a sum of squares exact
-    beta = 1024.0
-    loss = v_mean(v_smooth_l1(diff, beta)) * (2.0 * beta * diff.value.size)
-    d_w, d_b = backward(loss, [w_var, b_var])
     residual = (x @ layer.weights.T + layer.bias) - target
     expected_w = 2.0 * residual.T @ x
     expected_b = 2.0 * residual[0]
-    assert np.allclose(d_w, expected_w, atol=1e-12)
-    assert np.allclose(d_b, expected_b, atol=1e-12)
+    # a sum of squared residuals, written as one node with its own gradient
+    # rule, as the losses are; once on a tape input, once on a constant one
+    x_var = Var(x)
+    for rows in (x_var, x):
+        w_var, b_var = Var(layer.weights), Var(layer.bias)
+        pred = v_linear(rows, w_var, b_var)
+        r = pred.value - target
+        loss = Var((r * r).sum(), (pred,), lambda g, r=r: (2.0 * g * r,))
+        d_w, d_b = backward(loss, [w_var, b_var])
+        assert np.allclose(d_w, expected_w, atol=1e-12)
+        assert np.allclose(d_b, expected_b, atol=1e-12)
+    assert np.allclose(x_var.grad, 2.0 * residual @ layer.weights, atol=1e-12)
+
+
+def test_row_prefix_passes_gradient_to_its_rows_only():
+    x = Var(np.arange(6.0).reshape(3, 2))
+    head = v_rows(x, 2)
+    assert np.array_equal(head.value, [[0.0, 1.0], [2.0, 3.0]])
+    loss = Var(head.value.sum(), (head,), lambda g: (np.full((2, 2), float(g)),))
+    (d_x,) = backward(loss, [x])
+    assert np.array_equal(d_x, [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
 
 
 def test_backward_rejects_nonscalar_loss():

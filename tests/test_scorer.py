@@ -201,4 +201,11 @@ def test_graph_forward_equals_numpy_forward_bitwise(rng):
     X[:3] *= 1e3  # and tanh saturates into the clamp
     graph = ScorerGraph(params)
     assert np.array_equal(graph.represent(X).value, represent_batch(params, X))
-    assert np.array_equal(graph.score(X).value, score_batch(params, X))
+    assert np.array_equal(graph.forward(X, len(X)).value[:, 0], score_batch(params, X))
+    # the stacked forward represents every row and scores only the prefix
+    prefix = graph.forward(X, 20).value
+    assert prefix.shape == (20, 1)
+    assert np.array_equal(graph.rep.value, represent_batch(params, X))
+    assert np.array_equal(prefix[:, 0], score_batch(params, X[:20]))
+    with pytest.raises(ContractViolationError):
+        graph.forward(X, 0)
