@@ -133,6 +133,8 @@ def cmd_train(args) -> int:
         "final_val_auc_pr": last.val_auc_pr if last else None,
         "best_val_auc_pr": max((r.val_auc_pr for r in history.records
                                 if r.val_auc_pr is not None), default=None),
+        # Epochs with every triplet hinge inactive; each kept the previous feature average.
+        "zero_feature_epochs": sum(r.loss_feature == 0.0 for r in history.records),
         # Wall clock per epoch; kept out of history.json so that file stays deterministic.
         "epoch_seconds": [r.seconds for r in history.records],
     }

@@ -477,14 +477,21 @@ TOY_MIXING = np.array([
 TOY_NOISE_FEATURES = 2
 
 
+def _check_generator_args(kind: str, n: int, n_min: int, seed: int,
+                          anomaly_fraction: float) -> None:
+    """Raise InvalidParameterError stating the first rejected argument and its value."""
+    if n < n_min:
+        raise InvalidParameterError(f"{kind} generator needs n >= {n_min}, got {n!r}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed cannot be negative, got {seed!r}")
+    if not 0.0 < anomaly_fraction < 0.5:
+        raise InvalidParameterError(
+            f"anomaly_fraction must lie in (0, 0.5), got {anomaly_fraction!r}")
+
+
 def generate_toy(n: int, seed: int = 0, anomaly_fraction: float = 0.05) -> Dataset:
     """Seeded 10-feature toy dataset with a 3-cluster anomaly class."""
-    if n < 50:
-        raise InvalidParameterError("toy generator needs n >= 50")
-    if seed < 0:
-        raise InvalidParameterError("seed cannot be negative")
-    if not 0.0 < anomaly_fraction < 0.5:
-        raise InvalidParameterError("anomaly_fraction must lie in (0, 0.5)")
+    _check_generator_args("toy", n, 50, seed, anomaly_fraction)
     rng = np.random.default_rng(seed)
     n_anom = int(round(anomaly_fraction * n))
     n_norm = n - n_anom
@@ -573,12 +580,7 @@ def generate_case(kind: str, n: int, seed: int = 0,
     """
     if kind not in CASE_KINDS:
         raise InvalidParameterError(f"unknown case kind {kind!r}; expected one of {CASE_KINDS}")
-    if n < 100:
-        raise InvalidParameterError("case generator needs n >= 100")
-    if seed < 0:
-        raise InvalidParameterError("seed cannot be negative")
-    if not 0.0 < anomaly_fraction < 0.5:
-        raise InvalidParameterError("anomaly_fraction must lie in (0, 0.5)")
+    _check_generator_args("case", n, 100, seed, anomaly_fraction)
     rng = np.random.default_rng(seed)
     X_tr, y_tr = _case_split(kind, n, rng, anomaly_fraction, training=True)
     X_te, y_te = _case_split(kind, n, rng, anomaly_fraction, training=False)

@@ -1,12 +1,12 @@
 """Training objectives and their balancing.
 
-Three pieces: a regression loss pushing mixed-sample scores onto their
-graded targets (with a consistency term tying each mixed score to the
-weighted sum of its sources' scores), a triplet hinge on the intermediate
-representation that repels labeled anomalies from unlabeled anchors, and
-a softmax weight over epoch-normalized losses that balances the two. The
-weight is held constant during gradient computation. Every loss reduces
-over its batch by the mean.
+Three pieces: a smooth-L1 loss at beta = 1 (the Huber loss) pushing
+mixed-sample scores onto their graded targets (with a consistency term
+tying each mixed score to the weighted sum of its sources' scores), a
+triplet hinge on the intermediate representation that repels labeled
+anomalies from unlabeled anchors, and a softmax weight over
+epoch-normalized losses that balances the two. The weight is held
+constant during gradient computation. Every loss reduces by the mean.
 
 Each step stacks its distinct rows once, as [mixed (2b, absent in
 plain_regression); anomaly (b); unlabeled (b); anchor (b, absent in
@@ -71,13 +71,17 @@ def dynamic_weight(loss_scoring: float, loss_feature: float, state: LossState) -
 
 
 def update_epoch_averages(state: LossState, scoring_losses, feature_losses) -> LossState:
-    """New state with both averages replaced by this epoch's means."""
+    """New state with both averages replaced by this epoch's means.
+
+    A mean of exactly 0 (no triplet hinge active all epoch) keeps the
+    previous average, which stays positive: `dynamic_weight` divides by it.
+    """
     if len(scoring_losses) == 0 or len(feature_losses) == 0:
         raise ContractViolationError("epoch loss lists must be non-empty")
     return replace(
         state,
-        l_bar=float(np.mean(scoring_losses)),
-        l_prime_bar=float(np.mean(feature_losses)),
+        l_bar=float(np.mean(scoring_losses)) or state.l_bar,
+        l_prime_bar=float(np.mean(feature_losses)) or state.l_prime_bar,
     )
 
 
@@ -86,19 +90,16 @@ def update_epoch_averages(state: LossState, scoring_losses, feature_losses) -> L
 # ---------------------------------------------------------------------------
 
 
-def smooth_l1(residual: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise smooth-L1 and its derivative.
+def smooth_l1(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise smooth-L1 at beta = 1 (the Huber loss) and its derivative.
 
-    0.5 r^2 / beta inside |r| < beta, |r| - beta/2 outside.
+    0.5 r^2 inside |r| < 1, |r| - 0.5 outside.
     """
-    r = residual
-    quadratic = np.abs(r) < beta
-    return (np.where(quadratic, 0.5 * r * r / beta, np.abs(r) - 0.5 * beta),
-            np.where(quadratic, r / beta, np.sign(r)))
+    quadratic = np.abs(r) < 1.0
+    return np.where(quadratic, 0.5 * r * r, np.abs(r) - 0.5), np.where(quadratic, r, np.sign(r))
 
 
-def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBatch | None,
-                       beta: float = 1.0) -> Var:
+def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBatch | None) -> Var:
     """Forward the step's stacked rows; mean smooth-L1 of the scores onto their targets.
 
     `blocks` is the (anomaly, unlabeled, anchor) triple of b rows each, and
@@ -130,10 +131,10 @@ def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBa
     m = len(targets)
     scores = graph.forward(np.vstack(rows), m if mix is None else m + 2 * b)
     s = scores.value[:, 0]
-    per_sample, slope = smooth_l1(s[:m] - targets, beta)
+    per_sample, slope = smooth_l1(s[:m] - targets)
     if mix is not None:
         interp = (s[m:][mix.sources] * mix.lambdas).sum(axis=1)
-        consistency, slope_c = smooth_l1(s[:m] - interp, beta)
+        consistency, slope_c = smooth_l1(s[:m] - interp)
         per_sample = per_sample + consistency
         slope = slope + slope_c
 

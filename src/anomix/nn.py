@@ -8,6 +8,7 @@ backward rule is written out by hand (see `losses`). It is not a general
 autodiff framework. `backward` returns one gradient per leaf, in the
 order of the leaves it is given; `adam_step` walks (label, array) pairs
 in that same order, with one first and one second moment per array.
+Adam's beta1, beta2 and eps are fixed at the defaults of arXiv 1412.6980.
 Training-time state (tape nodes, optimizer) is single-writer; pure
 forward evaluation with frozen parameters is safe to call concurrently.
 """
@@ -19,16 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    InvalidParameterError,
-    TrainingDivergedError,
-)
+from .errors import ContractViolationError, TrainingDivergedError
 
 # Largest float64 strictly below 1. tanh(x) rounds to exactly +/-1 for
 # |x| above ~19, so outputs are clamped by one ulp to keep the score
 # range an open interval.
 TANH_LIMIT = float(np.nextafter(1.0, 0.0))
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -55,13 +56,9 @@ def init_dense(n_out: int, n_in: int, rng: np.random.Generator) -> DenseLayer:
     return DenseLayer(rng.uniform(-limit, limit, size=(n_out, n_in)), np.zeros(n_out))
 
 
-def leaky_relu(x, slope: float = 0.01):
-    """x for x >= 0, slope*x otherwise; elementwise over arrays."""
-    if not 0.0 < slope < 1.0:
-        raise InvalidParameterError("slope must lie in (0, 1)")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(x >= 0.0, x, slope * x)
-    return float(out) if out.ndim == 0 else out
+def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
+    """x for x >= 0, slope*x otherwise, elementwise; ScorerParams checks the slope."""
+    return np.where(x >= 0.0, x, slope * x)
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +164,15 @@ class AdamState:
     """Adam moments plus step counter, one `m` and one `v` per parameter array."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     weight_decay: float
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     @classmethod
-    def for_arrays(cls, named_arrays, **hyperparameters) -> "AdamState":
-        """Zeroed moments for (label, array) pairs; the hyperparameters come from TrainConfig."""
-        return cls(**hyperparameters, m=[np.zeros_like(a) for _, a in named_arrays],
+    def for_arrays(cls, named_arrays, lr: float, weight_decay: float) -> "AdamState":
+        """Zeroed moments for (label, array) pairs."""
+        return cls(lr, weight_decay, m=[np.zeros_like(a) for _, a in named_arrays],
                    v=[np.zeros_like(a) for _, a in named_arrays])
 
 
@@ -197,16 +191,16 @@ def adam_step(named_arrays, grads, state: AdamState) -> None:
         if not np.isfinite(g).all():
             raise TrainingDivergedError(f"non-finite gradient in {label}")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     shrink = 1.0 - state.lr * state.weight_decay
     for (label, p), g, m, v in zip(named_arrays, grads, state.m, state.v):
         if state.weight_decay != 0.0:
             p *= shrink
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         if not np.isfinite(p).all():
             raise TrainingDivergedError(f"non-finite parameter in {label}")

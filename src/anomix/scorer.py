@@ -3,9 +3,11 @@
 Layer sizing follows h1 = D + floor((H - D) / 2) for the representation
 hidden layer and h2 = floor(H / 2) for the scoring hidden layer, where D
 is the input width and H the representation width. Hidden layers use
-LeakyReLU. The representation output is linear so that distances in it
-are not range-compressed; the final score passes through tanh and lies
-strictly inside (-1, 1), higher meaning more anomalous.
+LeakyReLU, with the slope `ScorerParams` holds (0.01 unless a saved model
+says otherwise), checked once when the parameters are built. The
+representation output is linear so that distances in it are not
+range-compressed; the final score passes through tanh and lies strictly
+inside (-1, 1), higher meaning more anomalous.
 
 `ScorerParams` owns the layout: four (weights, bias) layers in
 LAYER_NAMES order, shaped as `layer_shapes` says. Its widths are read
@@ -52,6 +54,10 @@ class ScorerParams:
     score_out: DenseLayer
     slope: float = 0.01
 
+    def __post_init__(self):
+        if not 0.0 < self.slope < 1.0:
+            raise InvalidParameterError(f"slope must lie in (0, 1), got {self.slope!r}")
+
     # Widths D, h1, H, h2, read from the weight shapes.
     d_in = property(lambda self: self.rep_hidden.weights.shape[1])
     h1 = property(lambda self: self.rep_hidden.weights.shape[0])
@@ -92,11 +98,11 @@ def layer_shapes(d_in: int, rep_dim: int) -> list[tuple[int, int]]:
     return [(h1, d_in), (rep_dim, h1), (h2, rep_dim), (1, h2)]
 
 
-def build_scorer(d_in: int, rep_dim: int, seed: int = 0, slope: float = 0.01) -> ScorerParams:
+def build_scorer(d_in: int, rep_dim: int, seed: int = 0) -> ScorerParams:
     """Freshly initialized scorer; bit-reproducible for a given seed."""
     rng = np.random.default_rng(seed)
     return ScorerParams(*(nn.init_dense(n_out, n_in, rng)
-                          for n_out, n_in in layer_shapes(d_in, rep_dim)), slope=slope)
+                          for n_out, n_in in layer_shapes(d_in, rep_dim)))
 
 
 def _as_batch(x, d_in: int) -> np.ndarray:
@@ -145,9 +151,7 @@ def score(params: ScorerParams, x) -> float:
     if not np.isfinite(x).all():
         raise ContractViolationError("input vector holds a non-finite value")
     slope = params.slope
-    if not 0.0 < slope < 1.0:
-        raise InvalidParameterError("slope must lie in (0, 1)")
-    # max(h, slope*h) is LeakyReLU for 0 < slope < 1.
+    # max(h, slope*h) is LeakyReLU for 0 < slope < 1, which ScorerParams ensures.
     h = params.rep_hidden.weights @ x + params.rep_hidden.bias
     z = params.rep_out.weights @ np.maximum(h, slope * h) + params.rep_out.bias
     h = params.score_hidden.weights @ z + params.score_hidden.bias

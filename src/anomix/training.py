@@ -8,12 +8,17 @@ the gradient), and take one Adam step. Epoch-average losses
 update exactly once per epoch, after its last batch. A master seed fans
 out to the "init", "batching", and "augmentation" substreams, so a fixed
 (dataset, config, seed) triple reproduces the run bit for bit.
+
+`TrainConfig` holds exactly the knobs a command sets: each field is set by an
+`anomix train` flag and by an `anomix sweep` key. The fixed implementation
+details live with the code that uses them: Adam's constants in `nn`, the
+smooth-L1 beta of 1 in `losses`, the LeakyReLU slope in `ScorerParams`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,14 +45,9 @@ class TrainConfig:
     margin: float = 1.0
     temperature: float = 2.0
     weight_decay: float = 1e-5
-    slope: float = 0.01
-    smooth_beta: float = 1.0
     ablation: str = "full"
     seed: int = 0
     select_best: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def validate(self) -> None:
         """Raise InvalidParameterError naming the first field out of range, its limit, its value."""
@@ -55,13 +55,13 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
             ("n_epoch", self.n_epoch >= 0, "must be >= 0"),
             ("n_batch", self.n_batch >= 1, "must be >= 1"),
+            ("rep_dim", self.rep_dim >= 2, "must be >= 2"),
             ("k", 2 <= self.k <= 2 * self.batch_size,
              f"must lie in [2, 2 * batch_size] = [2, {2 * self.batch_size}]"),
             *((name, getattr(self, name) > 0, "must be positive")
-              for name in ("lr", "alpha", "margin", "temperature", "smooth_beta")),
+              for name in ("lr", "alpha", "margin", "temperature")),
             ("weight_decay", self.weight_decay >= 0, "cannot be negative"),
             ("seed", self.seed >= 0, "cannot be negative"),
-            ("slope", 0.0 < self.slope < 1.0, "must lie in (0, 1)"),
             ("ablation", self.ablation in ABLATION_MODES, f"must be one of {ABLATION_MODES}"),
         )
         for name, ok, rule in checks:
@@ -136,10 +136,7 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
     if len(dataset.indices(Role.UNLABELED)) < 2 * config.batch_size:
         raise UnusableDatasetError("training requires an unlabeled pool of at least 2 * batch_size")
 
-    params = build_scorer(
-        dataset.n_features, config.rep_dim,
-        seed=child_seed(config.seed, "init"), slope=config.slope,
-    )
+    params = build_scorer(dataset.n_features, config.rep_dim, seed=child_seed(config.seed, "init"))
     history = TrainHistory()
     if config.n_epoch == 0:
         return params, history
@@ -147,10 +144,7 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
     rng_batch = substream(config.seed, "batching")
     rng_augment = substream(config.seed, "augmentation")
     named_arrays = params.arrays()
-    optimizer = AdamState.for_arrays(
-        named_arrays, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-        eps=config.eps, weight_decay=config.weight_decay,
-    )
+    optimizer = AdamState.for_arrays(named_arrays, lr=config.lr, weight_decay=config.weight_decay)
     state = LossState(temperature=config.temperature)
     validation = _validation_setup(dataset)
     best_auc = -np.inf
@@ -171,7 +165,7 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
                 mixed = augment_batch(np.vstack(blocks[:2]), block_labels, config.k, config.alpha,
                                       m=2 * b, rng=rng_augment)
             graph = ScorerGraph(params)
-            loss_var = L.scoring_loss_graph(graph, mode, blocks, mixed, config.smooth_beta)
+            loss_var = L.scoring_loss_graph(graph, mode, blocks, mixed)
             loss_val = float(loss_var.value)
             if not np.isfinite(loss_val):
                 raise TrainingDivergedError(f"scoring loss diverged at epoch {epoch}, batch {batch_no}")
@@ -194,9 +188,7 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
             weights.append(w)
             if feature_val is not None:
                 feature_vals.append(feature_val)
-        if mode == "no_regularizer":
-            state = replace(state, l_bar=float(np.mean(scoring_vals)))
-        else:
+        if feature_vals:  # no_regularizer never reads the averages
             state = L.update_epoch_averages(state, scoring_vals, feature_vals)
         val_auc = None
         if validation is not None:

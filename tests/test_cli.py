@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from anomix.artifact import ModelArtifact, load_model, save_model, write_manifest
-from anomix.cli import main
+from anomix.cli import _SWEEP_OVERRIDES, _TRAIN_KNOBS, build_parser, main
 from anomix.data import NormState, generate_toy, load_csv, write_csv, write_rows
 from anomix.errors import CorruptArtifactError
 from anomix.scorer import build_scorer, score_batch
+from anomix.training import TrainConfig
 
 
 @pytest.fixture
@@ -49,6 +51,7 @@ def test_train_happy_path(toy_csv, tmp_path, capsys):
     epoch_seconds = manifest["metrics"]["epoch_seconds"]
     assert len(epoch_seconds) == 4
     assert all(isinstance(s, float) and s >= 0.0 for s in epoch_seconds)
+    assert manifest["metrics"]["zero_feature_epochs"] == 0
 
 
 def test_train_rejects_zero_labeled_anomalies(toy_csv, tmp_path, capsys):
@@ -75,6 +78,7 @@ def test_train_checks_its_flags_before_writing(flag, value, toy_csv, tmp_path, c
 @pytest.mark.parametrize("flag, value, expected", [
     ("--contamination", 0.7, "target_ratio must lie in [0, 0.5), got 0.7"),
     ("--epochs", -1, "n_epoch must be >= 0, got -1"),
+    ("--rep-dim", 0, "rep_dim must be >= 2, got 0"),
 ])
 def test_train_error_states_the_value_and_the_limit(flag, value, expected, toy_csv, tmp_path,
                                                     capsys):
@@ -102,6 +106,15 @@ def test_negative_seed_is_an_error_record_and_writes_nothing(command, toy_csv, t
     assert record["error"] == error
     assert "seed" in record["message"] and "negative" in record["message"]
     assert not out.exists()
+
+
+def test_every_train_config_field_is_a_train_flag_and_a_sweep_key():
+    flags = vars(build_parser().parse_args(["train", "--data", "d.csv", "--label-col", "y"]))
+    knobs = {field for name, (field, _help) in _TRAIN_KNOBS.items()
+             if name in flags and name in _SWEEP_OVERRIDES}
+    # seed: --seed and the "seed" setting; select_best: --last-epoch and the "select_best" key
+    assert "seed" in flags and "last_epoch" in flags and "select_best" in _SWEEP_OVERRIDES
+    assert {f.name for f in dataclasses.fields(TrainConfig)} == knobs | {"seed", "select_best"}
 
 
 def test_train_determinism_byte_identical(toy_csv, tmp_path):
@@ -436,6 +449,7 @@ def test_sweep_grid_and_infeasible_cells(toy_csv, tmp_path):
     pytest.param({"batch_size": 0}, "'batch_size': batch_size must be >= 1, got 0",
                  id="batch-size-zero"),
     pytest.param({"epochs": -1}, "'epochs': n_epoch must be >= 0, got -1", id="epochs-negative"),
+    pytest.param({"rep_dim": 1}, "'rep_dim': rep_dim must be >= 2, got 1", id="rep-dim-one"),
     pytest.param({"contamination_levels": [0.02, 0.7]},
                  "'contamination_levels': target_ratio must lie in [0, 0.5), got 0.7",
                  id="contamination-0.7"),

@@ -516,10 +516,13 @@ def test_toy_linear_probe_reaches_high_auc():
 def test_toy_fraction_and_validation():
     ds = generate_toy(1000, seed=5, anomaly_fraction=0.1)
     assert ds.y.sum() == 100
-    with pytest.raises(InvalidParameterError):
-        generate_toy(20, seed=0)
-    with pytest.raises(InvalidParameterError):
-        generate_toy(100, seed=0, anomaly_fraction=0.9)
+    with pytest.raises(InvalidParameterError, match=r"toy generator needs n >= 50, got 10$"):
+        generate_toy(10, seed=0)
+    with pytest.raises(InvalidParameterError, match=r"seed cannot be negative, got -1$"):
+        generate_toy(100, seed=-1)
+    with pytest.raises(InvalidParameterError,
+                       match=r"anomaly_fraction must lie in \(0, 0\.5\), got 0\.7$"):
+        generate_toy(100, seed=0, anomaly_fraction=0.7)
 
 
 def test_toy_deterministic():
@@ -568,8 +571,13 @@ def test_case_novel_cluster_absent_from_training():
 def test_case_validation():
     with pytest.raises(InvalidParameterError):
         generate_case("weird", 500, seed=0)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"case generator needs n >= 100, got 50$"):
         generate_case("clustered", 50, seed=0)
+    with pytest.raises(InvalidParameterError, match=r"seed cannot be negative, got -2$"):
+        generate_case("novel", 500, seed=-2)
+    with pytest.raises(InvalidParameterError,
+                       match=r"anomaly_fraction must lie in \(0, 0\.5\), got 0\.0$"):
+        generate_case("scattered", 500, seed=0, anomaly_fraction=0.0)
 
 
 # -- protocol pipeline -------------------------------------------------------------------------

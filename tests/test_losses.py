@@ -19,8 +19,8 @@ from anomix.scorer import ScorerGraph, build_scorer, represent_batch, score_batc
 from tests.conftest import identity_representation_scorer, step_losses, tanh_line_scorer
 
 
-def _smooth(residual, beta=1.0):
-    return smooth_l1(np.asarray(residual, dtype=np.float64), beta)[0]
+def _smooth(residual):
+    return smooth_l1(np.asarray(residual, dtype=np.float64))[0]
 
 
 def _huber(residual):
@@ -57,10 +57,10 @@ def test_smooth_l1_closed_forms():
     assert np.allclose(_smooth(np.array([0.5, -2.0])), [0.125, 1.5], rtol=0, atol=1e-12)
 
 
-def test_smooth_l1_branch_boundary_and_beta():
-    # |d| = beta lands on the linear branch; both branches agree there
-    assert _smooth(1.0, beta=1.0) == pytest.approx(0.5, abs=1e-12)
-    assert _smooth(0.5, beta=2.0) == pytest.approx(0.0625, abs=1e-12)
+def test_smooth_l1_branch_boundary():
+    # |d| = 1 lands on the linear branch; both branches agree there
+    assert _smooth(1.0) == pytest.approx(0.5, abs=1e-12)
+    assert np.array_equal(smooth_l1(np.array([1.0, -1.0, 0.5]))[1], [1.0, -1.0, 0.5])
 
 
 # -- scoring loss --------------------------------------------------------------
@@ -279,6 +279,14 @@ def test_update_epoch_averages():
     assert state.l_bar == 1.0  # original untouched
     with pytest.raises(ContractViolationError):
         update_epoch_averages(state, [], [1.0])
+
+
+def test_an_epoch_with_zero_feature_loss_keeps_the_previous_average():
+    # every hinge inactive: a zero average would make the next weight undefined
+    state = update_epoch_averages(LossState(temperature=2.0), [4.0, 2.0], [0.5, 1.5])
+    updated = update_epoch_averages(state, [3.0, 3.0], [0.0, 0.0])
+    assert (updated.l_bar, updated.l_prime_bar) == (3.0, 1.0)
+    assert 0.0 < dynamic_weight(1.0, 0.0, updated) < 1.0
 
 
 # -- ablation modes -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from anomix.nn import (
     v_rows,
     v_tanh,
 )
-from anomix.scorer import ScorerGraph, build_scorer
+from anomix.scorer import ScorerGraph, ScorerParams, build_scorer
 from anomix.training import TrainConfig
 
 
@@ -52,16 +54,17 @@ def test_dense_layer_shape_contract():
 
 
 def test_leaky_relu_values():
-    assert leaky_relu(2.0) == 2.0
-    assert leaky_relu(0.0) == 0.0
-    assert leaky_relu(-1.0, 0.01) == pytest.approx(-0.01, abs=1e-15)
+    assert np.array_equal(leaky_relu(np.array([2.0, 0.0, -1.0]), 0.01), [2.0, 0.0, -0.01])
     assert np.allclose(leaky_relu(np.array([-2.0, 3.0]), 0.1), [-0.2, 3.0])
 
 
 def test_leaky_relu_slope_domain():
+    # the slope is checked once, when the scorer's parameters are built
+    layers = build_scorer(2, 4, seed=0).layers()
     for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(InvalidParameterError):
-            leaky_relu(1.0, bad)
+        with pytest.raises(InvalidParameterError, match=re.escape(f"got {bad!r}")):
+            ScorerParams(*layers, slope=bad)
+    assert ScorerParams(*layers, slope=0.2).copy().slope == 0.2
 
 
 def test_tanh_values():
@@ -136,10 +139,9 @@ def test_backward_rejects_nonscalar_loss():
 
 
 def _adam(named_arrays, **overrides) -> AdamState:
-    """AdamState for `named_arrays` with TrainConfig's hyperparameters, some overridden."""
+    """AdamState for `named_arrays` with TrainConfig's lr and decay, either overridden."""
     cfg = TrainConfig()
-    hyper = dict(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-                 weight_decay=cfg.weight_decay)
+    hyper = dict(lr=cfg.lr, weight_decay=cfg.weight_decay)
     return AdamState.for_arrays(named_arrays, **{**hyper, **overrides})
 
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from anomix.data import Dataset, Role, generate_toy, prepare_dataset
+from anomix.data import (
+    Dataset,
+    Role,
+    generate_case,
+    generate_toy,
+    prepare_dataset,
+    prepare_training,
+)
 from anomix.errors import InvalidParameterError, UnusableDatasetError
 from anomix.interpolation import augment_batch
 from anomix.losses import ABLATION_MODES, LossState, dynamic_weight, update_epoch_averages
@@ -74,7 +81,7 @@ def test_zero_epochs_returns_initialized_params():
     cfg = _fast_config(n_epoch=0)
     params, history = train(ds, cfg)
     assert len(history) == 0
-    fresh = build_scorer(3, cfg.rep_dim, seed=child_seed(cfg.seed, "init"), slope=cfg.slope)
+    fresh = build_scorer(3, cfg.rep_dim, seed=child_seed(cfg.seed, "init"))
     for got, want in zip(params.layers(), fresh.layers()):
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.bias, want.bias)
@@ -90,11 +97,10 @@ def test_train_replay_oracle_matches_exactly():
         cfg = _fast_config(n_epoch=2, n_batch=2, ablation=mode, k=k)
         trained, history = train(ds, cfg)
 
-        params = build_scorer(3, cfg.rep_dim, seed=child_seed(cfg.seed, "init"), slope=cfg.slope)
+        params = build_scorer(3, cfg.rep_dim, seed=child_seed(cfg.seed, "init"))
         rng_batch = substream(cfg.seed, "batching")
         rng_augment = substream(cfg.seed, "augmentation")
-        optimizer = AdamState.for_arrays(params.arrays(), lr=cfg.lr, beta1=cfg.beta1,
-                                         beta2=cfg.beta2, eps=cfg.eps,
+        optimizer = AdamState.for_arrays(params.arrays(), lr=cfg.lr,
                                          weight_decay=cfg.weight_decay)
         state = LossState(temperature=cfg.temperature)
         labels = np.concatenate([np.ones(cfg.batch_size), -np.ones(cfg.batch_size)])
@@ -108,8 +114,7 @@ def test_train_replay_oracle_matches_exactly():
                     mixed = augment_batch(np.vstack(blocks[:2]), labels, cfg.k, cfg.alpha,
                                           m=2 * cfg.batch_size, rng=rng_augment)
                 graph = ScorerGraph(params)
-                l_var, f_var = step_losses(graph, mode, blocks, mixed,
-                                           cfg.smooth_beta, cfg.margin)
+                l_var, f_var = step_losses(graph, mode, blocks, mixed, cfg.margin)
                 if f_var is None:
                     w, objective = 1.0, l_var
                 else:
@@ -152,10 +157,24 @@ def test_train_preconditions_and_validation():
         _fast_config(lr=0.0).validate()
     with pytest.raises(InvalidParameterError):
         _fast_config(margin=0.0).validate()
-    with pytest.raises(InvalidParameterError):
-        _fast_config(smooth_beta=0.0).validate()
     with pytest.raises(InvalidParameterError, match="seed"):
         _fast_config(seed=-1).validate()
+    with pytest.raises(InvalidParameterError, match=r"rep_dim must be >= 2, got 0"):
+        _fast_config(rep_dim=0).validate()
+
+
+def test_an_epoch_with_every_hinge_inactive_does_not_abort_the_run():
+    # separable clusters: by epoch 33 no triplet hinge is active in any batch,
+    # and the next epoch once divided by that zero average
+    train_half, _test = generate_case("clustered", 1000, seed=1)
+    prepared = prepare_training(train_half, labeled_anomalies=30, contamination=0.0,
+                                feature_fraction=0.05, seed=1)
+    cfg = TrainConfig(batch_size=16, n_epoch=50, n_batch=20, seed=1, select_best=False)
+    _params, history = train(prepared, cfg)
+    assert len(history) == 50
+    zero_epochs = [r.epoch for r in history.records if r.loss_feature == 0.0]
+    assert 33 in zero_epochs and zero_epochs[-1] < 50
+    assert all(0.0 < r.weight < 1.0 for r in history.records)
 
 
 def test_no_regularizer_mode_runs_without_feature_loss():
