@@ -1,10 +1,12 @@
 """Command-line surface: train, evaluate, score, synth, sweep.
 
-Every command writes exactly one JSON manifest (config hash, dataset
-fingerprint, seed, metrics, wall clock) into the output directory, which
-defaults to $ANOMIX_OUT or the working directory. Apart from manifests
-and wall-clock fields, all outputs are byte-deterministic for a fixed
-seed. Errors exit nonzero with a machine-readable JSON record on stderr.
+Each command checks and loads its inputs before it creates the output
+directory, which defaults to $ANOMIX_OUT or the working directory, so a run
+whose inputs fail leaves no directory behind. Once the command returns, `main`
+writes its one JSON manifest, `{command}_manifest.json` (config hash,
+dataset fingerprint, seed, metrics, wall clock). Apart from manifests and
+wall-clock fields, all outputs are byte-deterministic for a fixed seed.
+Errors exit nonzero with a machine-readable JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +41,10 @@ _SWEEP_COLUMNS = ("contamination", "labeled_anomalies", "repeat", "seed", "statu
 
 def _out_dir(arg: str | None) -> Path:
     path = Path(arg or os.environ.get("ANOMIX_OUT") or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot use {str(path)!r} as output directory: {exc}") from exc
     return path
 
 
@@ -86,14 +91,21 @@ def _train_config(values: dict, seed: int, select_best: bool) -> TrainConfig:
     return TrainConfig(**fields, seed=seed, select_best=select_best)
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
-    if args.labeled_anomalies <= 0:
-        raise UnusableDatasetError("--labeled-anomalies must be positive: training needs anomaly examples")
-    # Every flag is checked before the first write.
-    config = _train_config(vars(args), args.seed, select_best=not args.last_epoch)
+def _check_run(config: TrainConfig, budgets, levels, feature_fraction) -> None:
+    """Reject, before anything is written, a value that no train run could use.
+    Each message starts with the field it rejects and states the value."""
     config.validate()
-    D.ContaminationSpec(args.contamination, args.feature_fraction)
+    for budget in budgets:
+        if budget <= 0:
+            raise UnusableDatasetError("labeled_anomalies must be positive: training needs "
+                                       f"anomaly examples, got {budget!r}")
+    for level in levels:
+        D.ContaminationSpec(level, feature_fraction)
+
+
+def cmd_train(args):
+    config = _train_config(vars(args), args.seed, select_best=not args.last_epoch)
+    _check_run(config, [args.labeled_anomalies], [args.contamination], args.feature_fraction)
     dataset = D.load_csv(args.data, args.label_col)
     hidden_sizes(dataset.n_features, config.rep_dim)
     out = _out_dir(args.out)
@@ -138,21 +150,11 @@ def cmd_train(args) -> int:
         # Wall clock per epoch; kept out of history.json so that file stays deterministic.
         "epoch_seconds": [r.seconds for r in history.records],
     }
-    write_manifest(
-        out / "train_manifest.json",
-        command="train",
-        config=artifact.train_config,
-        dataset_fingerprint=file_fingerprint(args.data),
-        seed=args.seed,
-        metrics=metrics,
-        wall_clock_s=time.perf_counter() - started,
-        outputs={"model": str(model_path), "history": str(history_path),
-                 "test_split": str(test_path)},
-    )
     print(f"model written to {model_path}")
     if metrics["best_val_auc_pr"] is not None:
         print(f"best validation AUC-PR: {metrics['best_val_auc_pr']:.4f}")
-    return 0
+    return out, artifact.train_config, args.data, args.seed, metrics, {
+        "model": str(model_path), "history": str(history_path), "test_split": str(test_path)}
 
 
 def _print_progress(record) -> None:
@@ -163,7 +165,7 @@ def _print_progress(record) -> None:
 
 
 def _load_scorable(args, require_labels: bool):
-    """(features, labels-or-None) for a model-consuming command."""
+    """(model, features, labels-or-None, manifest config) for a model-consuming command."""
     artifact = load_model(args.model)
     if require_labels or args.label_col:
         if not args.label_col:
@@ -179,53 +181,33 @@ def _load_scorable(args, require_labels: bool):
         )
     if artifact.norm_state is not None:
         X = D.normalize_features(X, artifact.norm_state)
-    return artifact, X, y
+    return artifact, X, y, {"model": str(args.model), "data": str(args.data),
+                            "label_col": args.label_col}
 
 
-def _write_scoring_manifest(command: str, args, out: Path, artifact: ModelArtifact,
-                            started: float, metrics: dict, outputs: dict) -> None:
-    """The manifest of `evaluate` or `score`: both record the model and data they read."""
-    write_manifest(
-        out / f"{command}_manifest.json",
-        command=command,
-        config={"model": str(args.model), "data": str(args.data), "label_col": args.label_col},
-        dataset_fingerprint=file_fingerprint(args.data),
-        seed=artifact.seed,
-        metrics=metrics,
-        wall_clock_s=time.perf_counter() - started,
-        outputs=outputs,
-    )
-
-
-def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
-    out = _out_dir(args.out)
-    artifact, X, y = _load_scorable(args, require_labels=True)
+def cmd_evaluate(args):
+    artifact, X, y, config = _load_scorable(args, require_labels=True)
     report = evaluate_scores(score_batch(artifact.params, X), y)
     payload = {"auc_roc": report.auc_roc, "auc_pr": report.auc_pr,
                "n_pos": report.n_pos, "n_neg": report.n_neg}
+    out = _out_dir(args.out)
     print(json.dumps(payload, indent=1))
     D.write_json(out / "metrics.json", payload, indent=1)
-    _write_scoring_manifest("evaluate", args, out, artifact, started, payload,
-                            {"metrics": str(out / "metrics.json")})
-    return 0
+    return out, config, args.data, artifact.seed, payload, {"metrics": str(out / "metrics.json")}
 
 
-def cmd_score(args) -> int:
-    started = time.perf_counter()
-    out = _out_dir(args.out)
-    artifact, X, _ = _load_scorable(args, require_labels=False)
+def cmd_score(args):
+    artifact, X, _, config = _load_scorable(args, require_labels=False)
     scores = score_batch(artifact.params, X)
+    out = _out_dir(args.out)
     score_path = out / "scores.csv"
     D.write_rows(score_path, ["row_index", "score"], enumerate(scores.tolist()))
-    _write_scoring_manifest("score", args, out, artifact, started,
-                            {"rows_scored": int(len(scores))}, {"scores": str(score_path)})
     print(f"{len(scores)} scores written to {score_path}")
-    return 0
+    return (out, config, args.data, artifact.seed, {"rows_scored": int(len(scores))},
+            {"scores": str(score_path)})
 
 
-def cmd_synth(args) -> int:
-    started = time.perf_counter()
+def cmd_synth(args):
     if args.kind == "toy":
         files = {"data": ("toy.csv", D.generate_toy(args.n, args.seed, args.anomaly_fraction))}
     else:
@@ -236,30 +218,17 @@ def cmd_synth(args) -> int:
     for label, (name, dataset) in files.items():
         D.write_csv(dataset, out / name)
         outputs[label] = str(out / name)
-    write_manifest(
-        out / "synth_manifest.json",
-        command="synth",
-        config={"kind": args.kind, "n": args.n, "seed": args.seed,
-                "anomaly_fraction": args.anomaly_fraction},
-        dataset_fingerprint=None,
-        seed=args.seed,
-        metrics={},
-        wall_clock_s=time.perf_counter() - started,
-        outputs=outputs,
-    )
-    for label, path in outputs.items():
-        print(f"{label}: {path}")
-    return 0
+        print(f"{label}: {out / name}")
+    config = {"kind": args.kind, "n": args.n, "seed": args.seed,
+              "anomaly_fraction": args.anomaly_fraction}
+    return out, config, None, args.seed, {}, outputs
 
 
 def _sweep_cell(dataset: Dataset, level: float, budget: int, cell_seed: int,
                 cfg: dict) -> MetricsReport:
     prepared = D.prepare_dataset(dataset, labeled_anomalies=budget, contamination=level,
                                  feature_fraction=cfg["feature_fraction"], seed=cell_seed)
-    config = _train_config(cfg, cell_seed, cfg["select_best"])
-    if budget <= 0:
-        raise UnusableDatasetError("labeled budget must be positive")
-    params, _history = train(prepared, config)
+    params, _history = train(prepared, _train_config(cfg, cell_seed, cfg["select_best"]))
     test_idx = prepared.indices(Role.TEST)
     return evaluate_scores(score_batch(params, prepared.X[test_idx]), prepared.y[test_idx])
 
@@ -274,8 +243,9 @@ def _fits(value, default) -> bool:
     return type(value) is type(default)
 
 
-def _read_sweep_config(path) -> dict:
-    """The sweep config as written, once every key and value is known valid."""
+def _read_sweep_config(path) -> tuple[dict, dict]:
+    """The sweep config as written, and with its defaults filled in, once every
+    key and value is known valid."""
     try:
         sweep_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -302,31 +272,28 @@ def _read_sweep_config(path) -> dict:
     # Each message starts with the field it rejects; the record names the key.
     cfg = {**defaults, **sweep_cfg}
     keys = {**{field: name for name, (field, _help) in _TRAIN_KNOBS.items()},
-            "target_ratio": "contamination_levels"}
+            "target_ratio": "contamination_levels", "labeled_anomalies": "labeled_budgets"}
     try:
-        _train_config(cfg, seed=0, select_best=cfg["select_best"]).validate()
-        for level in cfg["contamination_levels"]:
-            D.ContaminationSpec(level, cfg["feature_fraction"])
-    except InvalidParameterError as exc:
+        _check_run(_train_config(cfg, cfg["seed"], cfg["select_best"]), cfg["labeled_budgets"],
+                   cfg["contamination_levels"], cfg["feature_fraction"])
+    except AnomixError as exc:
         field = str(exc).split()[0]
         raise DatasetError(f"sweep config {path}: {keys.get(field, field)!r}: {exc}") from exc
-    return sweep_cfg
+    return sweep_cfg, cfg
 
 
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    sweep_cfg = _read_sweep_config(args.config)
-    cfg = {**_SWEEP_SETTINGS, **_SWEEP_OVERRIDES, **sweep_cfg}
-    out = _out_dir(args.out)
+def cmd_sweep(args):
+    sweep_cfg, cfg = _read_sweep_config(args.config)
     dataset = D.load_csv(cfg["data"], cfg["label_col"])
-
+    out = _out_dir(args.out)
     rows = []
-    for level in cfg["contamination_levels"]:
+    # An int level stands for its float: both seed and write the same cell.
+    for level in map(float, cfg["contamination_levels"]):
         for budget in cfg["labeled_budgets"]:
             for rep in range(cfg["repeats"]):
                 cell_seed = child_seed(cfg["seed"], f"cell:{level}:{budget}:{rep}")
                 try:
-                    report = _sweep_cell(dataset, float(level), budget, cell_seed, cfg)
+                    report = _sweep_cell(dataset, level, budget, cell_seed, cfg)
                     outcome = ["ok", report.auc_pr, report.auc_roc]
                 except AnomixError as exc:
                     outcome = [f"error: {exc}", "", ""]
@@ -335,18 +302,9 @@ def cmd_sweep(args) -> int:
     results_path = out / "sweep_results.csv"
     D.write_rows(results_path, _SWEEP_COLUMNS, rows)
     n_ok = sum(row[_SWEEP_COLUMNS.index("status")] == "ok" for row in rows)
-    write_manifest(
-        out / "sweep_manifest.json",
-        command="sweep",
-        config=sweep_cfg,
-        dataset_fingerprint=file_fingerprint(cfg["data"]),
-        seed=cfg["seed"],
-        metrics={"cells": len(rows), "cells_ok": n_ok},
-        wall_clock_s=time.perf_counter() - started,
-        outputs={"results": str(results_path)},
-    )
     print(f"{len(rows)} sweep rows written to {results_path}")
-    return 0
+    return (out, sweep_cfg, cfg["data"], cfg["seed"], {"cells": len(rows), "cells_ok": n_ok},
+            {"results": str(results_path)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,12 +369,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        # Each command returns what its manifest records.
+        out, config, data, seed, metrics, outputs = args.func(args)
+        write_manifest(
+            out / f"{args.command}_manifest.json",
+            command=args.command,
+            config=config,
+            dataset_fingerprint=None if data is None else file_fingerprint(data),
+            seed=seed,
+            metrics=metrics,
+            wall_clock_s=time.perf_counter() - started,
+            outputs=outputs,
+        )
     except AnomixError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -60,6 +61,9 @@ def test_train_rejects_zero_labeled_anomalies(toy_csv, tmp_path, capsys):
     assert code == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "UnusableDatasetError"
+    assert record["message"].startswith("labeled_anomalies must be positive")
+    assert record["message"].endswith("got 0")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -421,11 +425,15 @@ def test_sweep_grid_and_infeasible_cells(toy_csv, tmp_path):
     assert lines[0] == "contamination,labeled_anomalies,repeat,seed,status,auc_pr,auc_roc"
     assert len(lines) == 1 + 4 * 3  # 12 grid cells
 
-    config["labeled_budgets"] = [0]  # infeasible: recorded per cell, not fatal
+    # 2 * 300 rows exceed the unlabeled pool of the 600-row file: that depends on
+    # the data, so it is recorded per cell, not fatal.
+    config["batch_size"] = 300
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     rows = (out / "sweep_results.csv").read_text().strip().splitlines()[1:]
-    assert all("error" in row for row in rows)
+    assert len(rows) == 4 * 3
+    assert all("error: training requires an unlabeled pool of at least 2 * batch_size" in row
+               for row in rows)
 
 
 @pytest.mark.parametrize("extra, expected", [
@@ -453,6 +461,12 @@ def test_sweep_grid_and_infeasible_cells(toy_csv, tmp_path):
     pytest.param({"contamination_levels": [0.02, 0.7]},
                  "'contamination_levels': target_ratio must lie in [0, 0.5), got 0.7",
                  id="contamination-0.7"),
+    pytest.param({"labeled_budgets": [5, 0]},
+                 "'labeled_budgets': labeled_anomalies must be positive: training needs "
+                 "anomaly examples, got 0", id="budget-zero"),
+    pytest.param({"labeled_budgets": [-3]},
+                 "'labeled_budgets': labeled_anomalies must be positive: training needs "
+                 "anomaly examples, got -3", id="budget-negative"),
 ])
 def test_sweep_rejects_unknown_override_keys(extra, expected, toy_csv, tmp_path, capsys):
     out = tmp_path / "sweep"
@@ -483,6 +497,91 @@ def test_sweep_empty_grid(toy_csv, tmp_path):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     lines = (out / "sweep_results.csv").read_text().strip().splitlines()
     assert len(lines) == 1  # header only
+
+
+def test_an_int_contamination_level_gives_the_rows_of_its_float(toy_csv, tmp_path):
+    results = []
+    for levels in ([0, 0.02], [0.0, 0.02]):
+        out = tmp_path / f"sweep_{type(levels[0]).__name__}"
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({
+            "data": str(toy_csv), "contamination_levels": levels, "labeled_budgets": [5],
+            "seed": 3, "epochs": 1, "batches_per_epoch": 2, "batch_size": 8, "rep_dim": 8,
+        }), encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        results.append((out / "sweep_results.csv").read_bytes())
+    assert results[0] == results[1]
+    assert results[0].splitlines()[1].startswith(b"0.0,5,0,")
+
+
+# -- the run path shared by every command ---------------------------------------------
+
+
+_MANIFEST_KEYS = {"command", "config", "config_hash", "dataset_fingerprint", "seed", "metrics",
+                  "wall_clock_s", "outputs"}
+
+
+def _command_argv(command, toy_csv, tmp_path, out):
+    """argv of a successful `command` run writing into `out`, and the data file it reads."""
+    if command == "synth":
+        return ["synth", "--kind", "toy", "--n", "200", "--out", str(out)], None
+    if command == "train":
+        return _train_args(toy_csv, out), toy_csv
+    if command == "sweep":
+        return ["sweep", "--config", _sweep_config(tmp_path, toy_csv, 1), "--out", str(out)], toy_csv
+    return [command, "--model", _untrained_model(tmp_path, 4), "--data", str(toy_csv),
+            "--label-col", "label", "--out", str(out)], toy_csv
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "score", "synth", "sweep"])
+def test_each_command_writes_one_manifest(command, toy_csv, tmp_path):
+    out = tmp_path / "out"
+    argv, data = _command_argv(command, toy_csv, tmp_path, out)
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.glob("*manifest*")) == [f"{command}_manifest.json"]
+    manifest = json.loads((out / f"{command}_manifest.json").read_text())
+    assert set(manifest) == _MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert manifest["wall_clock_s"] >= 0.0
+    expected = None if data is None else hashlib.sha256(data.read_bytes()).hexdigest()
+    assert manifest["dataset_fingerprint"] == expected
+    assert all(os.path.exists(path) for path in manifest["outputs"].values())
+
+
+@pytest.mark.parametrize("command, fault, error", [
+    ("evaluate", "no-model", "CorruptArtifactError"),
+    ("score", "no-model", "CorruptArtifactError"),
+    ("evaluate", "no-label", "DatasetError"),
+    ("sweep", "no-data", "DatasetError"),
+])
+def test_a_failed_input_leaves_no_output_directory(command, fault, error, toy_csv, tmp_path,
+                                                   capsys):
+    out = tmp_path / "out"
+    if command == "sweep":
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"data": str(tmp_path / "missing.csv")}), encoding="utf-8")
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+    else:
+        model = str(tmp_path / "nope.json") if fault == "no-model" else _untrained_model(tmp_path, 1)
+        label = "missing" if fault == "no-label" else "label"
+        argv = [command, "--model", model, "--data", str(toy_csv), "--label-col", label,
+                "--out", str(out)]
+    assert main(argv) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == error
+    assert not out.exists()
+
+
+def test_an_unusable_out_directory_is_an_error_record(tmp_path, capsys):
+    blocker = tmp_path / "toy.csv"
+    blocker.write_text("a file, not a directory\n", encoding="utf-8")
+    for out in (blocker / "sub", blocker):
+        assert main(["synth", "--kind", "toy", "--n", "100", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1  # the record, no traceback
+        record = json.loads(err[0])
+        assert record["error"] == "InvalidParameterError"
+        assert record["message"].startswith(f"cannot use {str(out)!r} as output directory")
 
 
 def test_package_exports_resolve():
