@@ -1,5 +1,7 @@
 """Command-line surface: train, evaluate, score, synth, sweep.
 
+`sweep` takes `train`'s flags, with one or more values for --contamination and
+--labeled-anomalies, and runs train once per grid cell under the cell's seed.
 Each command checks and loads its inputs before it creates the output
 directory, which defaults to $ANOMIX_OUT or the working directory, so a run
 whose inputs fail leaves no directory behind. Once the command returns, `main`
@@ -16,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import data as D
@@ -48,9 +50,9 @@ def _out_dir(arg: str | None) -> Path:
     return path
 
 
-# CLI flag (dashes for underscores) and sweep key -> (TrainConfig field, help).
-# Defaults come from TrainConfig(). Model selection is set by --last-epoch on
-# the CLI and by the "select_best" key in a sweep.
+# Flag (dashes for underscores) -> (TrainConfig field, help); train and sweep
+# share these flags, and each takes its default from TrainConfig(). The two
+# remaining fields are set by --seed and --last-epoch.
 _TRAIN_KNOBS = {
     "epochs": ("n_epoch", None),
     "batches_per_epoch": ("n_batch", None),
@@ -64,74 +66,48 @@ _TRAIN_KNOBS = {
     "weight_decay": ("weight_decay", None),
     "ablation": ("ablation", None),
 }
-# Sweep settings and train overrides -> default; a sweep value must have its
-# default's type (see _fits), and "data" is required. The train flags take
-# their defaults from _SWEEP_OVERRIDES too.
-_SWEEP_SETTINGS = {"data": "", "label_col": "label", "contamination_levels": [D.CONTAMINATION],
-                   "labeled_budgets": [D.LABELED_ANOMALIES], "repeats": 1, "seed": 0}
-_SWEEP_OVERRIDES = {**{name: getattr(TrainConfig(), field)
-                       for name, (field, _help) in _TRAIN_KNOBS.items()},
-                    "select_best": TrainConfig.select_best,
-                    "feature_fraction": D.FEATURE_FRACTION}
 
 
-def _add_train_knobs(p: argparse.ArgumentParser) -> None:
-    for name, (field, help_text) in _TRAIN_KNOBS.items():
-        default = _SWEEP_OVERRIDES[name]
-        choices = ABLATION_MODES if field == "ablation" else None
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
-                       choices=choices, help=help_text)
-    p.add_argument("--last-epoch", action="store_true",
-                   help="return last-epoch weights instead of the best validation snapshot")
-
-
-def _train_config(values: dict, seed: int, select_best: bool) -> TrainConfig:
-    """TrainConfig from the value of every train flag or sweep key in `values`."""
-    fields = {field: values[name] for name, (field, _help) in _TRAIN_KNOBS.items()}
-    return TrainConfig(**fields, seed=seed, select_best=select_best)
-
-
-def _check_run(config: TrainConfig, budgets, levels, feature_fraction) -> None:
-    """Reject, before anything is written, a value that no train run could use.
-    Each message starts with the field it rejects and states the value."""
+def _check_run(args, budgets: list, levels: list) -> tuple[TrainConfig, Dataset]:
+    """The TrainConfig a train or sweep command sets and the data it reads, once
+    every flag value is usable and the data loads, so a rejected run writes
+    nothing. Each flag message starts with the field it rejects and states the value."""
+    knobs = {field: getattr(args, name) for name, (field, _help) in _TRAIN_KNOBS.items()}
+    config = TrainConfig(**knobs, seed=args.seed, select_best=not args.last_epoch)
     config.validate()
     for budget in budgets:
         if budget <= 0:
             raise UnusableDatasetError("labeled_anomalies must be positive: training needs "
                                        f"anomaly examples, got {budget!r}")
     for level in levels:
-        D.ContaminationSpec(level, feature_fraction)
+        D.ContaminationSpec(level, args.feature_fraction)
+    dataset = D.load_csv(args.data, args.label_col)
+    hidden_sizes(dataset.n_features, config.rep_dim)
+    return config, dataset
+
+
+def _run_record(args, config: TrainConfig) -> dict:
+    """What a train run records in model.json and its manifest; a sweep adds repeats."""
+    return {**asdict(config), "labeled_anomalies": args.labeled_anomalies,
+            "contamination": args.contamination, "feature_fraction": args.feature_fraction}
 
 
 def cmd_train(args):
-    config = _train_config(vars(args), args.seed, select_best=not args.last_epoch)
-    _check_run(config, [args.labeled_anomalies], [args.contamination], args.feature_fraction)
-    dataset = D.load_csv(args.data, args.label_col)
-    hidden_sizes(dataset.n_features, config.rep_dim)
-    out = _out_dir(args.out)
+    config, dataset = _check_run(args, [args.labeled_anomalies], [args.contamination])
     split = D.split_dataset(dataset, rng=substream(args.seed, "split"))
+    prepared = D.prepare_training(split, labeled_anomalies=args.labeled_anomalies,
+                                  contamination=args.contamination,
+                                  feature_fraction=args.feature_fraction, seed=args.seed)
+    out = _out_dir(args.out)
     test_rows = split.indices(Role.TEST)
     test_path = out / "test_split.csv"
     D.write_csv(Dataset(split.X[test_rows], split.y[test_rows], split.roles[test_rows],
                         split.feature_names), test_path, label_column=args.label_col)
-    prepared = D.prepare_training(
-        split,
-        labeled_anomalies=args.labeled_anomalies,
-        contamination=args.contamination,
-        feature_fraction=args.feature_fraction,
-        seed=args.seed,
-    )
     progress = _print_progress if args.verbose else None
     params, history = train(prepared, config, progress=progress)
 
-    artifact = ModelArtifact(
-        params=params,
-        norm_state=prepared.norm_state,
-        train_config={**asdict(config), "labeled_anomalies": args.labeled_anomalies,
-                      "contamination": args.contamination,
-                      "feature_fraction": args.feature_fraction},
-        seed=args.seed,
-    )
+    artifact = ModelArtifact(params=params, norm_state=prepared.norm_state,
+                             train_config=_run_record(args, config), seed=args.seed)
     model_path = out / "model.json"
     save_model(artifact, model_path)
     history_path = out / "history.json"
@@ -224,76 +200,29 @@ def cmd_synth(args):
     return out, config, None, args.seed, {}, outputs
 
 
-def _sweep_cell(dataset: Dataset, level: float, budget: int, cell_seed: int,
-                cfg: dict) -> MetricsReport:
+def _sweep_cell(dataset: Dataset, config: TrainConfig, level: float, budget: int,
+                cell_seed: int, feature_fraction: float) -> MetricsReport:
+    """The train run of one grid cell under its own seed, scored on its test split."""
     prepared = D.prepare_dataset(dataset, labeled_anomalies=budget, contamination=level,
-                                 feature_fraction=cfg["feature_fraction"], seed=cell_seed)
-    params, _history = train(prepared, _train_config(cfg, cell_seed, cfg["select_best"]))
+                                 feature_fraction=feature_fraction, seed=cell_seed)
+    params, _history = train(prepared, replace(config, seed=cell_seed))
     test_idx = prepared.indices(Role.TEST)
     return evaluate_scores(score_batch(params, prepared.X[test_idx]), prepared.y[test_idx])
 
 
-def _fits(value, default) -> bool:
-    """Whether a sweep value has its default's type; an int may stand for a float,
-    a bool never for a number, and a list's items must fit its first item."""
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(item, default[0]) for item in value)
-    if isinstance(default, float) and not isinstance(value, bool):
-        return isinstance(value, (int, float))
-    return type(value) is type(default)
-
-
-def _read_sweep_config(path) -> tuple[dict, dict]:
-    """The sweep config as written, and with its defaults filled in, once every
-    key and value is known valid."""
-    try:
-        sweep_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DatasetError(f"cannot read sweep config {path}: {exc}") from exc
-    if not isinstance(sweep_cfg, dict):
-        raise DatasetError(f"sweep config {path}: expected a JSON object, "
-                           f"got {type(sweep_cfg).__name__}")
-    if "data" not in sweep_cfg:
-        raise DatasetError(f"sweep config {path}: missing required key 'data'")
-    defaults = {**_SWEEP_SETTINGS, **_SWEEP_OVERRIDES}
-    unknown = sorted(set(sweep_cfg) - set(defaults))
-    if unknown:
-        raise DatasetError(f"sweep config {path}: unknown key(s) {', '.join(unknown)}; "
-                           f"train overrides are {', '.join(_SWEEP_OVERRIDES)}")
-    for key, value in sweep_cfg.items():
-        default = defaults[key]
-        if not _fits(value, default):
-            kind = (f"list of {type(default[0]).__name__}" if isinstance(default, list)
-                    else type(default).__name__)
-            raise DatasetError(f"sweep config {path}: {key!r} must be {kind}, got {value!r}")
-        if key in ("repeats", "seed") and value < 0:
-            raise DatasetError(f"sweep config {path}: {key!r} cannot be negative, got {value!r}")
-    # Values no cell could use fail here, before any data is read or written.
-    # Each message starts with the field it rejects; the record names the key.
-    cfg = {**defaults, **sweep_cfg}
-    keys = {**{field: name for name, (field, _help) in _TRAIN_KNOBS.items()},
-            "target_ratio": "contamination_levels", "labeled_anomalies": "labeled_budgets"}
-    try:
-        _check_run(_train_config(cfg, cfg["seed"], cfg["select_best"]), cfg["labeled_budgets"],
-                   cfg["contamination_levels"], cfg["feature_fraction"])
-    except AnomixError as exc:
-        field = str(exc).split()[0]
-        raise DatasetError(f"sweep config {path}: {keys.get(field, field)!r}: {exc}") from exc
-    return sweep_cfg, cfg
-
-
 def cmd_sweep(args):
-    sweep_cfg, cfg = _read_sweep_config(args.config)
-    dataset = D.load_csv(cfg["data"], cfg["label_col"])
+    if args.repeats < 1:
+        raise InvalidParameterError(f"repeats must be >= 1, got {args.repeats!r}")
+    config, dataset = _check_run(args, args.labeled_anomalies, args.contamination)
     out = _out_dir(args.out)
     rows = []
-    # An int level stands for its float: both seed and write the same cell.
-    for level in map(float, cfg["contamination_levels"]):
-        for budget in cfg["labeled_budgets"]:
-            for rep in range(cfg["repeats"]):
-                cell_seed = child_seed(cfg["seed"], f"cell:{level}:{budget}:{rep}")
+    for level in args.contamination:
+        for budget in args.labeled_anomalies:
+            for rep in range(args.repeats):
+                cell_seed = child_seed(args.seed, f"cell:{level}:{budget}:{rep}")
                 try:
-                    report = _sweep_cell(dataset, level, budget, cell_seed, cfg)
+                    report = _sweep_cell(dataset, config, level, budget, cell_seed,
+                                         args.feature_fraction)
                     outcome = ["ok", report.auc_pr, report.auc_roc]
                 except AnomixError as exc:
                     outcome = [f"error: {exc}", "", ""]
@@ -303,8 +232,8 @@ def cmd_sweep(args):
     D.write_rows(results_path, _SWEEP_COLUMNS, rows)
     n_ok = sum(row[_SWEEP_COLUMNS.index("status")] == "ok" for row in rows)
     print(f"{len(rows)} sweep rows written to {results_path}")
-    return (out, sweep_cfg, cfg["data"], cfg["seed"], {"cells": len(rows), "cells_ok": n_ok},
-            {"results": str(results_path)})
+    return (out, {**_run_record(args, config), "repeats": args.repeats}, args.data, args.seed,
+            {"cells": len(rows), "cells_ok": n_ok}, {"results": str(results_path)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,18 +244,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="split, normalize, label, adjust contamination, train")
-    p.add_argument("--data", required=True, help="CSV with a header row and a binary label column")
-    p.add_argument("--label-col", required=True)
+    # The flags train and sweep share; sweep runs train once per grid cell.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--data", required=True,
+                     help="CSV with a header row and a binary label column")
+    run.add_argument("--label-col", required=True)
+    run.add_argument("--feature-fraction", type=float, default=D.FEATURE_FRACTION,
+                     help="feature share spliced when injecting anomalies")
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", default=None)
+    defaults = TrainConfig()
+    for name, (field, help_text) in _TRAIN_KNOBS.items():
+        default = getattr(defaults, field)
+        run.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                         choices=ABLATION_MODES if field == "ablation" else None, help=help_text)
+    run.add_argument("--last-epoch", action="store_true",
+                     help="return last-epoch weights instead of the best validation snapshot")
+
+    p = sub.add_parser("train", parents=[run],
+                       help="split, normalize, label, adjust contamination, train")
     p.add_argument("--labeled-anomalies", type=int, default=D.LABELED_ANOMALIES)
     p.add_argument("--contamination", type=float, default=D.CONTAMINATION,
                    help="target anomaly share of the unlabeled pool")
-    p.add_argument("--feature-fraction", type=float, default=D.FEATURE_FRACTION,
-                   help="feature share spliced when injecting anomalies")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.add_argument("--verbose", action="store_true")
-    _add_train_knobs(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a labeled CSV and report AUC-ROC / AUC-PR")
@@ -353,15 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
-        "sweep",
+        "sweep", parents=[run],
         help="grid of contamination levels x labeled budgets x repeats",
-        description="Sweep config is JSON: {data, label_col, contamination_levels, "
-                    "labeled_budgets, repeats, seed, ...train overrides}. Results CSV "
+        description="Runs `anomix train` with the given flags once per grid cell "
+                    "(contamination level, labeled budget, repeat), each under its own seed "
+                    "drawn from --seed, and scores the cell's test split. Results CSV "
                     "columns, in order: " + ", ".join(_SWEEP_COLUMNS) + ". Infeasible "
                     "cells are recorded in the status column, not fatal.",
     )
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--labeled-anomalies", type=int, nargs="+", default=[D.LABELED_ANOMALIES],
+                   metavar="B", help="labeled-anomaly budgets")
+    p.add_argument("--contamination", type=float, nargs="+", default=[D.CONTAMINATION],
+                   metavar="L", help="target anomaly shares of the unlabeled pool")
+    p.add_argument("--repeats", type=int, default=1, help="seeds per (level, budget) cell")
     p.set_defaults(func=cmd_sweep)
 
     return parser

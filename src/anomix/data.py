@@ -355,10 +355,12 @@ def split_dataset(dataset: Dataset, rng: np.random.Generator) -> Dataset:
 
 
 def select_labeled_anomalies(dataset: Dataset, n: int, rng: np.random.Generator) -> Dataset:
-    """Mark min(n, available) random training anomalies as labeled.
+    """Mark n random training anomalies as labeled.
 
     Every other training row, leftover anomalies included, becomes
-    unlabeled; those leftovers are the contamination.
+    unlabeled; those leftovers are the contamination. A budget above the
+    training anomalies available is an UnusableDatasetError, not a smaller
+    labeled set.
     """
     if n < 0:
         raise InvalidParameterError("labeled-anomaly count cannot be negative")
@@ -366,10 +368,13 @@ def select_labeled_anomalies(dataset: Dataset, n: int, rng: np.random.Generator)
     candidates = train[dataset.y[train] == 1]
     if len(candidates) == 0:
         raise UnusableDatasetError("the training split contains no anomalies to label")
+    if n > len(candidates):
+        raise UnusableDatasetError(f"labeled_anomalies asks for {n} labeled anomalies, but the "
+                                   f"training split holds only {len(candidates)}")
     roles = dataset.roles.copy()
     roles[train] = int(Role.UNLABELED)
     if n > 0:
-        picked = rng.choice(candidates, size=min(n, len(candidates)), replace=False)
+        picked = rng.choice(candidates, size=n, replace=False)
         roles[picked] = int(Role.LABELED_ANOMALY)
     return replace(dataset, roles=roles)
 

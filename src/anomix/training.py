@@ -9,8 +9,8 @@ update exactly once per epoch, after its last batch. A master seed fans
 out to the "init", "batching", and "augmentation" substreams, so a fixed
 (dataset, config, seed) triple reproduces the run bit for bit.
 
-`TrainConfig` holds exactly the knobs a command sets: each field is set by an
-`anomix train` flag and by an `anomix sweep` key. The fixed implementation
+`TrainConfig` holds exactly the knobs a command sets: each field is set by a
+flag that `anomix train` and `anomix sweep` share. The fixed implementation
 details live with the code that uses them: Adam's constants in `nn`, the
 smooth-L1 beta of 1 in `losses`, the LeakyReLU slope in `ScorerParams`.
 """

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from anomix.artifact import ModelArtifact, load_model, save_model, write_manifest
-from anomix.cli import _SWEEP_OVERRIDES, _TRAIN_KNOBS, build_parser, main
+from anomix.cli import _TRAIN_KNOBS, build_parser, main
 from anomix.data import NormState, generate_toy, load_csv, write_csv, write_rows
 from anomix.errors import CorruptArtifactError
 from anomix.scorer import build_scorer, score_batch
@@ -23,9 +24,10 @@ def toy_csv(tmp_path):
     return path
 
 
-def _train_args(toy_csv, out, **extra):
+def _train_args(toy_csv, out, command="train", **extra):
+    """argv of a small run; `anomix sweep` takes the same flags for a 1x1x1 grid."""
     args = [
-        "train", "--data", str(toy_csv), "--label-col", "label",
+        command, "--data", str(toy_csv), "--label-col", "label",
         "--labeled-anomalies", "10", "--contamination", "0.03",
         "--epochs", "4", "--batches-per-epoch", "4", "--batch-size", "8",
         "--rep-dim", "16", "--seed", "5", "--out", str(out),
@@ -55,6 +57,14 @@ def test_train_happy_path(toy_csv, tmp_path, capsys):
     assert manifest["metrics"]["zero_feature_epochs"] == 0
 
 
+def _for_train_and_sweep(*cases):
+    """Each case once per command that takes train's flags. A train case keeps the
+    id pytest gives it by default; a sweep case's id starts with "sweep"."""
+    ids = {"train": lambda case: case, "sweep": lambda case: ("sweep", *case)}
+    return [pytest.param(command, *case, id="-".join(map(str, ids[command](case))))
+            for command in ids for case in cases]
+
+
 def test_train_rejects_zero_labeled_anomalies(toy_csv, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(_train_args(toy_csv, out)[:-2] + ["--labeled-anomalies", "0", "--out", str(out)])
@@ -66,28 +76,38 @@ def test_train_rejects_zero_labeled_anomalies(toy_csv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [
+def test_train_rejects_a_budget_the_data_cannot_meet(toy_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_train_args(toy_csv, out, **{"--labeled-anomalies": 400})) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "UnusableDatasetError",
+                      "message": "labeled_anomalies asks for 400 labeled anomalies, but the "
+                                 "training split holds only 36"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", _for_train_and_sweep(
     ("--batch-size", 0), ("--contamination", 0.7), ("--rep-dim", 1),
     ("--k", 17),  # above 2 * batch_size = 16
-])
-def test_train_checks_its_flags_before_writing(flag, value, toy_csv, tmp_path, capsys):
+))
+def test_train_checks_its_flags_before_writing(command, flag, value, toy_csv, tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(_train_args(toy_csv, out, **{flag: value})) == 1
+    assert main(_train_args(toy_csv, out, command, **{flag: value})) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] in ("InvalidParameterError", "InvalidArchitectureError")
     assert not (out / "test_split.csv").exists()
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value, expected", [
+@pytest.mark.parametrize("command, flag, value, expected", _for_train_and_sweep(
     ("--contamination", 0.7, "target_ratio must lie in [0, 0.5), got 0.7"),
     ("--epochs", -1, "n_epoch must be >= 0, got -1"),
     ("--rep-dim", 0, "rep_dim must be >= 2, got 0"),
-])
-def test_train_error_states_the_value_and_the_limit(flag, value, expected, toy_csv, tmp_path,
-                                                    capsys):
+))
+def test_train_error_states_the_value_and_the_limit(command, flag, value, expected, toy_csv,
+                                                    tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(_train_args(toy_csv, out, **{flag: value})) == 1
+    assert main(_train_args(toy_csv, out, command, **{flag: value})) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "InvalidParameterError", "message": expected}
     assert not out.exists()
@@ -96,29 +116,26 @@ def test_train_error_states_the_value_and_the_limit(flag, value, expected, toy_c
 @pytest.mark.parametrize("command", ["train", "synth-toy", "synth-novel", "sweep"])
 def test_negative_seed_is_an_error_record_and_writes_nothing(command, toy_csv, tmp_path, capsys):
     out = tmp_path / "out"
-    if command == "train":
-        argv, error = _train_args(toy_csv, out, **{"--seed": -1}), "InvalidParameterError"
-    elif command.startswith("synth"):
+    if command.startswith("synth"):
         argv = ["synth", "--kind", command.split("-")[1], "--seed", "-1", "--out", str(out)]
-        error = "InvalidParameterError"
     else:
-        cfg_path = tmp_path / "sweep.json"
-        cfg_path.write_text(json.dumps({"data": str(toy_csv), "seed": -2}), encoding="utf-8")
-        argv, error = ["sweep", "--config", str(cfg_path), "--out", str(out)], "DatasetError"
+        argv = _train_args(toy_csv, out, command, **{"--seed": -1})
     assert main(argv) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == error
+    assert record["error"] == "InvalidParameterError"
     assert "seed" in record["message"] and "negative" in record["message"]
     assert not out.exists()
 
 
 def test_every_train_config_field_is_a_train_flag_and_a_sweep_key():
-    flags = vars(build_parser().parse_args(["train", "--data", "d.csv", "--label-col", "y"]))
-    knobs = {field for name, (field, _help) in _TRAIN_KNOBS.items()
-             if name in flags and name in _SWEEP_OVERRIDES}
-    # seed: --seed and the "seed" setting; select_best: --last-epoch and the "select_best" key
-    assert "seed" in flags and "last_epoch" in flags and "select_best" in _SWEEP_OVERRIDES
-    assert {f.name for f in dataclasses.fields(TrainConfig)} == knobs | {"seed", "select_best"}
+    # seed is set by --seed, select_best by --last-epoch, every other field by a knob flag.
+    fields = {field for field, _help in _TRAIN_KNOBS.values()}
+    assert {f.name for f in dataclasses.fields(TrainConfig)} == fields | {"seed", "select_best"}
+    for command in ("train", "sweep"):
+        args = build_parser().parse_args([command, "--data", "d.csv", "--label-col", "y"])
+        knobs = {field: getattr(args, name) for name, (field, _help) in _TRAIN_KNOBS.items()}
+        # Each flag's default is TrainConfig()'s.
+        assert TrainConfig(**knobs, seed=args.seed, select_best=not args.last_epoch) == TrainConfig()
 
 
 def test_train_determinism_byte_identical(toy_csv, tmp_path):
@@ -339,13 +356,12 @@ def _untrained_model(tmp_path, seed):
     return str(path)
 
 
-def _sweep_config(tmp_path, toy_csv, seed):
-    path = tmp_path / f"sweep_{seed}.json"
-    path.write_text(json.dumps({
-        "data": str(toy_csv), "contamination_levels": [0.02], "labeled_budgets": [5],
-        "seed": seed, "epochs": 1, "batches_per_epoch": 2, "batch_size": 8, "rep_dim": 8,
-    }), encoding="utf-8")
-    return str(path)
+def _sweep_args(toy_csv, out, seed, *grid):
+    """argv of a short sweep over `grid` flags, one 0.02 x 5 cell by default."""
+    return ["sweep", "--data", str(toy_csv), "--label-col", "label",
+            "--contamination", "0.02", "--labeled-anomalies", "5", "--seed", str(seed),
+            "--epochs", "1", "--batches-per-epoch", "2", "--batch-size", "8", "--rep-dim", "8",
+            "--out", str(out), *grid]
 
 
 # Output file -> a call writing it into `out`, whose bytes depend on `seed`.
@@ -365,8 +381,8 @@ _WRITE_SITES = {
         "--label-col", "label", "--out", str(out)]),
     "history.json": lambda tmp_path, toy_csv, out, seed: main(
         _train_args(toy_csv, out, **{"--seed": seed})),
-    "sweep_results.csv": lambda tmp_path, toy_csv, out, seed: main([
-        "sweep", "--config", _sweep_config(tmp_path, toy_csv, seed), "--out", str(out)]),
+    "sweep_results.csv": lambda tmp_path, toy_csv, out, seed: main(
+        _sweep_args(toy_csv, out, seed)),
 }
 
 
@@ -406,109 +422,101 @@ def test_save_rejects_nonfinite_weights(tmp_path):
 
 def test_sweep_grid_and_infeasible_cells(toy_csv, tmp_path):
     out = tmp_path / "sweep"
-    config = {
-        "data": str(toy_csv),
-        "label_col": "label",
-        "contamination_levels": [0.0, 0.02, 0.04, 0.08],
-        "labeled_budgets": [10],
-        "repeats": 3,
-        "seed": 11,
-        "epochs": 1,
-        "batches_per_epoch": 2,
-        "batch_size": 8,
-        "rep_dim": 8,
-    }
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    grid = ["--contamination", "0.0", "0.02", "0.04", "0.08", "--repeats", "3"]
+    assert main(_sweep_args(toy_csv, out, 11, *grid, "--labeled-anomalies", "10", "400")) == 0
     lines = (out / "sweep_results.csv").read_text().strip().splitlines()
     assert lines[0] == "contamination,labeled_anomalies,repeat,seed,status,auc_pr,auc_roc"
-    assert len(lines) == 1 + 4 * 3  # 12 grid cells
+    assert len(lines) == 1 + 4 * 2 * 3  # 24 grid cells
+    # The 600-row file holds fewer than 400 training anomalies: that depends on the
+    # data, so it is recorded per cell, not fatal.
+    for cell in csv.DictReader(lines):
+        assert cell["status"] == "ok" if cell["labeled_anomalies"] == "10" else (
+            cell["status"] == "error: labeled_anomalies asks for 400 labeled anomalies, but the "
+                              "training split holds only 36")
 
-    # 2 * 300 rows exceed the unlabeled pool of the 600-row file: that depends on
-    # the data, so it is recorded per cell, not fatal.
-    config["batch_size"] = 300
-    cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # 2 * 300 rows exceed the unlabeled pool of the 600-row file: also recorded per cell.
+    assert main(_sweep_args(toy_csv, out, 11, *grid, "--labeled-anomalies", "10",
+                            "--batch-size", "300")) == 0
     rows = (out / "sweep_results.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 4 * 3
     assert all("error: training requires an unlabeled pool of at least 2 * batch_size" in row
                for row in rows)
 
 
-@pytest.mark.parametrize("extra, expected", [
-    pytest.param({"n_epoch": 0, "epoch": 1}, "unknown key(s) epoch, n_epoch;", id="unknown-keys"),
-    pytest.param(None, "expected a JSON object, got list", id="not-an-object"),
-    pytest.param({"data": None}, "missing required key 'data'", id="no-data"),
-    pytest.param({"repeats": "x"}, "'repeats' must be int, got 'x'", id="repeats-str"),
-    pytest.param({"repeats": 2.0}, "'repeats' must be int", id="repeats-float"),
-    pytest.param({"repeats": -3}, "'repeats' cannot be negative, got -3", id="repeats-negative"),
-    pytest.param({"contamination_levels": 0.02}, "'contamination_levels' must be list of float",
-                 id="levels-not-list"),
-    pytest.param({"labeled_budgets": [5, "10"]}, "'labeled_budgets' must be list of int",
-                 id="budget-str"),
-    pytest.param({"epochs": "2"}, "'epochs' must be int, got '2'", id="epochs-str"),
-    pytest.param({"epochs": True}, "'epochs' must be int, got True", id="epochs-bool"),
-    pytest.param({"lr": False}, "'lr' must be float, got False", id="lr-bool"),
-    pytest.param({"ablation": 1}, "'ablation' must be str", id="ablation-int"),
-    pytest.param({"select_best": "no"}, "'select_best' must be bool, got 'no'",
-                 id="select-best-str"),
-    pytest.param({"select_best": 0}, "'select_best' must be bool, got 0", id="select-best-int"),
-    pytest.param({"batch_size": 0}, "'batch_size': batch_size must be >= 1, got 0",
-                 id="batch-size-zero"),
-    pytest.param({"epochs": -1}, "'epochs': n_epoch must be >= 0, got -1", id="epochs-negative"),
-    pytest.param({"rep_dim": 1}, "'rep_dim': rep_dim must be >= 2, got 1", id="rep-dim-one"),
-    pytest.param({"contamination_levels": [0.02, 0.7]},
-                 "'contamination_levels': target_ratio must lie in [0, 0.5), got 0.7",
+def test_a_sweep_cell_is_the_train_run_with_its_seed(toy_csv, tmp_path, capsys):
+    assert main(_sweep_args(toy_csv, tmp_path / "sweep", 4)) == 0
+    header, row = (tmp_path / "sweep" / "sweep_results.csv").read_text().splitlines()
+    cell = dict(zip(header.split(","), row.split(",")))
+    assert cell["status"] == "ok"
+    run = tmp_path / "train"
+    argv = _sweep_args(toy_csv, run, cell["seed"])
+    assert main(["train", *argv[1:]]) == 0
+    assert main(["evaluate", "--model", str(run / "model.json"), "--data",
+                 str(run / "test_split.csv"), "--label-col", "label", "--out", str(run)]) == 0
+    metrics = json.loads((run / "metrics.json").read_text())
+    assert (float(cell["auc_pr"]), float(cell["auc_roc"])) == (metrics["auc_pr"],
+                                                               metrics["auc_roc"])
+
+
+@pytest.mark.parametrize("flags, expected", [
+    # Values a flag's type admits but no run can use: a JSON error record.
+    pytest.param(["--repeats", "-3"], "repeats must be >= 1, got -3", id="repeats-negative"),
+    pytest.param(["--batch-size", "0"], "batch_size must be >= 1, got 0", id="batch-size-zero"),
+    pytest.param(["--epochs", "-1"], "n_epoch must be >= 0, got -1", id="epochs-negative"),
+    pytest.param(["--rep-dim", "1"], "rep_dim must be >= 2, got 1", id="rep-dim-one"),
+    pytest.param(["--contamination", "0.02", "0.7"], "target_ratio must lie in [0, 0.5), got 0.7",
                  id="contamination-0.7"),
-    pytest.param({"labeled_budgets": [5, 0]},
-                 "'labeled_budgets': labeled_anomalies must be positive: training needs "
-                 "anomaly examples, got 0", id="budget-zero"),
-    pytest.param({"labeled_budgets": [-3]},
-                 "'labeled_budgets': labeled_anomalies must be positive: training needs "
-                 "anomaly examples, got -3", id="budget-negative"),
+    pytest.param(["--labeled-anomalies", "5", "0"], "labeled_anomalies must be positive: training "
+                 "needs anomaly examples, got 0", id="budget-zero"),
+    pytest.param(["--labeled-anomalies", "-3"], "labeled_anomalies must be positive: training "
+                 "needs anomaly examples, got -3", id="budget-negative"),
+    # Flags argparse rejects: a usage error, exit 2.
+    pytest.param(["--n-epoch", "0"], None, id="unknown-keys"),
+    pytest.param(["--config", "sweep.json"], None, id="not-an-object"),  # the JSON config is gone
+    pytest.param(["--data"], None, id="no-data"),
+    pytest.param(["--repeats", "x"], None, id="repeats-str"),
+    pytest.param(["--repeats", "2.0"], None, id="repeats-float"),
+    pytest.param(["--contamination", "0.02,0.04"], None, id="levels-not-list"),
+    pytest.param(["--labeled-anomalies", "5", "ten"], None, id="budget-str"),
+    pytest.param(["--epochs", "two"], None, id="epochs-str"),
+    pytest.param(["--epochs", "True"], None, id="epochs-bool"),
+    pytest.param(["--lr", "False"], None, id="lr-bool"),
+    pytest.param(["--ablation", "1"], None, id="ablation-int"),
+    pytest.param(["--last-epoch", "no"], None, id="select-best-str"),
+    pytest.param(["--last-epoch", "0"], None, id="select-best-int"),
 ])
-def test_sweep_rejects_unknown_override_keys(extra, expected, toy_csv, tmp_path, capsys):
+def test_sweep_rejects_unknown_override_keys(flags, expected, toy_csv, tmp_path, capsys):
     out = tmp_path / "sweep"
-    cfg_path = tmp_path / "sweep.json"
-    if extra is None:
-        config = [1, 2]
+    argv = _sweep_args(toy_csv, out, 1, *flags)
+    if expected is None:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
     else:
-        config = {"data": str(toy_csv), "label_col": "label", "contamination_levels": [0.02],
-                  **extra}
-        config = {key: value for key, value in config.items() if value is not None}
-    cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "DatasetError"
-    assert expected in record["message"]
-    assert not (out / "sweep_results.csv").exists()
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["message"] == expected
     assert not out.exists()  # rejected before anything is written
 
 
-def test_sweep_empty_grid(toy_csv, tmp_path):
+def test_sweep_empty_grid(toy_csv, tmp_path, capsys):
+    # A grid with no cells cannot be asked for: each axis needs at least one value.
     out = tmp_path / "sweep"
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps({
-        "data": str(toy_csv), "label_col": "label",
-        "contamination_levels": [], "repeats": 2,
-        "alpha": 1, "select_best": False,  # an int may stand for a float
-    }), encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-    lines = (out / "sweep_results.csv").read_text().strip().splitlines()
-    assert len(lines) == 1  # header only
+    for axis in ("--contamination", "--labeled-anomalies"):
+        with pytest.raises(SystemExit) as exit_:
+            main(_sweep_args(toy_csv, out, 1, axis))
+        assert exit_.value.code == 2
+    assert main(_sweep_args(toy_csv, out, 1, "--repeats", "0")) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "InvalidParameterError", "message": "repeats must be >= 1, got 0"}
+    assert not out.exists()
 
 
 def test_an_int_contamination_level_gives_the_rows_of_its_float(toy_csv, tmp_path):
     results = []
-    for levels in ([0, 0.02], [0.0, 0.02]):
-        out = tmp_path / f"sweep_{type(levels[0]).__name__}"
-        cfg_path = tmp_path / "sweep.json"
-        cfg_path.write_text(json.dumps({
-            "data": str(toy_csv), "contamination_levels": levels, "labeled_budgets": [5],
-            "seed": 3, "epochs": 1, "batches_per_epoch": 2, "batch_size": 8, "rep_dim": 8,
-        }), encoding="utf-8")
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    for level in ("0", "0.0"):
+        out = tmp_path / f"sweep_{level}"
+        assert main(_sweep_args(toy_csv, out, 3, "--contamination", level, "0.02")) == 0
         results.append((out / "sweep_results.csv").read_bytes())
     assert results[0] == results[1]
     assert results[0].splitlines()[1].startswith(b"0.0,5,0,")
@@ -528,7 +536,7 @@ def _command_argv(command, toy_csv, tmp_path, out):
     if command == "train":
         return _train_args(toy_csv, out), toy_csv
     if command == "sweep":
-        return ["sweep", "--config", _sweep_config(tmp_path, toy_csv, 1), "--out", str(out)], toy_csv
+        return _sweep_args(toy_csv, out, 1), toy_csv
     return [command, "--model", _untrained_model(tmp_path, 4), "--data", str(toy_csv),
             "--label-col", "label", "--out", str(out)], toy_csv
 
@@ -558,9 +566,7 @@ def test_a_failed_input_leaves_no_output_directory(command, fault, error, toy_cs
                                                    capsys):
     out = tmp_path / "out"
     if command == "sweep":
-        cfg_path = tmp_path / "sweep.json"
-        cfg_path.write_text(json.dumps({"data": str(tmp_path / "missing.csv")}), encoding="utf-8")
-        argv = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+        argv = _sweep_args(tmp_path / "missing.csv", out, 1)
     else:
         model = str(tmp_path / "nope.json") if fault == "no-model" else _untrained_model(tmp_path, 1)
         label = "missing" if fault == "no-label" else "label"

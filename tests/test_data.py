@@ -355,8 +355,12 @@ def test_select_labeled_anomalies_counts():
 def test_select_labeled_anomalies_boundaries():
     none = select_labeled_anomalies(_training_pool(), 0, np.random.default_rng(0))
     assert len(none.indices(Role.LABELED_ANOMALY)) == 0
-    clamped = select_labeled_anomalies(_training_pool(n_anom=5), 30, np.random.default_rng(0))
-    assert len(clamped.indices(Role.LABELED_ANOMALY)) == 5
+    exact = select_labeled_anomalies(_training_pool(n_anom=5), 5, np.random.default_rng(0))
+    assert len(exact.indices(Role.LABELED_ANOMALY)) == 5
+    # A budget the data cannot meet fails; it is never met by labeling fewer.
+    with pytest.raises(UnusableDatasetError, match="asks for 30 labeled anomalies, but the "
+                                                   "training split holds only 5"):
+        select_labeled_anomalies(_training_pool(n_anom=5), 30, np.random.default_rng(0))
     with pytest.raises(UnusableDatasetError):
         select_labeled_anomalies(_training_pool(n_anom=0), 30, np.random.default_rng(0))
     with pytest.raises(InvalidParameterError):
