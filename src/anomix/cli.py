@@ -2,12 +2,12 @@
 
 `sweep` takes `train`'s flags, with one or more values for --contamination and
 --labeled-anomalies, and runs train once per grid cell under the cell's seed.
-Each command checks and loads its inputs before it creates the output
-directory, which defaults to $ANOMIX_OUT or the working directory, so a run
-whose inputs fail leaves no directory behind. Once the command returns, `main`
-writes its one JSON manifest, `{command}_manifest.json` (config hash,
-dataset fingerprint, seed, metrics, wall clock). Apart from manifests and
-wall-clock fields, all outputs are byte-deterministic for a fixed seed.
+Each command checks and loads its inputs, and `train` also trains, before it
+creates the output directory, which defaults to $ANOMIX_OUT or the working
+directory, so a run that fails by then leaves no directory behind. Once the
+command returns, `main` writes its one JSON manifest, `{command}_manifest.json`
+(config hash, dataset fingerprint, seed, metrics, wall clock). Apart from
+manifests and wall-clock fields, all outputs are byte-deterministic for a fixed seed.
 Errors exit nonzero with a machine-readable JSON record on stderr.
 """
 
@@ -80,7 +80,7 @@ def _check_run(args, budgets: list, levels: list) -> tuple[TrainConfig, Dataset]
             raise UnusableDatasetError("labeled_anomalies must be positive: training needs "
                                        f"anomaly examples, got {budget!r}")
     for level in levels:
-        D.ContaminationSpec(level, args.feature_fraction)
+        D.check_contamination(level)
     dataset = D.load_csv(args.data, args.label_col)
     hidden_sizes(dataset.n_features, config.rep_dim)
     return config, dataset
@@ -89,22 +89,22 @@ def _check_run(args, budgets: list, levels: list) -> tuple[TrainConfig, Dataset]
 def _run_record(args, config: TrainConfig) -> dict:
     """What a train run records in model.json and its manifest; a sweep adds repeats."""
     return {**asdict(config), "labeled_anomalies": args.labeled_anomalies,
-            "contamination": args.contamination, "feature_fraction": args.feature_fraction}
+            "contamination": args.contamination}
 
 
 def cmd_train(args):
     config, dataset = _check_run(args, [args.labeled_anomalies], [args.contamination])
     split = D.split_dataset(dataset, rng=substream(args.seed, "split"))
     prepared = D.prepare_training(split, labeled_anomalies=args.labeled_anomalies,
-                                  contamination=args.contamination,
-                                  feature_fraction=args.feature_fraction, seed=args.seed)
+                                  contamination=args.contamination, seed=args.seed)
+    progress = _print_progress if args.verbose else None
+    params, history = train(prepared, config, progress=progress)
+
     out = _out_dir(args.out)
     test_rows = split.indices(Role.TEST)
     test_path = out / "test_split.csv"
     D.write_csv(Dataset(split.X[test_rows], split.y[test_rows], split.roles[test_rows],
                         split.feature_names), test_path, label_column=args.label_col)
-    progress = _print_progress if args.verbose else None
-    params, history = train(prepared, config, progress=progress)
 
     artifact = ModelArtifact(params=params, norm_state=prepared.norm_state,
                              train_config=_run_record(args, config), seed=args.seed)
@@ -201,10 +201,10 @@ def cmd_synth(args):
 
 
 def _sweep_cell(dataset: Dataset, config: TrainConfig, level: float, budget: int,
-                cell_seed: int, feature_fraction: float) -> MetricsReport:
+                cell_seed: int) -> MetricsReport:
     """The train run of one grid cell under its own seed, scored on its test split."""
     prepared = D.prepare_dataset(dataset, labeled_anomalies=budget, contamination=level,
-                                 feature_fraction=feature_fraction, seed=cell_seed)
+                                 seed=cell_seed)
     params, _history = train(prepared, replace(config, seed=cell_seed))
     test_idx = prepared.indices(Role.TEST)
     return evaluate_scores(score_batch(params, prepared.X[test_idx]), prepared.y[test_idx])
@@ -221,8 +221,7 @@ def cmd_sweep(args):
             for rep in range(args.repeats):
                 cell_seed = child_seed(args.seed, f"cell:{level}:{budget}:{rep}")
                 try:
-                    report = _sweep_cell(dataset, config, level, budget, cell_seed,
-                                         args.feature_fraction)
+                    report = _sweep_cell(dataset, config, level, budget, cell_seed)
                     outcome = ["ok", report.auc_pr, report.auc_roc]
                 except AnomixError as exc:
                     outcome = [f"error: {exc}", "", ""]
@@ -249,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data", required=True,
                      help="CSV with a header row and a binary label column")
     run.add_argument("--label-col", required=True)
-    run.add_argument("--feature-fraction", type=float, default=D.FEATURE_FRACTION,
-                     help="feature share spliced when injecting anomalies")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", default=None)
     defaults = TrainConfig()
@@ -280,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", default=None,
-                   help="drop this label column before scoring, if the file has one")
+                   help="drop this label column before scoring; the column must exist and "
+                        "hold 0/1 or -1/+1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)
 

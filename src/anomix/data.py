@@ -47,8 +47,8 @@ _LABEL_VALUES = (0.0, 1.0, -1.0)  # accepted in a CSV label column; 1 marks an a
 CHUNK_ROWS = 4096
 # Train / validation / test shares of each class in split_dataset.
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
-# Protocol defaults, written only here: labeled anomalies, the target anomaly
-# share of the unlabeled pool, and the feature share spliced per injected anomaly.
+# Protocol defaults, written only here: labeled anomalies and the target anomaly
+# share of the unlabeled pool. The feature share spliced per injected anomaly is fixed.
 LABELED_ANOMALIES = 30
 CONTAMINATION = 0.02
 FEATURE_FRACTION = 0.05
@@ -110,22 +110,6 @@ class Dataset:
 
     def train_indices(self) -> np.ndarray:
         return np.flatnonzero(np.isin(self.roles, [int(r) for r in _TRAIN_ROLES]))
-
-
-@dataclass(frozen=True)
-class ContaminationSpec:
-    """Target anomaly share of the unlabeled pool, plus injection knobs."""
-
-    target_ratio: float
-    feature_fraction: float = FEATURE_FRACTION
-
-    def __post_init__(self):
-        if not 0.0 <= self.target_ratio < 0.5:
-            raise InvalidParameterError(
-                f"target_ratio must lie in [0, 0.5), got {self.target_ratio!r}")
-        if not 0.0 < self.feature_fraction <= 1.0:
-            raise InvalidParameterError(
-                f"feature_fraction must lie in (0, 1], got {self.feature_fraction!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,46 +363,48 @@ def select_labeled_anomalies(dataset: Dataset, n: int, rng: np.random.Generator)
     return replace(dataset, roles=roles)
 
 
-def inject_anomaly(source_a, source_b, feature_fraction: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Copy of source_a with ceil(fraction * D) random features taken from source_b."""
-    if not 0.0 < feature_fraction <= 1.0:
-        raise InvalidParameterError("feature_fraction must lie in (0, 1]")
+def inject_anomaly(source_a, source_b, rng: np.random.Generator) -> np.ndarray:
+    """Copy of source_a with ceil(FEATURE_FRACTION * D) random features taken from source_b."""
     a = np.asarray(source_a, dtype=np.float64)
     b = np.asarray(source_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ContractViolationError("sources must be two feature vectors of equal length")
-    n_replace = math.ceil(feature_fraction * len(a))
+    n_replace = math.ceil(FEATURE_FRACTION * len(a))
     positions = rng.choice(len(a), size=n_replace, replace=False)
     out = a.copy()
     out[positions] = b[positions]
     return out
 
 
-def adjust_contamination(dataset: Dataset, spec: ContaminationSpec,
-                         rng: np.random.Generator) -> Dataset:
-    """Move the unlabeled pool's anomaly share to the target ratio.
+def check_contamination(level: float) -> None:
+    """Raise InvalidParameterError unless `level` is a usable target share, in [0, 0.5)."""
+    if not 0.0 <= level < 0.5:
+        raise InvalidParameterError(f"contamination must lie in [0, 0.5), got {level!r}")
+
+
+def adjust_contamination(dataset: Dataset, level: float, rng: np.random.Generator) -> Dataset:
+    """Move the unlabeled pool's anomaly share to the target `level`.
 
     Above target: random unlabeled anomalies are dropped. Below target:
-    synthetic anomalies are appended, each built by splicing features
-    between two real anomalies from the training portion; injected rows
+    synthetic anomalies are appended, each a real training anomaly with
+    ceil(FEATURE_FRACTION * D) features copied from a second one; injected rows
     enter the unlabeled pool with y = 1 and are never reused as splice
     sources. The achieved ratio lands within 1/|pool| of the target
     (exactly zero when the target is zero).
     """
+    check_contamination(level)
     pool = dataset.indices(Role.UNLABELED)
     n_pool = len(pool)
     if n_pool == 0:
         raise UnusableDatasetError("no unlabeled pool to adjust")
     pool_anomalies = pool[dataset.y[pool] == 1]
     n_anom = len(pool_anomalies)
-    target = spec.target_ratio
     ratio = n_anom / n_pool
 
-    if target == 0.0:
+    if level == 0.0:
         n_remove = n_anom
-    elif ratio > target + 1.0 / n_pool:
-        n_remove = math.ceil((n_anom - target * n_pool - 1.0) / (1.0 - target))
+    elif ratio > level + 1.0 / n_pool:
+        n_remove = math.ceil((n_anom - level * n_pool - 1.0) / (1.0 - level))
         n_remove = min(max(n_remove, 0), n_anom)
     else:
         n_remove = 0
@@ -428,8 +414,8 @@ def adjust_contamination(dataset: Dataset, spec: ContaminationSpec,
         keep = np.setdiff1d(np.arange(dataset.n_rows), drop)
         return replace(dataset, X=dataset.X[keep], y=dataset.y[keep], roles=dataset.roles[keep])
 
-    if target > 0.0 and ratio < target - 1.0 / n_pool:
-        n_inject = math.ceil((target * n_pool - n_anom - 1.0) / (1.0 - target))
+    if level > 0.0 and ratio < level - 1.0 / n_pool:
+        n_inject = math.ceil((level * n_pool - n_anom - 1.0) / (1.0 - level))
     else:
         n_inject = 0
     if n_inject <= 0:
@@ -446,7 +432,7 @@ def adjust_contamination(dataset: Dataset, spec: ContaminationSpec,
         a = int(rng.choice(sources))
         others = sources[sources != a]
         b = int(rng.choice(others)) if len(others) else a
-        new_rows[i] = inject_anomaly(dataset.X[a], dataset.X[b], spec.feature_fraction, rng)
+        new_rows[i] = inject_anomaly(dataset.X[a], dataset.X[b], rng)
     return replace(
         dataset,
         X=np.vstack([dataset.X, new_rows]),
@@ -600,7 +586,7 @@ def generate_case(kind: str, n: int, seed: int = 0,
 
 
 def prepare_training(dataset: Dataset, *, labeled_anomalies: int, contamination: float,
-                     feature_fraction: float, seed: int) -> Dataset:
+                     seed: int) -> Dataset:
     """normalize -> label selection -> contamination control.
 
     Expects roles already assigned (via split_dataset or a generator).
@@ -608,14 +594,12 @@ def prepare_training(dataset: Dataset, *, labeled_anomalies: int, contamination:
     """
     dataset = minmax_normalize(dataset)
     dataset = select_labeled_anomalies(dataset, labeled_anomalies, substream(seed, "labeling"))
-    spec = ContaminationSpec(contamination, feature_fraction)
-    return adjust_contamination(dataset, spec, substream(seed, "contamination"))
+    return adjust_contamination(dataset, contamination, substream(seed, "contamination"))
 
 
 def prepare_dataset(dataset: Dataset, *, labeled_anomalies: int = LABELED_ANOMALIES,
-                    contamination: float = CONTAMINATION,
-                    feature_fraction: float = FEATURE_FRACTION, seed: int) -> Dataset:
+                    contamination: float = CONTAMINATION, seed: int) -> Dataset:
     """Full pipeline from an unsplit dataset: split_dataset, then prepare_training."""
     return prepare_training(split_dataset(dataset, substream(seed, "split")),
                             labeled_anomalies=labeled_anomalies, contamination=contamination,
-                            feature_fraction=feature_fraction, seed=seed)
+                            seed=seed)

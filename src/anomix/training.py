@@ -17,6 +17,7 @@ smooth-L1 beta of 1 in `losses`, the LeakyReLU slope in `ScorerParams`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -58,9 +59,9 @@ class TrainConfig:
             ("rep_dim", self.rep_dim >= 2, "must be >= 2"),
             ("k", 2 <= self.k <= 2 * self.batch_size,
              f"must lie in [2, 2 * batch_size] = [2, {2 * self.batch_size}]"),
-            *((name, getattr(self, name) > 0, "must be positive")
+            *((name, 0 < getattr(self, name) < math.inf, "must be positive and finite")
               for name in ("lr", "alpha", "margin", "temperature")),
-            ("weight_decay", self.weight_decay >= 0, "cannot be negative"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "must be finite and >= 0"),
             ("seed", self.seed >= 0, "cannot be negative"),
             ("ablation", self.ablation in ABLATION_MODES, f"must be one of {ABLATION_MODES}"),
         )
@@ -91,24 +92,16 @@ class TrainHistory:
         return [{k: v for k, v in asdict(rec).items() if k != "seconds"} for rec in self.records]
 
 
-def sample_batches(dataset: Dataset, b: int, rng: np.random.Generator):
-    """One (anomaly, unlabeled, anchor) block triple as row matrices.
+def sample_batches(X: np.ndarray, anomalies: np.ndarray, unlabeled: np.ndarray, b: int,
+                   rng: np.random.Generator):
+    """One (anomaly, unlabeled, anchor) block triple: rows of X drawn from two index pools.
 
-    Anomalies come with replacement when the labeled pool is smaller than
-    b; 2b unlabeled rows are drawn without replacement and split evenly
-    into the pool block and the anchor block.
+    Anomalies come with replacement when fewer than b are labeled; 2b
+    unlabeled rows are drawn without replacement and split evenly into the
+    pool block and the anchor block. train() checks both pools' sizes.
     """
-    idx_anom = dataset.indices(Role.LABELED_ANOMALY)
-    idx_unlab = dataset.indices(Role.UNLABELED)
-    if len(idx_anom) == 0:
-        raise UnusableDatasetError("no labeled anomalies to sample from")
-    if len(idx_unlab) < 2 * b:
-        raise UnusableDatasetError(
-            f"unlabeled pool has {len(idx_unlab)} rows; need at least {2 * b}"
-        )
-    pick_anom = rng.choice(idx_anom, size=b, replace=len(idx_anom) < b)
-    pick_unlab = rng.choice(idx_unlab, size=2 * b, replace=False)
-    X = dataset.X
+    pick_anom = rng.choice(anomalies, size=b, replace=len(anomalies) < b)
+    pick_unlab = rng.choice(unlabeled, size=2 * b, replace=False)
     return X[pick_anom], X[pick_unlab[:b]], X[pick_unlab[b:]]
 
 
@@ -131,10 +124,14 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
     EpochRecord as it completes.
     """
     config.validate()
-    if len(dataset.indices(Role.LABELED_ANOMALY)) == 0:
+    b = config.batch_size
+    anomalies = dataset.indices(Role.LABELED_ANOMALY)
+    unlabeled = dataset.indices(Role.UNLABELED)
+    if len(anomalies) == 0:
         raise UnusableDatasetError("training requires a non-empty labeled-anomaly pool")
-    if len(dataset.indices(Role.UNLABELED)) < 2 * config.batch_size:
-        raise UnusableDatasetError("training requires an unlabeled pool of at least 2 * batch_size")
+    if len(unlabeled) < 2 * b:
+        raise UnusableDatasetError("training requires an unlabeled pool of at least "
+                                   f"2 * batch_size = {2 * b} rows, got {len(unlabeled)}")
 
     params = build_scorer(dataset.n_features, config.rep_dim, seed=child_seed(config.seed, "init"))
     history = TrainHistory()
@@ -150,7 +147,6 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
     best_auc = -np.inf
     best_params: ScorerParams | None = None
     mode = config.ablation
-    b = config.batch_size
     block_labels = np.concatenate([np.ones(b), -np.ones(b)])
 
     for epoch in range(1, config.n_epoch + 1):
@@ -159,7 +155,7 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
         feature_vals: list[float] = []
         weights: list[float] = []
         for batch_no in range(config.n_batch):
-            blocks = sample_batches(dataset, b, rng_batch)
+            blocks = sample_batches(dataset.X, anomalies, unlabeled, b, rng_batch)
             mixed = None
             if mode != "plain_regression":
                 mixed = augment_batch(np.vstack(blocks[:2]), block_labels, config.k, config.alpha,

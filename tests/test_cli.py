@@ -86,6 +86,23 @@ def test_train_rejects_a_budget_the_data_cannot_meet(toy_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_train_that_fails_writes_nothing(tmp_path, capsys):
+    # 100 rows at a 20% anomaly share leave an unlabeled pool too small for the
+    # default batch size: train() fails only after the inputs load and the data
+    # protocol runs, and still nothing is written.
+    data = tmp_path / "data"
+    assert main(["synth", "--kind", "toy", "--n", "100", "--anomaly-fraction", "0.2",
+                 "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data / "toy.csv"), "--label-col", "label",
+                 "--labeled-anomalies", "5", "--epochs", "1", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "UnusableDatasetError",
+                      "message": "training requires an unlabeled pool of at least "
+                                 "2 * batch_size = 64 rows, got 49"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value", _for_train_and_sweep(
     ("--batch-size", 0), ("--contamination", 0.7), ("--rep-dim", 1),
     ("--k", 17),  # above 2 * batch_size = 16
@@ -100,9 +117,15 @@ def test_train_checks_its_flags_before_writing(command, flag, value, toy_csv, tm
 
 
 @pytest.mark.parametrize("command, flag, value, expected", _for_train_and_sweep(
-    ("--contamination", 0.7, "target_ratio must lie in [0, 0.5), got 0.7"),
+    ("--contamination", 0.7, "contamination must lie in [0, 0.5), got 0.7"),
     ("--epochs", -1, "n_epoch must be >= 0, got -1"),
     ("--rep-dim", 0, "rep_dim must be >= 2, got 0"),
+    # inf passes a `> 0` check, and a run would then diverge or fail to save its JSON.
+    *((f"--{name}", "inf", f"{name} must be positive and finite, got inf")
+      for name in ("lr", "alpha", "margin", "temperature")),
+    ("--temperature", "nan", "temperature must be positive and finite, got nan"),
+    ("--weight-decay", "inf", "weight_decay must be finite and >= 0, got inf"),
+    ("--weight-decay", "nan", "weight_decay must be finite and >= 0, got nan"),
 ))
 def test_train_error_states_the_value_and_the_limit(command, flag, value, expected, toy_csv,
                                                     tmp_path, capsys):
@@ -464,7 +487,7 @@ def test_a_sweep_cell_is_the_train_run_with_its_seed(toy_csv, tmp_path, capsys):
     pytest.param(["--batch-size", "0"], "batch_size must be >= 1, got 0", id="batch-size-zero"),
     pytest.param(["--epochs", "-1"], "n_epoch must be >= 0, got -1", id="epochs-negative"),
     pytest.param(["--rep-dim", "1"], "rep_dim must be >= 2, got 1", id="rep-dim-one"),
-    pytest.param(["--contamination", "0.02", "0.7"], "target_ratio must lie in [0, 0.5), got 0.7",
+    pytest.param(["--contamination", "0.02", "0.7"], "contamination must lie in [0, 0.5), got 0.7",
                  id="contamination-0.7"),
     pytest.param(["--labeled-anomalies", "5", "0"], "labeled_anomalies must be positive: training "
                  "needs anomaly examples, got 0", id="budget-zero"),

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,11 +14,12 @@ from anomix.data import (
     CASE_NOVEL_HELD_OUT,
     CASE_SCATTER_MIN_SIGMA,
     TOY_ANOMALY_CENTERS,
+    FEATURE_FRACTION,
     TOY_MIXING,
-    ContaminationSpec,
     Dataset,
     Role,
     adjust_contamination,
+    check_contamination,
     generate_case,
     generate_toy,
     inject_anomaly,
@@ -379,7 +381,7 @@ def _pool_with(n_anom, n_norm, seed=0):
 
 def test_contamination_removal_worked_example():
     ds = _pool_with(40, 960)  # pool of 1000 with 40 anomalies
-    out = adjust_contamination(ds, ContaminationSpec(0.02), np.random.default_rng(0))
+    out = adjust_contamination(ds, 0.02, np.random.default_rng(0))
     pool = out.indices(Role.UNLABELED)
     assert len(pool) == 980  # 20 removed
     assert out.y[pool].sum() == 20
@@ -387,7 +389,7 @@ def test_contamination_removal_worked_example():
 
 def test_contamination_injection_worked_example():
     ds = _pool_with(10, 990)  # pool of 1000 with 10 anomalies
-    out = adjust_contamination(ds, ContaminationSpec(0.02), np.random.default_rng(0))
+    out = adjust_contamination(ds, 0.02, np.random.default_rng(0))
     pool = out.indices(Role.UNLABELED)
     assert len(pool) == 1010  # 10 injected
     assert out.y[pool].sum() == 20
@@ -395,13 +397,13 @@ def test_contamination_injection_worked_example():
 
 def test_contamination_fixed_point():
     ds = _pool_with(20, 980)
-    out = adjust_contamination(ds, ContaminationSpec(0.02), np.random.default_rng(0))
+    out = adjust_contamination(ds, 0.02, np.random.default_rng(0))
     assert out is ds
 
 
 def test_contamination_zero_target_removes_everything():
     ds = _pool_with(15, 100)
-    out = adjust_contamination(ds, ContaminationSpec(0.0), np.random.default_rng(0))
+    out = adjust_contamination(ds, 0.0, np.random.default_rng(0))
     pool = out.indices(Role.UNLABELED)
     assert out.y[pool].sum() == 0
 
@@ -415,7 +417,7 @@ def test_contamination_tolerance_holds_on_random_cases():
         ds = _pool_with(n_anom, n_norm, seed=int(rng.integers(1e6)))
         if n_anom == 0:
             continue
-        out = adjust_contamination(ds, ContaminationSpec(target), rng)
+        out = adjust_contamination(ds, target, rng)
         pool = out.indices(Role.UNLABELED)
         achieved = out.y[pool].sum() / len(pool)
         assert abs(achieved - target) <= 1.0 / len(pool) + 1e-12
@@ -424,19 +426,24 @@ def test_contamination_tolerance_holds_on_random_cases():
 def test_contamination_unreachable_without_sources():
     ds = _pool_with(0, 100)
     with pytest.raises(UnusableDatasetError):
-        adjust_contamination(ds, ContaminationSpec(0.02), np.random.default_rng(0))
+        adjust_contamination(ds, 0.02, np.random.default_rng(0))
 
 
 def test_contamination_spec_validation():
-    with pytest.raises(InvalidParameterError):
-        ContaminationSpec(0.5)
-    with pytest.raises(InvalidParameterError):
-        ContaminationSpec(0.02, feature_fraction=0.0)
+    # The one rule for a target level, checked alike by the CLI and by adjust_contamination.
+    for level in (0.5, 0.7, -0.01, math.nan):
+        message = re.escape(f"contamination must lie in [0, 0.5), got {level!r}")
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            check_contamination(level)
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            adjust_contamination(_pool_with(10, 90), level, np.random.default_rng(0))
+    check_contamination(0.0)
+    check_contamination(0.499)
 
 
 def test_injected_rows_are_unlabeled_anomalies():
     ds = _pool_with(5, 995)
-    out = adjust_contamination(ds, ContaminationSpec(0.02), np.random.default_rng(1))
+    out = adjust_contamination(ds, 0.02, np.random.default_rng(1))
     added = out.n_rows - ds.n_rows
     assert added > 0
     assert np.all(out.y[ds.n_rows:] == 1)
@@ -447,38 +454,40 @@ def test_injected_rows_are_unlabeled_anomalies():
 
 
 def test_inject_anomaly_counts():
+    assert FEATURE_FRACTION == 0.05  # the fixed splice share the README states
     rng = np.random.default_rng(0)
     a, b = np.zeros(20), np.ones(20)
-    out = inject_anomaly(a, b, 0.05, rng)
+    out = inject_anomaly(a, b, rng)
     assert int(out.sum()) == 1  # ceil(0.05 * 20) = 1 feature replaced
 
     a78, b78 = np.zeros(78), np.ones(78)
-    out78 = inject_anomaly(a78, b78, 0.05, rng)
+    out78 = inject_anomaly(a78, b78, rng)
     assert int(out78.sum()) == 4  # ceil(3.9)
 
 
 def test_inject_anomaly_self_is_identity(rng):
     row = rng.normal(size=13)
-    assert np.array_equal(inject_anomaly(row, row, 0.05, rng), row)
+    assert np.array_equal(inject_anomaly(row, row, rng), row)
 
 
 def test_inject_anomaly_changes_only_differing_positions(rng):
-    a = rng.normal(size=40)
+    a = rng.normal(size=200)
     b = a.copy()
-    b[:10] += 1.0  # only the first ten positions differ
-    out = inject_anomaly(a, b, 0.25, rng)
+    b[:50] += 1.0  # only the first fifty positions differ
+    out = inject_anomaly(a, b, rng)
     changed = np.flatnonzero(out != a)
-    assert len(changed) <= math.ceil(0.25 * 40)
-    assert np.all(changed < 10)
+    assert len(changed) <= math.ceil(FEATURE_FRACTION * 200)
+    assert np.all(changed < 50)
 
 
 def test_inject_anomaly_fraction_domain(rng):
-    with pytest.raises(InvalidParameterError):
-        inject_anomaly(np.zeros(3), np.ones(3), 0.0, rng)
-    with pytest.raises(InvalidParameterError):
-        inject_anomaly(np.zeros(3), np.ones(3), 1.5, rng)
+    # The fixed share splices at least one feature and never more than D.
+    assert 0.0 < FEATURE_FRACTION <= 1.0
+    for d in (1, 2, 19, 20, 21):
+        out = inject_anomaly(np.zeros(d), np.ones(d), rng)
+        assert int(out.sum()) == math.ceil(FEATURE_FRACTION * d) >= 1
     with pytest.raises(ContractViolationError):
-        inject_anomaly(np.zeros(3), np.ones(4), 0.5, rng)
+        inject_anomaly(np.zeros(3), np.ones(4), rng)
 
 
 # -- toy generator ---------------------------------------------------------------------------
@@ -604,7 +613,7 @@ def test_prepare_dataset_is_split_then_prepare_training(seed):
     # The sweep runs prepare_dataset, while `anomix train` splits first (to
     # write test_split.csv) and then calls prepare_training: both must agree.
     toy = generate_toy(1500, seed=seed)
-    knobs = dict(labeled_anomalies=12, contamination=0.05, feature_fraction=0.3)
+    knobs = dict(labeled_anomalies=12, contamination=0.05)
     one_call = prepare_dataset(toy, seed=seed, **knobs)
     two_steps = prepare_training(split_dataset(toy, substream(seed, "split")), seed=seed, **knobs)
     for name in ("X", "y", "roles"):

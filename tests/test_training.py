@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,11 @@ def _tiny_dataset(n_anom=2, n_unlab=8, d=3, seed=0):
     return Dataset(X, y, roles)
 
 
+def _pools(ds):
+    """sample_batches' first three arguments: the rows and the two index pools."""
+    return ds.X, ds.indices(Role.LABELED_ANOMALY), ds.indices(Role.UNLABELED)
+
+
 def _fast_config(**kw):
     base = dict(batch_size=2, n_epoch=2, n_batch=2, rep_dim=4, seed=7, select_best=False)
     base.update(kw)
@@ -40,7 +47,7 @@ def _fast_config(**kw):
 def test_sample_batches_shapes_and_oversampling():
     ds = _tiny_dataset(n_anom=3, n_unlab=20)
     rng = np.random.default_rng(1)
-    xa, xu, xq = sample_batches(ds, b=8, rng=rng)
+    xa, xu, xq = sample_batches(*_pools(ds), b=8, rng=rng)
     assert xa.shape == (8, 3) and xu.shape == (8, 3) and xq.shape == (8, 3)
     # only 3 labeled anomalies exist: the 8 draws must come with replacement
     anomaly_rows = ds.X[ds.indices(Role.LABELED_ANOMALY)]
@@ -50,25 +57,16 @@ def test_sample_batches_shapes_and_oversampling():
 
 def test_sample_batches_unlabeled_split_is_disjoint():
     ds = _tiny_dataset(n_anom=2, n_unlab=16)
-    xa, xu, xq = sample_batches(ds, b=8, rng=np.random.default_rng(3))
+    xa, xu, xq = sample_batches(*_pools(ds), b=8, rng=np.random.default_rng(3))
     pool = np.vstack([xu, xq])
     # 2b = 16 unlabeled rows drawn without replacement from a pool of 16
     assert len(np.unique(pool, axis=0)) == 16
 
 
-def test_sample_batches_preconditions():
-    ds = _tiny_dataset(n_anom=0, n_unlab=10)
-    with pytest.raises(UnusableDatasetError):
-        sample_batches(ds, b=2, rng=np.random.default_rng(0))
-    ds2 = _tiny_dataset(n_anom=2, n_unlab=3)
-    with pytest.raises(UnusableDatasetError):
-        sample_batches(ds2, b=2, rng=np.random.default_rng(0))
-
-
 def test_sample_batches_deterministic():
     ds = _tiny_dataset(n_anom=4, n_unlab=20)
-    a = sample_batches(ds, 4, np.random.default_rng(42))
-    b = sample_batches(ds, 4, np.random.default_rng(42))
+    a = sample_batches(*_pools(ds), 4, np.random.default_rng(42))
+    b = sample_batches(*_pools(ds), 4, np.random.default_rng(42))
     for left, right in zip(a, b):
         assert np.array_equal(left, right)
 
@@ -108,7 +106,7 @@ def test_train_replay_oracle_matches_exactly():
         for _epoch in range(cfg.n_epoch):
             ls, lps = [], []
             for _batch in range(cfg.n_batch):
-                blocks = sample_batches(ds, cfg.batch_size, rng_batch)
+                blocks = sample_batches(*_pools(ds), cfg.batch_size, rng_batch)
                 mixed = None
                 if mode != "plain_regression":
                     mixed = augment_batch(np.vstack(blocks[:2]), labels, cfg.k, cfg.alpha,
@@ -147,8 +145,12 @@ def test_train_bitwise_determinism():
 
 def test_train_preconditions_and_validation():
     ds = _tiny_dataset(n_anom=0, n_unlab=10)
-    with pytest.raises(UnusableDatasetError):
+    with pytest.raises(UnusableDatasetError,
+                       match="^training requires a non-empty labeled-anomaly pool$"):
         train(ds, _fast_config())
+    with pytest.raises(UnusableDatasetError, match=re.escape(
+            "training requires an unlabeled pool of at least 2 * batch_size = 4 rows, got 3")):
+        train(_tiny_dataset(n_anom=2, n_unlab=3), _fast_config(batch_size=2))
     with pytest.raises(InvalidParameterError):
         train(_tiny_dataset(), _fast_config(ablation="nope"))
     with pytest.raises(InvalidParameterError):
@@ -167,8 +169,7 @@ def test_an_epoch_with_every_hinge_inactive_does_not_abort_the_run():
     # separable clusters: by epoch 33 no triplet hinge is active in any batch,
     # and the next epoch once divided by that zero average
     train_half, _test = generate_case("clustered", 1000, seed=1)
-    prepared = prepare_training(train_half, labeled_anomalies=30, contamination=0.0,
-                                feature_fraction=0.05, seed=1)
+    prepared = prepare_training(train_half, labeled_anomalies=30, contamination=0.0, seed=1)
     cfg = TrainConfig(batch_size=16, n_epoch=50, n_batch=20, seed=1, select_best=False)
     _params, history = train(prepared, cfg)
     assert len(history) == 50
