@@ -143,7 +143,8 @@ def test_train_bitwise_determinism():
     assert h1.as_dicts() == h2.as_dicts()
 
 
-def test_train_preconditions_and_validation():
+def test_sample_batches_preconditions():
+    """sample_batches only draws; train() rejects the pools it cannot draw from."""
     ds = _tiny_dataset(n_anom=0, n_unlab=10)
     with pytest.raises(UnusableDatasetError,
                        match="^training requires a non-empty labeled-anomaly pool$"):
@@ -151,6 +152,9 @@ def test_train_preconditions_and_validation():
     with pytest.raises(UnusableDatasetError, match=re.escape(
             "training requires an unlabeled pool of at least 2 * batch_size = 4 rows, got 3")):
         train(_tiny_dataset(n_anom=2, n_unlab=3), _fast_config(batch_size=2))
+
+
+def test_train_preconditions_and_validation():
     with pytest.raises(InvalidParameterError):
         train(_tiny_dataset(), _fast_config(ablation="nope"))
     with pytest.raises(InvalidParameterError):
