@@ -4,8 +4,11 @@ A Dataset couples a float64 feature matrix with ground-truth anomaly
 flags and a per-row role: labeled anomaly, unlabeled (the training pool,
 possibly contaminated), validation, or test. All operations are pure:
 they return new datasets and never mutate their inputs. CSV files are
-read and converted CHUNK_ROWS rows at a time, so ingest holds the float
-blocks plus one chunk of cells as text, never the whole file as text.
+read CHUNK_ROWS lines at a time. numpy's C parser takes each chunk of
+plain numeric lines; the first chunk it cannot take goes, with the rest
+of the file, through csv.reader and float(), which give the same values
+and name the first bad row and column. Ingest holds the float blocks
+plus one chunk of text, never the whole file as text.
 Every file anomix writes goes through `atomic_writer` below, so a failed
 write leaves the previous file intact.
 """
@@ -17,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -43,7 +47,7 @@ class Role(IntEnum):
 
 _TRAIN_ROLES = (Role.LABELED_ANOMALY, Role.UNLABELED)
 _LABEL_VALUES = (0.0, 1.0, -1.0)  # accepted in a CSV label column; 1 marks an anomaly
-# Rows that the CSV reader holds as text and converts to float64 at a time.
+# Lines (or csv records) that the CSV reader holds as text and converts at a time.
 CHUNK_ROWS = 4096
 # Train / validation / test shares of each class in split_dataset.
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
@@ -154,33 +158,55 @@ def write_json(path, payload, **dumps_options) -> None:
 def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]:
     """(header, all cells as an (n, width) float64 matrix) of a headered CSV.
 
-    Rows are read and converted CHUNK_ROWS at a time, so at most one chunk
-    of cells is held as str. Each chunk gets one bulk conversion (it
-    accepts exactly the spellings float() does) and vectorised finiteness
-    and label checks. The first chunk that fails is kept, and only it gets
-    the per-cell scan that names the first fault in row-major order. Every
-    row is still read, so a ragged row anywhere wins over a bad cell.
+    The file is read as UTF-8, with or without a BOM; bytes that are not
+    UTF-8 survive as lone surrogates, so they fail as the cell (or header
+    name) that holds them. Rows are read CHUNK_ROWS at a time, so at most
+    one chunk of text is held.
+
+    Fast path: each chunk of physical lines goes through numpy's C parser
+    and the shared `_checked` shape, finiteness and label checks. The first
+    chunk it cannot take (a quote, a blank line, a spelling only float()
+    accepts, a bad cell, a ragged row, an overlong line) is handed, with the
+    rest of the file, to the csv path.
+
+    csv path: `csv.reader` records, one bulk conversion per chunk (it
+    accepts exactly the spellings float() does) and the same checks. The
+    first chunk that fails is kept, and only it gets the per-cell scan that
+    names the first fault in row-major order. Every record is still read, so
+    a ragged row (or an unreadable one) anywhere wins over a bad cell.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise DatasetError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a header row") from None
+        except csv.Error as exc:
+            raise DatasetError(f"{path}: row 1: {exc}") from None
+        for i, name in enumerate(header, start=1):
+            try:
+                name.encode("utf-8")  # fails on a lone surrogate, i.e. an escaped byte
+            except UnicodeEncodeError:
+                raise DatasetError(
+                    f"{path}: header column {i} ({name!r}) is not valid UTF-8") from None
         missing_label = label_column is not None and label_column not in header
         label_idx = None if label_column is None or missing_label else header.index(label_column)
         blocks: list[np.ndarray] = []
-        failed = None  # (line number of its first row, rows) of the first chunk that failed
         line_no = 2
-        while rows := list(itertools.islice(reader, CHUNK_ROWS)):
-            for offset, row in enumerate(rows):
-                if len(row) != len(header):
-                    raise DatasetError(f"{path}: row {line_no + offset} has {len(row)} fields, "
-                                       f"expected {len(header)}")
+        lines: list[str] = []
+        if not missing_label:
+            while lines := list(itertools.islice(fh, CHUNK_ROWS)):
+                block = _parse_lines(lines, len(header), label_idx)
+                if block is None:
+                    break
+                blocks.append(block)
+                line_no += len(lines)
+        failed = None  # (line number of its first row, rows) of the first chunk that failed
+        records = _records(csv.reader(itertools.chain(lines, fh)), path, len(header), line_no)
+        while rows := list(itertools.islice(records, CHUNK_ROWS)):
             if not missing_label and failed is None:
                 block = _convert(rows, len(header), label_idx)
                 if block is None:
@@ -197,13 +223,59 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
     return header, X
 
 
-def _convert(rows, width: int, label_idx: int | None) -> np.ndarray | None:
-    """One chunk of rows as a float64 block, or None if any cell fails a check."""
+def _records(reader, path, width: int, row: int):
+    """The reader's records from `row` on, each checked to hold `width` fields.
+
+    A csv error (e.g. a field over csv.field_size_limit()) becomes a
+    DatasetError naming the file and the row, like a ragged row.
+    """
     try:
-        block = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        for record in reader:
+            if len(record) != width:
+                raise DatasetError(f"{path}: row {row} has {len(record)} fields, expected {width}")
+            yield record
+            row += 1
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: row {row}: {exc}") from None
+
+
+# The ASCII separators: numpy strips them around a number, float() does not.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_lines(lines: list[str], width: int, label_idx: int | None) -> np.ndarray | None:
+    """One chunk of physical lines as a float64 block via numpy's C parser, or None.
+
+    None sends the chunk to the csv path. That covers every line the
+    parser would read differently from csv.reader plus float(): it skips
+    blank lines (the shape check), does not know quotes (the quote fails
+    to parse), would end a line at `#` without comments=None, has no
+    field-size limit and strips the four ASCII separators as whitespace.
+    """
+    text = "".join(lines)
+    if max(map(len, lines)) > csv.field_size_limit() or any(c in text for c in _SEPARATORS):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data": only blank lines
+            block = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    except (ValueError, UserWarning):
+        return None
+    return _checked(block, len(lines), width, label_idx)
+
+
+def _convert(rows, width: int, label_idx: int | None) -> np.ndarray | None:
+    """One chunk of csv records as a float64 block, or None if any cell fails a check."""
+    try:
+        block = np.array(rows, dtype=np.float64)
     except ValueError:
         return None
-    if not np.isfinite(block).all() or (
+    return _checked(block, len(rows), width, label_idx)
+
+
+def _checked(block: np.ndarray, n: int, width: int, label_idx: int | None) -> np.ndarray | None:
+    """`block` if it is (n, width), all finite, with every label in _LABEL_VALUES; else None."""
+    if block.shape != (n, width) or not np.isfinite(block).all() or (
             label_idx is not None and not np.isin(block[:, label_idx], _LABEL_VALUES).all()):
         return None
     return block

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,7 +12,15 @@ import pytest
 
 from anomix.artifact import ModelArtifact, load_model, save_model, write_manifest
 from anomix.cli import _TRAIN_KNOBS, build_parser, main
-from anomix.data import NormState, generate_toy, load_csv, write_csv, write_rows
+from anomix.data import (
+    CHUNK_ROWS,
+    NormState,
+    generate_toy,
+    load_csv,
+    normalize_features,
+    write_csv,
+    write_rows,
+)
 from anomix.errors import CorruptArtifactError
 from anomix.scorer import build_scorer, score_batch
 from anomix.training import TrainConfig
@@ -272,6 +281,24 @@ def test_score_empty_input_gives_header_only(toy_csv, tmp_path):
     assert main(["score", "--model", str(out / "model.json"),
                  "--data", str(empty), "--out", str(out)]) == 0
     assert (out / "scores.csv").read_text().strip() == "row_index,score"
+
+
+@pytest.mark.parametrize("n", [0, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_scores_csv_has_the_bytes_csv_writer_gives(n, tmp_path):
+    model = tmp_path / "model.json"
+    norm = NormState([-2.0, -2.0], [2.0, 2.0])
+    save_model(ModelArtifact(build_scorer(2, 8, seed=3), norm, {}, 0), model)
+    X = np.random.default_rng(n).normal(size=(n, 2))
+    data = tmp_path / "rows.csv"
+    write_rows(data, ["a", "b"], X.tolist())
+    out = tmp_path / "run"
+    assert main(["score", "--model", str(model), "--data", str(data), "--out", str(out)]) == 0
+    scores = score_batch(load_model(model).params, normalize_features(X, norm))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["row_index", "score"])
+    writer.writerows(enumerate(scores.tolist()))
+    assert (out / "scores.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_synth_round_trips(tmp_path):

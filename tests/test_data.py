@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 import warnings
@@ -104,7 +105,7 @@ def test_csv_rejects_nan_and_ragged_and_nonbinary(tmp_path):
 
 # Cell spellings where a bulk parse could disagree with float().
 SPELLINGS = [" 1.5 ", "1_000", "+3", "-0", "0x10", "\u0661\u0662", "nan", "inf", "-inf", "",
-             "1,5", "1e400", "5e-324", "1__0", ".5"]
+             "1,5", "1e400", "5e-324", "1__0", ".5", "2#3", "\x1c1", "1\x1f", "1\u2003"]
 
 
 @pytest.mark.parametrize("cell", SPELLINGS)
@@ -227,6 +228,165 @@ def test_csv_missing_pieces(tmp_path):
     nolabel.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(DatasetError, match="label column"):
         load_csv(nolabel, "label")
+
+
+def test_oversized_field_names_the_file_and_row(tmp_path, monkeypatch):
+    monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
+    big = "0" * (csv.field_size_limit() + 1)  # reads as 0.0 if no limit applied
+    for line, expected in [(3, r"row 3: field larger than field limit"),
+                           (9, r"row 9: field larger than field limit")]:
+        path = _chunked_file(tmp_path, {line: ["0.5", big]}, header=("a", "b"))
+        with pytest.raises(DatasetError, match=re.escape(str(path)) + ": " + expected):
+            load_features(path)
+    path = tmp_path / "header.csv"
+    path.write_text(f"a,{big}\n1,2\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"row 1: field larger than field limit"):
+        load_features(path)
+
+
+def test_bytes_that_are_not_utf8_name_their_cell(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+    with pytest.raises(DatasetError, match=r"row 3, column 'b': non-numeric value '\\udcff'$"):
+        load_features(path)
+    path.write_bytes(b"a,\xffb,label\n1,2,0\n")
+    with pytest.raises(DatasetError,
+                       match=r"header column 2 \('\\udcffb'\) is not valid UTF-8$"):
+        load_csv(path, "label")
+
+
+def test_a_utf8_bom_is_not_part_of_the_first_column_name(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes("label,a,b\r\n0,1.5,2\r\n1,3,-4\r\n".encode("utf-8-sig"))
+    ds = load_csv(path, "label")
+    assert ds.feature_names == ["a", "b"] and ds.y.tolist() == [0, 1]
+    assert ds.X.tolist() == [[1.5, 2.0], [3.0, -4.0]]
+    assert load_features(path)[1] == ["label", "a", "b"]
+
+
+def test_a_chunk_of_blank_lines_is_a_ragged_row_not_a_warning(tmp_path, monkeypatch):
+    monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
+    path = tmp_path / "blank.csv"
+    path.write_text("a,b\n1,2\n3,4\n5,6\n7,8\n" + "\n" * CHUNK, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DatasetError, match=r"row 6 has 0 fields, expected 2$"):
+            load_features(path)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_a_clean_file_never_takes_the_csv_path(tmp_path, monkeypatch, rng):
+    monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
+    X = rng.normal(size=(3 * CHUNK + 1, 3))
+    path = tmp_path / "clean.csv"
+    write_rows(path, ["a", "b", "c"], X.tolist())
+
+    def csv_path(*_args):
+        raise AssertionError("a clean chunk went to the csv path")
+
+    monkeypatch.setattr("anomix.data._convert", csv_path)
+    assert load_features(path)[0].tobytes() == X.tobytes()
+
+
+def _reference_read(path, label_column):
+    """What _read_matrix returns or raises, rebuilt from csv.reader records and float()."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = []
+        for row_no, record in enumerate(reader, start=2):
+            if len(record) != len(header):
+                raise DatasetError(f"{path}: row {row_no} has {len(record)} fields, "
+                                   f"expected {len(header)}")
+            rows.append(record)
+    if label_column is not None and label_column not in header:
+        raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
+    for row_no, record in enumerate(rows, start=2):
+        for name, raw in zip(header, record):
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DatasetError(f"{path}: row {row_no}, column {name!r}: "
+                                   f"non-numeric value {raw!r}") from None
+            if not math.isfinite(value):
+                raise DatasetError(f"{path}: row {row_no}, column {name!r}: "
+                                   f"non-finite value {raw!r}")
+            if name == label_column and value not in (0.0, 1.0, -1.0):
+                raise DatasetError(f"{path}: row {row_no}: label {raw!r} is not binary "
+                                   "(accepted: 0/1 or -1/+1)")
+    cells = np.array([[float(raw) for raw in record] for record in rows])
+    return header, cells.reshape(len(rows), len(header))
+
+
+# Beyond SPELLINGS: bytes that are not UTF-8, multi-line values and a quote mark.
+_PARITY_CELLS = SPELLINGS + ["\udcff", "1.5\n", "\r\n2", 'x"y', "-1e-400"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text with mostly repr floats, some odd cells, blank lines and mixed endings."""
+    names = draw(st.permutations(["a", "b", "label"]))[:draw(st.integers(1, 3))]
+    plain = {"label": st.sampled_from(["0", "1", "-1"])}
+    odd = {"label": st.sampled_from(["+1", " 1 ", "1.0", "-0", "2"])}
+
+    def cell(name):
+        if draw(st.integers(0, 9)):  # most cells are plain
+            return draw(plain.get(name, st.floats(allow_nan=False, allow_infinity=False).map(repr)))
+        return draw(odd.get(name, st.sampled_from(_PARITY_CELLS)))
+
+    def quoted(raw):
+        if any(c in raw for c in ',"\r\n') or draw(st.integers(0, 9)) == 0:
+            return '"' + raw.replace('"', '""') + '"'
+        return raw
+
+    lines = [",".join(quoted(name) for name in names)]
+    for _ in range(draw(st.integers(0, 13))):
+        lines.append(",".join(quoted(cell(name)) for name in names))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):  # blank or whitespace-only runs
+        at = draw(st.integers(1, len(lines)))
+        lines[at:at] = [draw(st.sampled_from(["", "", " ", "\t"]))] * draw(st.integers(1, 5))
+    endings = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    return ("\ufeff" if draw(st.integers(0, 3)) == 0 else "") + text
+
+
+def _outcome(read):
+    try:
+        return read()
+    except DatasetError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(text=_csv_texts())
+def test_fast_and_csv_paths_agree_with_csv_reader_and_float(text, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "parity.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
+        got = _outcome(lambda: load_features(path))
+        expected = _outcome(lambda: _reference_read(path, None))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert not isinstance(got, str), got
+            X, header = got
+            assert header == expected[0] and X.shape == expected[1].shape
+            assert X.tobytes() == expected[1].tobytes()
+
+        got = _outcome(lambda: load_csv(path, "label"))
+        expected = _outcome(lambda: _reference_read(path, "label"))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert not isinstance(got, str), got
+            header, cells = expected
+            i = header.index("label")
+            assert got.feature_names == header[:i] + header[i + 1:]
+            assert got.X.tobytes() == np.delete(cells, i, axis=1).tobytes()
+            assert got.y.tolist() == (cells[:, i] == 1.0).tolist()
 
 
 # -- normalization ----------------------------------------------------------------
