@@ -5,10 +5,10 @@ flags and a per-row role: labeled anomaly, unlabeled (the training pool,
 possibly contaminated), validation, or test. All operations are pure:
 they return new datasets and never mutate their inputs. CSV files are
 read CHUNK_ROWS lines at a time. numpy's C parser takes each chunk of
-plain numeric lines; the first chunk it cannot take goes, with the rest
-of the file, through csv.reader and float(), which give the same values
-and name the first bad row and column. Ingest holds the float blocks
-plus one chunk of text, never the whole file as text.
+plain numeric lines; a chunk it cannot take goes, alone, through
+csv.reader and float(), which give the same values and name the first
+bad row and column. Ingest holds the float blocks plus one chunk of
+text, never the whole file as text.
 Every file anomix writes goes through `atomic_writer` below, so a failed
 write leaves the previous file intact.
 """
@@ -164,16 +164,18 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
     one chunk of text is held.
 
     Fast path: each chunk of physical lines goes through numpy's C parser
-    and the shared `_checked` shape, finiteness and label checks. The first
-    chunk it cannot take (a quote, a blank line, a spelling only float()
-    accepts, a bad cell, a ragged row, an overlong line) is handed, with the
-    rest of the file, to the csv path.
+    and the shared `_checked` shape, finiteness and label checks. A chunk
+    it cannot take (a quote, a blank line, a spelling only float()
+    accepts, a bad cell, a ragged row, an overlong line) goes to the csv
+    path, and the next chunk starts on the fast path again.
 
-    csv path: `csv.reader` records, one bulk conversion per chunk (it
-    accepts exactly the spellings float() does) and the same checks. The
-    first chunk that fails is kept, and only it gets the per-cell scan that
-    names the first fault in row-major order. Every record is still read, so
-    a ragged row (or an unreadable one) anywhere wins over a bad cell.
+    csv path: the chunk's `csv.reader` records, read on to the end of a
+    record the chunk cut, one bulk conversion (it accepts exactly the
+    spellings float() does) and the same checks. The first chunk that fails
+    is kept, and only it gets the per-cell scan that names the first fault
+    in row-major order. Every chunk is still read, so a ragged row (or an
+    unreadable one) anywhere wins over a bad cell, and both over a label
+    column that is missing or named twice.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
@@ -192,51 +194,59 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
             except UnicodeEncodeError:
                 raise DatasetError(
                     f"{path}: header column {i} ({name!r}) is not valid UTF-8") from None
-        missing_label = label_column is not None and label_column not in header
-        label_idx = None if label_column is None or missing_label else header.index(label_column)
+        label_count = header.count(label_column)
+        label_idx = header.index(label_column) if label_count == 1 else None
         blocks: list[np.ndarray] = []
-        line_no = 2
-        lines: list[str] = []
-        if not missing_label:
-            while lines := list(itertools.islice(fh, CHUNK_ROWS)):
-                block = _parse_lines(lines, len(header), label_idx)
-                if block is None:
-                    break
+        failed = None  # (row number of its first record, records) of the first chunk that failed
+        row = 2
+        while lines := list(itertools.islice(fh, CHUNK_ROWS)):
+            block = _parse_lines(lines, len(header), label_idx)
+            if block is None:  # this chunk, and only this one, takes the csv path
+                records = _records(lines, fh, path, len(header), row)
+                block = _convert(records, len(header), label_idx)
+                if block is None and failed is None:
+                    failed = (row, records)
+                row += len(records)
+                del records  # so the chunk's str cells are freed before the next is read
+            else:
+                row += len(lines)
+            if block is not None:
                 blocks.append(block)
-                line_no += len(lines)
-        failed = None  # (line number of its first row, rows) of the first chunk that failed
-        records = _records(csv.reader(itertools.chain(lines, fh)), path, len(header), line_no)
-        while rows := list(itertools.islice(records, CHUNK_ROWS)):
-            if not missing_label and failed is None:
-                block = _convert(rows, len(header), label_idx)
-                if block is None:
-                    failed = (line_no, rows)
-                else:
-                    blocks.append(block)
-            line_no += len(rows)
-            del rows  # so the chunk's str cells are freed before the next is read
-    if missing_label:
-        raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
+    if label_column is not None and label_count != 1:
+        where = "not in" if label_count == 0 else f"named {label_count} times in"
+        raise DatasetError(f"{path}: label column {label_column!r} {where} header {header}")
     if failed is not None:
         _raise_first_fault(path, header, *failed, label_idx)
     X = np.concatenate(blocks) if blocks else np.empty((0, len(header)))
     return header, X
 
 
-def _records(reader, path, width: int, row: int):
-    """The reader's records from `row` on, each checked to hold `width` fields.
+def _records(lines: list[str], fh, path, width: int, row: int) -> list[list[str]]:
+    """csv records of a chunk of lines, reading on in fh only to end a record the chunk cut.
 
-    A csv error (e.g. a field over csv.field_size_limit()) becomes a
-    DatasetError naming the file and the row, like a ragged row.
+    Each record must hold `width` fields. A csv error (e.g. a field over
+    csv.field_size_limit()) becomes a DatasetError naming the file and the
+    row, like a ragged row.
     """
+    fed = 0
+
+    def feed():
+        nonlocal fed
+        for fed, line in enumerate(itertools.chain(lines, fh), start=1):
+            yield line
+
+    records = []
     try:
-        for record in reader:
+        for record in csv.reader(feed()):
             if len(record) != width:
                 raise DatasetError(f"{path}: row {row} has {len(record)} fields, expected {width}")
-            yield record
+            records.append(record)
             row += 1
+            if fed >= len(lines):  # csv.reader reads no line past the record it returns
+                break
     except csv.Error as exc:
         raise DatasetError(f"{path}: row {row}: {exc}") from None
+    return records
 
 
 # The ASCII separators: numpy strips them around a number, float() does not.

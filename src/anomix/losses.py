@@ -11,10 +11,11 @@ constant during gradient computation. Every loss reduces by the mean.
 Each step stacks its distinct rows once, as [mixed (2b, absent in
 plain_regression); anomaly (b); unlabeled (b); anchor (b, absent in
 no_regularizer)]. `scoring_loss_graph` runs the scorer's one forward
-over that stack and records the scoring loss as a single tape node;
-`feature_regularizer_graph` adds the triplet hinge as a second node on
-the representation the forward kept. Both nodes carry hand-written
-gradients, with respect to the scores and the representation rows.
+over that stack and returns the scoring loss; `feature_regularizer_graph`
+returns the triplet hinge on the representation that forward kept. Each
+also returns its hand-written gradient, with respect to the scores or
+the representation rows, as a function of the loss's weight in the
+objective; `scorer.backward` takes both through the network.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .errors import ContractViolationError, InvalidParameterError
 from .interpolation import AugmentedBatch
-from .nn import Var
 from .scorer import ScorerGraph
 
 ABLATION_MODES = (
@@ -86,7 +86,7 @@ def update_epoch_averages(state: LossState, scoring_losses, feature_losses) -> L
 
 
 # ---------------------------------------------------------------------------
-# The objectives, each one fused node on the gradient tape
+# The objectives, each a value and a gradient function
 # ---------------------------------------------------------------------------
 
 
@@ -99,7 +99,7 @@ def smooth_l1(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(quadratic, 0.5 * r * r, np.abs(r) - 0.5), np.where(quadratic, r, np.sign(r))
 
 
-def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBatch | None) -> Var:
+def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBatch | None):
     """Forward the step's stacked rows; mean smooth-L1 of the scores onto their targets.
 
     `blocks` is the (anomaly, unlabeled, anchor) triple of b rows each, and
@@ -110,6 +110,9 @@ def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBa
     Unless the mode is no_consistency, each mixed score is also pulled
     toward the weighted sum of its source rows' scores; the sources are
     then scored in the same forward.
+
+    Returns (loss, grad): grad(w) is the gradient of w * loss with respect
+    to the scores `graph.forward` returned.
     """
     if mode not in ABLATION_MODES:
         raise InvalidParameterError(f"unknown ablation {mode!r}; expected one of {ABLATION_MODES}")
@@ -129,8 +132,7 @@ def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBa
         targets = np.where(mixed.y > 0, 1.0, -1.0) if mode == "discrete_targets" else mixed.y
         mix = None if mode == "no_consistency" else mixed
     m = len(targets)
-    scores = graph.forward(np.vstack(rows), m if mix is None else m + 2 * b)
-    s = scores.value[:, 0]
+    s = graph.forward(np.vstack(rows), m if mix is None else m + 2 * b)
     per_sample, slope = smooth_l1(s[:m] - targets)
     if mix is not None:
         interp = (s[m:][mix.sources] * mix.lambdas).sum(axis=1)
@@ -138,17 +140,17 @@ def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBa
         per_sample = per_sample + consistency
         slope = slope + slope_c
 
-    def vjp(g):
+    def grad(w: float) -> np.ndarray:
         g_s = np.empty(len(s))
-        g_s[:m] = (g / m) * slope
+        g_s[:m] = (w / m) * slope
         if mix is not None:
             # Each source row collects minus its weight in every mix it entered.
-            pulled = ((g / m) * slope_c)[:, None] * mix.lambdas
+            pulled = ((w / m) * slope_c)[:, None] * mix.lambdas
             g_s[m:] = -np.bincount(mix.sources.ravel(), weights=pulled.ravel(),
                                    minlength=len(s) - m)
-        return (g_s[:, None],)
+        return g_s
 
-    return Var(per_sample.mean(), (scores,), vjp)
+    return float(per_sample.mean()), grad
 
 
 def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -156,20 +158,23 @@ def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0.0)
 
 
-def feature_regularizer_graph(graph: ScorerGraph, b: int, margin: float) -> Var:
+def feature_regularizer_graph(graph: ScorerGraph, b: int, margin: float):
     """Mean of max(d(unlabeled, anchor) - d(anomaly, anchor) + margin, 0).
 
     The anomaly, unlabeled and anchor blocks are the last 3b rows of the
     representation `scoring_loss_graph` kept on `graph`. Distances are
     Euclidean between row-aligned blocks. Only the representation stage is
     involved; the scoring head never sees this term.
+
+    Returns (loss, grad): grad(w) is the gradient of w * loss with respect
+    to every row of `graph.rep`.
     """
     z = graph.rep
-    if z is None or len(z.value) < 3 * b:
+    if z is None or len(z) < 3 * b:
         raise ContractViolationError(
             "the graph holds no forward with anomaly, unlabeled and anchor rows")
-    n = len(z.value)
-    z_anomaly, z_unlabeled, z_anchor = z.value[n - 3 * b:].reshape(3, b, -1)
+    n = len(z)
+    z_anomaly, z_unlabeled, z_anchor = z[n - 3 * b:].reshape(3, b, -1)
     diff_neg = z_unlabeled - z_anchor
     diff_pos = z_anomaly - z_anchor
     d_neg = np.sqrt(np.einsum("ij,ij->i", diff_neg, diff_neg))
@@ -177,14 +182,14 @@ def feature_regularizer_graph(graph: ScorerGraph, b: int, margin: float) -> Var:
     hinge = d_neg - d_pos + margin
     active = hinge > 0.0
 
-    def vjp(g):
-        coef = ((g / b) * active)[:, None]
+    def grad(w: float) -> np.ndarray:
+        coef = ((w / b) * active)[:, None]
         g_neg = coef * _unit_rows(diff_neg, d_neg)
         g_pos = coef * _unit_rows(diff_pos, d_pos)
-        g_z = np.zeros_like(z.value)
+        g_z = np.zeros_like(z)
         g_z[n - 3 * b:n - 2 * b] = -g_pos
         g_z[n - 2 * b:n - b] = g_neg
         g_z[n - b:] = g_pos - g_neg
-        return (g_z,)
+        return g_z
 
-    return Var(np.where(active, hinge, 0.0).mean(), (z,), vjp)
+    return float(np.where(active, hinge, 0.0).mean()), grad

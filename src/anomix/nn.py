@@ -1,16 +1,13 @@
-"""Dense layers, a small reverse-mode gradient tape, and Adam.
+"""Dense layers, LeakyReLU, and Adam.
 
 Everything runs in float64 numpy. Batch losses reduce by the mean, so the
-learning rate does not depend on batch size. The tape records only the
-scorer's dense layers and their activations, plus whatever fused nodes
-the losses build on top of them: each training loss is one node whose
-backward rule is written out by hand (see `losses`). It is not a general
-autodiff framework. `backward` returns one gradient per leaf, in the
-order of the leaves it is given; `adam_step` walks (label, array) pairs
-in that same order, with one first and one second moment per array.
-Adam's beta1, beta2 and eps are fixed at the defaults of arXiv 1412.6980.
-Training-time state (tape nodes, optimizer) is single-writer; pure
-forward evaluation with frozen parameters is safe to call concurrently.
+learning rate does not depend on batch size. The gradient of the one
+network trained here is written out by hand (`scorer.backward`);
+`adam_step` walks (label, array) pairs in the order of those gradients,
+with one first and one second moment per array. Adam's beta1, beta2 and
+eps are fixed at the defaults of arXiv 1412.6980. Training-time state
+(a step's `ScorerGraph`, the optimizer) is single-writer; pure forward
+evaluation with frozen parameters is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -61,102 +58,18 @@ def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0.0, x, slope * x)
 
 
-# ---------------------------------------------------------------------------
-# Reverse-mode tape
-# ---------------------------------------------------------------------------
-
-
 class Var:
-    """Node in the gradient tape: a float64 array plus a backward rule."""
+    """A parameter-array handle; perfbench/tracer.py counts these and reads their shapes."""
 
-    __slots__ = ("value", "grad", "_parents", "_vjp")
+    __slots__ = ("value",)
 
-    def __init__(self, value, _parents=(), _vjp=None):
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self._parents = _parents
-        self._vjp = _vjp
-
-    def __add__(self, other: "Var"):
-        return v_add(self, other)
-
-    def __mul__(self, c: float):
-        return v_scale(self, float(c))
 
 
-def v_add(a: Var, b: Var) -> Var:
-    """Sum of two nodes of one shape."""
-    return Var(a.value + b.value, (a, b), lambda g: (g, g))
-
-
-def v_scale(a: Var, c: float) -> Var:
-    return Var(a.value * c, (a,), lambda g: (g * c,))
-
-
-def v_linear(x, w: Var, b: Var) -> Var:
-    """x (n, d) @ w (o, d)^T + b (o,) -> (n, o).
-
-    An ndarray `x` is a constant input (the data): no gradient is computed
-    for it.
-    """
-    if not isinstance(x, Var):
-        return Var(x @ w.value.T + b.value, (w, b), lambda g: (g.T @ x, g.sum(axis=0)))
-    return Var(x.value @ w.value.T + b.value, (x, w, b),
-               lambda g: (g @ w.value, g.T @ x.value, g.sum(axis=0)))
-
-
-def v_rows(x: Var, n: int) -> Var:
-    """The first n rows of x; the gradient of the other rows is zero."""
-
-    def vjp(g):
-        full = np.zeros_like(x.value)
-        full[:n] = g
-        return (full,)
-
-    return Var(x.value[:n], (x,), vjp)
-
-
-def v_leaky_relu(x: Var, slope: float) -> Var:
-    factor = np.where(x.value >= 0.0, 1.0, slope)
-    return Var(x.value * factor, (x,), lambda g: (g * factor,))
-
-
-def v_tanh(x: Var) -> Var:
-    t = np.clip(np.tanh(x.value), -TANH_LIMIT, TANH_LIMIT)
-    return Var(t, (x,), lambda g: (g * (1.0 - t * t),))
-
-
-# ---------------------------------------------------------------------------
-# Gradients and the optimizer
-# ---------------------------------------------------------------------------
-
-
-def backward(loss: Var, leaves) -> list[np.ndarray]:
-    """d(loss)/d(leaf) for each leaf Var, in the order of `leaves`.
-
-    The loss must be a scalar tape node; batch reduction inside the
-    losses is the mean, so these are mean-gradients. A leaf the loss does
-    not reach gets zeros.
-    """
-    if not isinstance(loss, Var) or loss.value.size != 1:
-        raise ContractViolationError("backward expects a scalar loss recorded on the tape")
-    topo: list[Var] = []  # every node after all of its parents
-    seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((parent, False) for parent in node._parents)
-    loss.grad = np.ones_like(loss.value)
-    for node in reversed(topo):
-        if node._vjp is not None and node.grad is not None:
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                parent.grad = g if parent.grad is None else parent.grad + g
-    return [np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad for leaf in leaves]
+def v_linear(x: np.ndarray, w: Var, b: Var) -> np.ndarray:
+    """x (n, d) @ w (o, d)^T + b (o,) -> (n, o); the tracer times it per layer."""
+    return x @ w.value.T + b.value
 
 
 @dataclass

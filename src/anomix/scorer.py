@@ -23,11 +23,11 @@ on n. `score` has its own forward on one vector (matrix-vector products
 and a scalar tanh), within 1e-15 of its `score_batch` row. Both reject
 non-finite inputs, naming the row.
 
-Training differentiates through `ScorerGraph`, which puts only the four
-dense layers on the gradient tape, with their activations and the slice
-that feeds the score head. It has one layout: a step's rows stacked
-once, represented once, with the score head run on the prefix of rows
-that need a score.
+Training runs one `ScorerGraph` per step: a step's rows stacked once,
+represented once, with the score head run on the prefix of rows that
+need a score. `backward` then takes the losses' gradients with respect to
+those scores and representation rows back through the four dense layers
+by hand, reusing the activations and LeakyReLU factors the forward kept.
 """
 
 from __future__ import annotations
@@ -160,30 +160,36 @@ def score(params: ScorerParams, x) -> float:
     return min(max(math.tanh(raw), -nn.TANH_LIMIT), nn.TANH_LIMIT)
 
 
-class ScorerGraph:
-    """The scorer on the gradient tape: one stacked forward per optimization step.
+def _leaky_relu(pre: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
+    """(LeakyReLU of pre, its elementwise factor, 1 or slope); backward reuses the factor."""
+    factor = np.where(pre >= 0.0, 1.0, slope)
+    return pre * factor, factor
 
-    The Vars in `leaves` alias the live parameter arrays, in the order of
-    `params.arrays()`. `forward` represents every row of its stack once
-    and runs the score head on a prefix of it; the representation stays
-    on the graph as `rep`, so a loss on it (the triplet regularizer)
-    shares the nodes, and the gradients of both losses meet in one pass.
+
+class ScorerGraph:
+    """One optimization step's stacked forward, kept for `backward`.
+
+    The Var handles in `leaves` alias the live parameter arrays, in the
+    order of `params.arrays()`. `forward` represents every row of its
+    stack once and runs the score head on a prefix of it; it keeps the
+    input, each hidden activation with its LeakyReLU factors, the
+    representation `rep` and the clamped tanh output.
     """
 
     def __init__(self, params: ScorerParams):
         self.params = params
         self.leaves = [Var(array) for _, array in params.arrays()]
-        self.rep: Var | None = None
+        self.rep: np.ndarray | None = None
 
-    def represent(self, X) -> Var:
-        """(n, H) representations; the input rows are a constant of the tape."""
+    def represent(self, X) -> np.ndarray:
+        """(n, H) representations of the rows of X."""
         w1, b1, w2, b2 = self.leaves[:4]
-        hidden = nn.v_leaky_relu(nn.v_linear(_as_batch(X, self.params.d_in), w1, b1),
-                                 self.params.slope)
-        return nn.v_linear(hidden, w2, b2)
+        self.x = _as_batch(X, self.params.d_in)
+        self.h1, self.f1 = _leaky_relu(nn.v_linear(self.x, w1, b1), self.params.slope)
+        return nn.v_linear(self.h1, w2, b2)
 
-    def forward(self, X, n_scored: int) -> Var:
-        """(n_scored, 1) scores of the first n_scored rows of X.
+    def forward(self, X, n_scored: int) -> np.ndarray:
+        """Scores of the first n_scored rows of X.
 
         Every row of X is represented, once, and kept as `rep`.
         """
@@ -191,7 +197,30 @@ class ScorerGraph:
         if not 1 <= n_scored <= len(X):
             raise ContractViolationError(f"cannot score {n_scored} of {len(X)} rows")
         self.rep = self.represent(X)
-        z = self.rep if n_scored == len(X) else nn.v_rows(self.rep, n_scored)
         w3, b3, w4, b4 = self.leaves[4:]
-        hidden = nn.v_leaky_relu(nn.v_linear(z, w3, b3), self.params.slope)
-        return nn.v_tanh(nn.v_linear(hidden, w4, b4))
+        self.h2, self.f2 = _leaky_relu(nn.v_linear(self.rep[:n_scored], w3, b3),
+                                       self.params.slope)
+        self.t = np.clip(np.tanh(nn.v_linear(self.h2, w4, b4)), -nn.TANH_LIMIT, nn.TANH_LIMIT)
+        return self.t[:, 0]
+
+
+def backward(graph: ScorerGraph, g_scores: np.ndarray, g_rep: np.ndarray | None):
+    """Gradients of the eight parameter arrays, in `params.arrays()` order.
+
+    `g_scores` is the objective's gradient with respect to the scores
+    `graph.forward` returned, `g_rep` (or None) its gradient with respect to
+    every row of `graph.rep` through the representation alone.
+    """
+    p = graph.params
+    g_out = g_scores[:, None] * (1.0 - graph.t * graph.t)
+    g_hidden2 = (g_out @ p.score_out.weights) * graph.f2
+    # The head's gradient lands on the scored rows; g_rep adds the rest.
+    g_rep_total = np.zeros_like(graph.rep)
+    g_rep_total[:len(g_hidden2)] = g_hidden2 @ p.score_hidden.weights
+    if g_rep is not None:
+        g_rep_total = g_rep_total + g_rep
+    g_hidden1 = (g_rep_total @ p.rep_out.weights) * graph.f1
+    return [g_hidden1.T @ graph.x, g_hidden1.sum(axis=0),
+            g_rep_total.T @ graph.h1, g_rep_total.sum(axis=0),
+            g_hidden2.T @ graph.rep[:len(g_hidden2)], g_hidden2.sum(axis=0),
+            g_out.T @ graph.h2, g_out.sum(axis=0)]

@@ -4,7 +4,8 @@ Per batch: sample a labeled-anomaly block and two unlabeled blocks (pool
 and anchors), build the mixed batch, evaluate the scoring loss (which
 runs the step's one stacked forward) and the representation regularizer
 on that forward, balance them with the softmax weight (held constant for
-the gradient), and take one Adam step. Epoch-average losses
+the gradient), run the scorer's explicit backward pass once on the
+weighted loss gradients, and take one Adam step. Epoch-average losses
 update exactly once per epoch, after its last batch. A master seed fans
 out to the "init", "batching", and "augmentation" substreams, so a fixed
 (dataset, config, seed) triple reproduces the run bit for bit.
@@ -29,9 +30,9 @@ from .errors import InvalidParameterError, TrainingDivergedError, UnusableDatase
 from .interpolation import augment_batch
 from .losses import ABLATION_MODES, LossState
 from .metrics import auc_pr
-from .nn import AdamState, adam_step, backward
+from .nn import AdamState, adam_step
 from .rng import child_seed, substream
-from .scorer import ScorerGraph, ScorerParams, build_scorer, score_batch
+from .scorer import ScorerGraph, ScorerParams, backward, build_scorer, score_batch
 
 
 @dataclass
@@ -161,24 +162,20 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
                 mixed = augment_batch(np.vstack(blocks[:2]), block_labels, config.k, config.alpha,
                                       m=2 * b, rng=rng_augment)
             graph = ScorerGraph(params)
-            loss_var = L.scoring_loss_graph(graph, mode, blocks, mixed)
-            loss_val = float(loss_var.value)
+            loss_val, loss_grad = L.scoring_loss_graph(graph, mode, blocks, mixed)
             if not np.isfinite(loss_val):
                 raise TrainingDivergedError(f"scoring loss diverged at epoch {epoch}, batch {batch_no}")
             if mode == "no_regularizer":
-                feature_val = None
-                w = 1.0
-                objective = loss_var
+                feature_val, w, g_rep = None, 1.0, None
             else:
-                feature_var = L.feature_regularizer_graph(graph, b, config.margin)
-                feature_val = float(feature_var.value)
+                feature_val, feature_grad = L.feature_regularizer_graph(graph, b, config.margin)
                 if not np.isfinite(feature_val):
                     raise TrainingDivergedError(
                         f"feature regularizer diverged at epoch {epoch}, batch {batch_no}"
                     )
                 w = L.dynamic_weight(loss_val, feature_val, state)
-                objective = loss_var * w + feature_var * (1.0 - w)
-            grads = backward(objective, graph.leaves)
+                g_rep = feature_grad(1.0 - w)
+            grads = backward(graph, loss_grad(w), g_rep)
             adam_step(named_arrays, grads, optimizer)
             scoring_vals.append(loss_val)
             weights.append(w)

@@ -36,11 +36,12 @@ def tanh_line_scorer(gain: float = 1.0, shift: float = 10.0) -> ScorerParams:
 
 
 def step_losses(graph, mode, blocks, mixed, margin=1.0):
-    """(scoring loss, feature loss or None) as train() records them in `mode`.
+    """(scoring loss, feature loss or None) as train() evaluates them in `mode`.
 
-    `blocks` is the (anomaly, unlabeled, anchor) triple from sample_batches
-    and `mixed` the augmented batch drawn from its first two blocks (None
-    in plain_regression).
+    Each loss is its (value, gradient function) pair. `blocks` is the
+    (anomaly, unlabeled, anchor) triple from sample_batches and `mixed` the
+    augmented batch drawn from its first two blocks (None in
+    plain_regression).
     """
     loss = scoring_loss_graph(graph, mode, blocks, mixed)
     if mode == "no_regularizer":

@@ -38,9 +38,11 @@ def test_tracer_sees_every_stage_of_a_cli_train(tmp_path, monkeypatch, capsys):
         assert acc["stage_parents"][name] == [tracer.TRAIN], name
     # One stacked forward per step, inside the scoring loss: in `full` mode
     # it holds 2b mixed rows and the b anomaly, b unlabeled and b anchor
-    # rows, each once, and the loss nodes sit on four dense layers.
+    # rows, each once. `Var` (one handle per parameter array, 8 a step),
+    # `v_linear`, `ScorerGraph.represent` and `training.backward` stay
+    # because perfbench/tracer.py wraps them.
     assert traced.counts["scorer.rows_forwarded"] == 6 * 5 * 8
-    assert traced.counts["nn.var_nodes"] <= 6 * 25
+    assert traced.counts["nn.var_nodes"] == 6 * 8
     linear = {name: sorted(map(str, parents)) for name, parents in traced.parents.items()
               if name.startswith("nn.v_linear")}
     assert linear and traced.calls["nn.v_linear.other"] == 6 * 4

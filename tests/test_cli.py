@@ -628,6 +628,23 @@ def test_a_failed_input_leaves_no_output_directory(command, fault, error, toy_cs
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_label_column_named_twice_is_rejected_before_training(command, toy_csv, tmp_path,
+                                                                capsys):
+    # a second `label` column would otherwise stay in as a feature: the model
+    # would train on the label itself
+    lines = toy_csv.read_text(encoding="utf-8").splitlines()
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\n".join(f"{line},{line.rsplit(',', 1)[1]}" for line in lines) + "\n",
+                     encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(_train_args(twice, out, command=command)) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "DatasetError"
+    assert "label column 'label' named 2 times in header" in record["message"]
+    assert not out.exists()
+
+
 def test_an_unusable_out_directory_is_an_error_record(tmp_path, capsys):
     blocker = tmp_path / "toy.csv"
     blocker.write_text("a file, not a directory\n", encoding="utf-8")

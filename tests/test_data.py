@@ -228,6 +228,11 @@ def test_csv_missing_pieces(tmp_path):
     nolabel.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(DatasetError, match="label column"):
         load_csv(nolabel, "label")
+    twice = tmp_path / "twice.csv"
+    twice.write_text("a,label,label\n1,0,1\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"label column 'label' named 2 times in header"):
+        load_csv(twice, "label")
+    assert load_features(twice)[1] == ["a", "label", "label"]
 
 
 def test_oversized_field_names_the_file_and_row(tmp_path, monkeypatch):
@@ -286,6 +291,37 @@ def test_a_clean_file_never_takes_the_csv_path(tmp_path, monkeypatch, rng):
 
     monkeypatch.setattr("anomix.data._convert", csv_path)
     assert load_features(path)[0].tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("quoted_line, newline, fast", [
+    pytest.param(2, False, [False, True, True, True], id="row-2"),
+    # the multi-line record ends inside chunk 1, one physical line spills into the rest
+    pytest.param(2, True, [False, True, True, True, True], id="row-2-multiline"),
+    pytest.param(CHUNK + 1, True, [False, True, True, True], id="cut-by-the-chunk"),
+])
+def test_a_quoted_chunk_alone_takes_the_csv_path(quoted_line, newline, fast, tmp_path,
+                                                  monkeypatch, rng):
+    # only the chunk holding the quoted cell goes through csv.reader, read on
+    # to the end of a record it cuts; every later chunk takes numpy's parser
+    from anomix.data import _parse_lines as parse
+
+    monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
+    X = rng.normal(size=(4 * CHUNK, 2))
+    lines = [f"{a!r},{b!r}\n" for a, b in X.tolist()]
+    a, b = X[quoted_line - 2].tolist()
+    lines[quoted_line - 2] = f'"{a!r}{chr(10) * newline}",{b!r}\n'
+    path = tmp_path / "quoted.csv"
+    path.write_text("a,b\n" + "".join(lines), encoding="utf-8")
+    taken = []
+
+    def spy(chunk, *args):
+        block = parse(chunk, *args)
+        taken.append(block is not None)
+        return block
+
+    monkeypatch.setattr("anomix.data._parse_lines", spy)
+    assert load_features(path)[0].tobytes() == X.tobytes()
+    assert taken == fast
 
 
 def _reference_read(path, label_column):

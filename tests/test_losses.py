@@ -14,8 +14,8 @@ from anomix.losses import (
     smooth_l1,
     update_epoch_averages,
 )
-from anomix.nn import DenseLayer, backward
-from anomix.scorer import ScorerGraph, build_scorer, represent_batch, score_batch
+from anomix.nn import DenseLayer
+from anomix.scorer import ScorerGraph, backward, build_scorer, represent_batch, score_batch
 from tests.conftest import identity_representation_scorer, step_losses, tanh_line_scorer
 
 
@@ -36,14 +36,14 @@ def _halves(source_x):
 
 
 def _scoring(params, batch, source_x, mode="full"):
-    return float(scoring_loss_graph(ScorerGraph(params), mode, _halves(source_x), batch).value)
+    return scoring_loss_graph(ScorerGraph(params), mode, _halves(source_x), batch)[0]
 
 
 def _feature(params, anomalies, unlabeled, anchors, margin=1.0):
     graph = ScorerGraph(params)
     blocks = tuple(np.asarray(x, dtype=np.float64) for x in (anomalies, unlabeled, anchors))
     scoring_loss_graph(graph, "plain_regression", blocks, None)
-    return float(feature_regularizer_graph(graph, len(blocks[0]), margin).value)
+    return feature_regularizer_graph(graph, len(blocks[0]), margin)[0]
 
 
 # -- smooth l1 ----------------------------------------------------------------
@@ -202,8 +202,8 @@ def test_feature_regularizer_graph_matches_plain(rng):
 
 @pytest.mark.parametrize("mode", ABLATION_MODES)
 def test_fused_nodes_equal_the_per_block_formulas(mode, rng):
-    # each loss node's value, written out in numpy over a reference forward
-    # of every block on its own, where the graph forwards one stack
+    # each loss's value, written out in numpy over a reference forward of
+    # every block on its own, where the graph forwards one stack
     params = build_scorer(3, 6, seed=8)
     b = 4
     blocks = tuple(rng.uniform(0, 1, size=(b, 3)) for _ in range(3))
@@ -223,13 +223,13 @@ def test_fused_nodes_equal_the_per_block_formulas(mode, rng):
             interp = (score_batch(params, sources)[mixed.sources] * mixed.lambdas).sum(axis=1)
             per_sample = per_sample + _huber(s_mixed - interp)
         expected = np.mean(per_sample)
-    assert float(loss.value) == expected
+    assert loss[0] == expected
     if mode == "no_regularizer":
         assert feature is None
         return
     za, zu, zq = (represent_batch(params, x) for x in blocks)
     hinge = np.linalg.norm(zu - zq, axis=1) - np.linalg.norm(za - zq, axis=1) + 1.0
-    assert float(feature.value) == np.mean(np.maximum(hinge, 0.0)) > 0.0
+    assert feature[0] == np.mean(np.maximum(hinge, 0.0)) > 0.0
 
 
 # -- dynamic weighting ----------------------------------------------------------
@@ -317,34 +317,40 @@ def test_balanced_objective_gradient_matches_finite_differences(mode):
     # central differences over every parameter; the random draws keep all
     # LeakyReLU, hinge and smooth-L1 arguments far enough from their kinks
     # that a 1e-6 step never crosses one, and the 0.1 margin leaves two of
-    # the four triplet hinges active, so both sides of the hinge are checked
-    rng = np.random.default_rng(3)
-    params = build_scorer(3, 6, seed=4)
-    b = 4
-    blocks = tuple(rng.uniform(0, 1, size=(b, 3)) for _ in range(3))
-    labels = np.concatenate([np.ones(b), -np.ones(b)])
-    mixed = augment_batch(np.vstack(blocks[:2]), labels, 2, 0.5, 2 * b, rng)
-    w = 0.3  # the balance weight is a constant for the gradient
+    # the four triplet hinges active, so both sides of the hinge are checked.
+    # k=3 mixes reach three source rows each, so the consistency gradient
+    # gathers three columns of weights per mixed row.
+    for k in (2, 3):
+        rng = np.random.default_rng(3)
+        params = build_scorer(3, 6, seed=4)
+        b = 4
+        blocks = tuple(rng.uniform(0, 1, size=(b, 3)) for _ in range(3))
+        labels = np.concatenate([np.ones(b), -np.ones(b)])
+        mixed = augment_batch(np.vstack(blocks[:2]), labels, k, 0.5, 2 * b, rng)
+        w = 0.3  # the balance weight is a constant for the gradient
 
-    def objective():
-        graph = ScorerGraph(params)
-        loss, feature = step_losses(graph, mode, blocks, mixed, margin=0.1)
-        return graph, loss if feature is None else loss * w + feature * (1.0 - w)
+        def objective():
+            """(value, scorer.backward's arguments) of the balanced objective."""
+            graph = ScorerGraph(params)
+            (loss, loss_grad), feature = step_losses(graph, mode, blocks, mixed, margin=0.1)
+            if feature is None:
+                return loss, (graph, loss_grad(1.0), None)
+            value, feature_grad = feature
+            return loss * w + value * (1.0 - w), (graph, loss_grad(w), feature_grad(1.0 - w))
 
-    graph, value = objective()
-    grads = backward(value, graph.leaves)
-    h = 1e-6
-    g_fd = []
-    for _label, array in params.arrays():
-        for idx in np.ndindex(array.shape):
-            saved = array[idx]
-            array[idx] = saved + h
-            up = float(objective()[1].value)
-            array[idx] = saved - h
-            down = float(objective()[1].value)
-            array[idx] = saved
-            g_fd.append((up - down) / (2.0 * h))
-    g_tape = np.concatenate([grad.ravel() for grad in grads])
-    g_fd = np.array(g_fd)
-    assert np.linalg.norm(g_tape) > 0.0
-    assert np.linalg.norm(g_fd - g_tape) / np.linalg.norm(g_tape) <= 1e-6
+        grads = backward(*objective()[1])
+        h = 1e-6
+        g_fd = []
+        for _label, array in params.arrays():
+            for idx in np.ndindex(array.shape):
+                saved = array[idx]
+                array[idx] = saved + h
+                up = objective()[0]
+                array[idx] = saved - h
+                down = objective()[0]
+                array[idx] = saved
+                g_fd.append((up - down) / (2.0 * h))
+        g_explicit = np.concatenate([grad.ravel() for grad in grads])
+        g_fd = np.array(g_fd)
+        assert np.linalg.norm(g_explicit) > 0.0
+        assert np.linalg.norm(g_fd - g_explicit) / np.linalg.norm(g_explicit) <= 1e-6, k

@@ -4,24 +4,14 @@ import numpy as np
 import pytest
 
 from anomix.errors import ContractViolationError, InvalidParameterError, TrainingDivergedError
-from anomix.nn import (
-    AdamState,
-    DenseLayer,
-    Var,
-    adam_step,
-    backward,
-    init_dense,
-    leaky_relu,
-    v_linear,
-    v_rows,
-    v_tanh,
-)
-from anomix.scorer import ScorerGraph, ScorerParams, build_scorer
+from anomix.nn import AdamState, DenseLayer, Var, adam_step, init_dense, leaky_relu, v_linear
+from anomix.scorer import ScorerGraph, ScorerParams, backward, build_scorer
 from anomix.training import TrainConfig
+from tests.conftest import tanh_line_scorer
 
 
 def _affine(layer: DenseLayer, rows) -> np.ndarray:
-    return v_linear(Var(rows), Var(layer.weights), Var(layer.bias)).value
+    return v_linear(np.asarray(rows, dtype=np.float64), Var(layer.weights), Var(layer.bias))
 
 
 def test_affine_identity():
@@ -40,7 +30,7 @@ def test_affine_hand_product():
 
 
 def test_affine_dimension_mismatch():
-    # the tape's forward pass checks input widths before any layer runs
+    # the training forward checks input widths before any layer runs
     graph = ScorerGraph(build_scorer(2, 4, seed=0))
     with pytest.raises(ContractViolationError):
         graph.forward(np.ones((1, 3)), 1)
@@ -68,7 +58,9 @@ def test_leaky_relu_slope_domain():
 
 
 def test_tanh_values():
-    out = v_tanh(Var([0.0, 1.0, 20.0, -20.0])).value
+    # the score head's output is the input here, so the forward's clamped tanh shows
+    graph = ScorerGraph(tanh_line_scorer(shift=30.0))
+    out = graph.forward(np.array([[0.0], [1.0], [20.0], [-20.0]]), 4)
     assert out[0] == 0.0
     assert out[1] == pytest.approx(0.7615941559557649, abs=1e-12)
     assert abs(out[2] - 1.0) < 1e-9
@@ -86,53 +78,49 @@ def test_init_dense_deterministic_and_scaled():
     assert np.array_equal(a.bias, np.zeros(4))
 
 
-# -- tape ------------------------------------------------------------------
+# -- explicit backward ---------------------------------------------------------
 
 
-def test_constant_loss_gives_zero_gradients():
-    # a leaf the loss does not reach gets zeros of its own shape
-    layer = DenseLayer(np.ones((2, 2)), np.zeros(2))
-    d_w, d_b = backward(Var(0.0), [Var(layer.weights), Var(layer.bias)])
-    assert np.array_equal(d_w, np.zeros((2, 2)))
-    assert np.array_equal(d_b, np.zeros(2))
+def test_constant_loss_gives_zero_gradients(rng):
+    # a loss that does not depend on the scores gives zeros of each array's shape
+    params = build_scorer(3, 4, seed=0)
+    graph = ScorerGraph(params)
+    graph.forward(rng.normal(size=(5, 3)), 5)
+    grads = backward(graph, np.zeros(5), None)
+    assert [g.shape for g in grads] == [a.shape for _, a in params.arrays()]
+    assert all(not g.any() for g in grads)
 
 
 def test_single_layer_squared_error_closed_form(rng):
-    layer = DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2))
-    x = rng.normal(size=(1, 3))
-    target = rng.normal(size=(1, 2))
-    residual = (x @ layer.weights.T + layer.bias) - target
-    expected_w = 2.0 * residual.T @ x
-    expected_b = 2.0 * residual[0]
-    # a sum of squared residuals, written as one node with its own gradient
-    # rule, as the losses are; once on a tape input, once on a constant one
-    x_var = Var(x)
-    for rows in (x_var, x):
-        w_var, b_var = Var(layer.weights), Var(layer.bias)
-        pred = v_linear(rows, w_var, b_var)
-        r = pred.value - target
-        loss = Var((r * r).sum(), (pred,), lambda g, r=r: (2.0 * g * r,))
-        d_w, d_b = backward(loss, [w_var, b_var])
-        assert np.allclose(d_w, expected_w, atol=1e-12)
-        assert np.allclose(d_b, expected_b, atol=1e-12)
-    assert np.allclose(x_var.grad, 2.0 * residual @ layer.weights, atol=1e-12)
+    # a sum of squared residuals on the representation reaches the score
+    # head not at all, the output layer as 2 r^T h and its input as 2 r W
+    params = build_scorer(3, 4, seed=1)
+    params.rep_hidden.bias += 10.0  # every hidden unit active: LeakyReLU is the identity
+    x = rng.uniform(0, 1, size=(2, 3))
+    target = rng.normal(size=(2, 4))
+    hidden = x @ params.rep_hidden.weights.T + params.rep_hidden.bias
+    residual = (hidden @ params.rep_out.weights.T + params.rep_out.bias) - target
+    graph = ScorerGraph(params)
+    graph.forward(x, 2)
+    d_w1, d_b1, d_w2, d_b2, *head = backward(graph, np.zeros(2), 2.0 * (graph.rep - target))
+    assert np.allclose(d_w2, 2.0 * residual.T @ hidden, atol=1e-12)
+    assert np.allclose(d_b2, 2.0 * residual.sum(axis=0), atol=1e-12)
+    d_hidden = 2.0 * residual @ params.rep_out.weights
+    assert np.allclose(d_w1, d_hidden.T @ x, atol=1e-12)
+    assert np.allclose(d_b1, d_hidden.sum(axis=0), atol=1e-12)
+    assert all(not g.any() for g in head)
 
 
-def test_row_prefix_passes_gradient_to_its_rows_only():
-    x = Var(np.arange(6.0).reshape(3, 2))
-    head = v_rows(x, 2)
-    assert np.array_equal(head.value, [[0.0, 1.0], [2.0, 3.0]])
-    loss = Var(head.value.sum(), (head,), lambda g: (np.full((2, 2), float(g)),))
-    (d_x,) = backward(loss, [x])
-    assert np.array_equal(d_x, [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-
-
-def test_backward_rejects_nonscalar_loss():
-    layer = DenseLayer(np.eye(2), np.zeros(2))
-    w_var, b_var = Var(layer.weights), Var(layer.bias)
-    vec = v_linear(Var(np.ones((1, 2))), w_var, b_var)
-    with pytest.raises(ContractViolationError):
-        backward(vec, [w_var, b_var])
+def test_row_prefix_passes_gradient_to_its_rows_only(rng):
+    # rows represented but not scored take no part in the score gradient
+    params = build_scorer(3, 4, seed=2)
+    x = rng.normal(size=(3, 3))
+    g_scores = rng.normal(size=2)
+    prefix, whole = ScorerGraph(params), ScorerGraph(params)
+    prefix.forward(x, 2)
+    whole.forward(x[:2], 2)
+    for got, want in zip(backward(prefix, g_scores, None), backward(whole, g_scores, None)):
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
 # -- optimizer ---------------------------------------------------------------

@@ -200,12 +200,12 @@ def test_graph_forward_equals_numpy_forward_bitwise(rng):
     X = rng.normal(size=(33, 5))  # both signs reach every LeakyReLU
     X[:3] *= 1e3  # and tanh saturates into the clamp
     graph = ScorerGraph(params)
-    assert np.array_equal(graph.represent(X).value, represent_batch(params, X))
-    assert np.array_equal(graph.forward(X, len(X)).value[:, 0], score_batch(params, X))
+    assert np.array_equal(graph.represent(X), represent_batch(params, X))
+    assert np.array_equal(graph.forward(X, len(X)), score_batch(params, X))
     # the stacked forward represents every row and scores only the prefix
-    prefix = graph.forward(X, 20).value
-    assert prefix.shape == (20, 1)
-    assert np.array_equal(graph.rep.value, represent_batch(params, X))
-    assert np.array_equal(prefix[:, 0], score_batch(params, X[:20]))
+    prefix = graph.forward(X, 20)
+    assert prefix.shape == (20,)
+    assert np.array_equal(graph.rep, represent_batch(params, X))
+    assert np.array_equal(prefix, score_batch(params, X[:20]))
     with pytest.raises(ContractViolationError):
         graph.forward(X, 0)

@@ -15,9 +15,9 @@ from anomix.errors import InvalidParameterError, UnusableDatasetError
 from anomix.interpolation import augment_batch
 from anomix.losses import ABLATION_MODES, LossState, dynamic_weight, update_epoch_averages
 from anomix.metrics import auc_pr
-from anomix.nn import AdamState, adam_step, backward
+from anomix.nn import AdamState, adam_step
 from anomix.rng import child_seed, substream
-from anomix.scorer import ScorerGraph, build_scorer, score_batch
+from anomix.scorer import ScorerGraph, backward, build_scorer, score_batch
 from anomix.training import TrainConfig, sample_batches, train
 from tests.conftest import step_losses
 
@@ -112,16 +112,17 @@ def test_train_replay_oracle_matches_exactly():
                     mixed = augment_batch(np.vstack(blocks[:2]), labels, cfg.k, cfg.alpha,
                                           m=2 * cfg.batch_size, rng=rng_augment)
                 graph = ScorerGraph(params)
-                l_var, f_var = step_losses(graph, mode, blocks, mixed, cfg.margin)
-                if f_var is None:
-                    w, objective = 1.0, l_var
+                (l_val, l_grad), feature = step_losses(graph, mode, blocks, mixed, cfg.margin)
+                if feature is None:
+                    w, g_rep = 1.0, None
                 else:
-                    w = dynamic_weight(float(l_var.value), float(f_var.value), state)
-                    objective = l_var * w + f_var * (1.0 - w)
-                    lps.append(float(f_var.value))
+                    f_val, f_grad = feature
+                    w = dynamic_weight(l_val, f_val, state)
+                    g_rep = f_grad(1.0 - w)
+                    lps.append(f_val)
                 expected_weights.append(w)
-                adam_step(params.arrays(), backward(objective, graph.leaves), optimizer)
-                ls.append(float(l_var.value))
+                adam_step(params.arrays(), backward(graph, l_grad(w), g_rep), optimizer)
+                ls.append(l_val)
             if lps:
                 state = update_epoch_averages(state, ls, lps)
 
