@@ -6,9 +6,11 @@ Each command checks and loads its inputs, and `train` also trains, before it
 creates the output directory, which defaults to $ANOMIX_OUT or the working
 directory, so a run that fails by then leaves no directory behind. Once the
 command returns, `main` writes its one JSON manifest, `{command}_manifest.json`
-(config hash, dataset fingerprint, seed, metrics, wall clock). Apart from
+(config hash, dataset fingerprint, seed, metrics, wall clock), and only then
+prints the command's status lines, so a closed stdout costs no file. Apart from
 manifests and wall-clock fields, all outputs are byte-deterministic for a fixed seed.
-Errors exit nonzero with a machine-readable JSON record on stderr.
+Errors, a closed stdout among them, exit 1 with a machine-readable JSON record
+on stderr.
 """
 
 from __future__ import annotations
@@ -126,11 +128,12 @@ def cmd_train(args):
         # Wall clock per epoch; kept out of history.json so that file stays deterministic.
         "epoch_seconds": [r.seconds for r in history.records],
     }
-    print(f"model written to {model_path}")
+    status = [f"model written to {model_path}"]
     if metrics["best_val_auc_pr"] is not None:
-        print(f"best validation AUC-PR: {metrics['best_val_auc_pr']:.4f}")
-    return out, artifact.train_config, args.data, args.seed, metrics, {
-        "model": str(model_path), "history": str(history_path), "test_split": str(test_path)}
+        status.append(f"best validation AUC-PR: {metrics['best_val_auc_pr']:.4f}")
+    return (out, artifact.train_config, args.data, args.seed, metrics,
+            {"model": str(model_path), "history": str(history_path), "test_split": str(test_path)},
+            status)
 
 
 def _print_progress(record) -> None:
@@ -167,9 +170,9 @@ def cmd_evaluate(args):
     payload = {"auc_roc": report.auc_roc, "auc_pr": report.auc_pr,
                "n_pos": report.n_pos, "n_neg": report.n_neg}
     out = _out_dir(args.out)
-    print(json.dumps(payload, indent=1))
     D.write_json(out / "metrics.json", payload, indent=1)
-    return out, config, args.data, artifact.seed, payload, {"metrics": str(out / "metrics.json")}
+    return (out, config, args.data, artifact.seed, payload, {"metrics": str(out / "metrics.json")},
+            [json.dumps(payload, indent=1)])
 
 
 def cmd_score(args):
@@ -178,9 +181,8 @@ def cmd_score(args):
     out = _out_dir(args.out)
     score_path = out / "scores.csv"
     _write_scores(score_path, scores)
-    print(f"{len(scores)} scores written to {score_path}")
     return (out, config, args.data, artifact.seed, {"rows_scored": int(len(scores))},
-            {"scores": str(score_path)})
+            {"scores": str(score_path)}, [f"{len(scores)} scores written to {score_path}"])
 
 
 def _write_scores(path, scores) -> None:
@@ -208,10 +210,10 @@ def cmd_synth(args):
     for label, (name, dataset) in files.items():
         D.write_csv(dataset, out / name)
         outputs[label] = str(out / name)
-        print(f"{label}: {out / name}")
     config = {"kind": args.kind, "n": args.n, "seed": args.seed,
               "anomaly_fraction": args.anomaly_fraction}
-    return out, config, None, args.seed, {}, outputs
+    return (out, config, None, args.seed, {}, outputs,
+            [f"{label}: {path}" for label, path in outputs.items()])
 
 
 def _sweep_cell(dataset: Dataset, config: TrainConfig, level: float, budget: int,
@@ -244,9 +246,9 @@ def cmd_sweep(args):
     results_path = out / "sweep_results.csv"
     D.write_rows(results_path, _SWEEP_COLUMNS, rows)
     n_ok = sum(row[_SWEEP_COLUMNS.index("status")] == "ok" for row in rows)
-    print(f"{len(rows)} sweep rows written to {results_path}")
     return (out, {**_run_record(args, config), "repeats": args.repeats}, args.data, args.seed,
-            {"cells": len(rows), "cells_ok": n_ok}, {"results": str(results_path)})
+            {"cells": len(rows), "cells_ok": n_ok}, {"results": str(results_path)},
+            [f"{len(rows)} sweep rows written to {results_path}"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,8 +329,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        # Each command returns what its manifest records.
-        out, config, data, seed, metrics, outputs = args.func(args)
+        # Each command returns what its manifest records, then its status lines.
+        out, config, data, seed, metrics, outputs, status = args.func(args)
         write_manifest(
             out / f"{args.command}_manifest.json",
             command=args.command,
@@ -340,10 +342,20 @@ def main(argv=None) -> int:
             outputs=outputs,
         )
     except AnomixError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record), file=sys.stderr)
-        return 1
+        return _error_record(type(exc).__name__, str(exc))
+    try:
+        print("\n".join(status), flush=True)
+    except BrokenPipeError:
+        # Every file is written; the interpreter's flush of stdout at exit goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _error_record("BrokenPipeError", "stdout was closed before the status lines; "
+                                                "every output and the manifest were written")
     return 0
+
+
+def _error_record(error: str, message: str) -> int:
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

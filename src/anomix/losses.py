@@ -21,7 +21,6 @@ objective; `scorer.backward` takes both through the network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,51 +37,24 @@ ABLATION_MODES = (
 )
 
 
-@dataclass
-class LossState:
-    """The softmax temperature and the running per-epoch loss averages.
-
-    Both averages start at 1 and are replaced after every epoch by that
-    epoch's per-batch means.
-    """
-
-    temperature: float
-    l_bar: float = 1.0
-    l_prime_bar: float = 1.0
-
-
-def dynamic_weight(loss_scoring: float, loss_feature: float, state: LossState) -> float:
-    """Softmax weight for the scoring loss given last-epoch averages.
+def dynamic_weight(loss_scoring: float, loss_feature: float, temperature: float,
+                   l_bar: float, l_prime_bar: float) -> float:
+    """Softmax weight for the scoring loss given the last-epoch averages Lbar and L'bar.
 
     w = exp(L / (T Lbar)) / (exp(L / (T Lbar)) + exp(L' / (T L'bar))),
     guarded against overflow by subtracting the larger exponent. Callers
     treat w as a constant when computing gradients.
     """
-    if not (state.l_bar > 0.0 and state.l_prime_bar > 0.0):
+    if not (l_bar > 0.0 and l_prime_bar > 0.0):
         raise InvalidParameterError("epoch loss averages must be positive")
-    if not state.temperature > 0.0:
+    if not temperature > 0.0:
         raise InvalidParameterError("temperature must be positive")
-    a = loss_scoring / (state.temperature * state.l_bar)
-    b = loss_feature / (state.temperature * state.l_prime_bar)
+    a = loss_scoring / (temperature * l_bar)
+    b = loss_feature / (temperature * l_prime_bar)
     top = max(a, b)
     ea = math.exp(a - top)
     eb = math.exp(b - top)
     return ea / (ea + eb)
-
-
-def update_epoch_averages(state: LossState, scoring_losses, feature_losses) -> LossState:
-    """New state with both averages replaced by this epoch's means.
-
-    A mean of exactly 0 (no triplet hinge active all epoch) keeps the
-    previous average, which stays positive: `dynamic_weight` divides by it.
-    """
-    if len(scoring_losses) == 0 or len(feature_losses) == 0:
-        raise ContractViolationError("epoch loss lists must be non-empty")
-    return replace(
-        state,
-        l_bar=float(np.mean(scoring_losses)) or state.l_bar,
-        l_prime_bar=float(np.mean(feature_losses)) or state.l_prime_bar,
-    )
 
 
 # ---------------------------------------------------------------------------

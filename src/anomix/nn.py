@@ -2,18 +2,19 @@
 
 Everything runs in float64 numpy. Batch losses reduce by the mean, so the
 learning rate does not depend on batch size. The gradient of the one
-network trained here is written out by hand (`scorer.backward`);
-`adam_step` walks (label, array) pairs in the order of those gradients,
-with one first and one second moment per array. Adam's beta1, beta2 and
-eps are fixed at the defaults of arXiv 1412.6980. Training-time state
-(a step's `ScorerGraph`, the optimizer) is single-writer; pure forward
-evaluation with frozen parameters is safe to call concurrently.
+network trained here is written out by hand (`scorer.backward`) as one
+vector laid out like the parameter vector `ScorerParams.flat`, and
+`adam_step` updates that vector in one pass, with one first and one
+second moment vector. Adam's beta1, beta2 and eps are fixed at the
+defaults of arXiv 1412.6980. Training-time state (a step's
+`ScorerGraph`, the optimizer) is single-writer; pure forward evaluation
+with frozen parameters is safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,46 +75,37 @@ def v_linear(x: np.ndarray, w: Var, b: Var) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moments plus step counter, one `m` and one `v` per parameter array."""
+    """Adam's step counter and its two moment vectors, laid out like the parameters."""
 
     lr: float
     weight_decay: float
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-    @classmethod
-    def for_arrays(cls, named_arrays, lr: float, weight_decay: float) -> "AdamState":
-        """Zeroed moments for (label, array) pairs."""
-        return cls(lr, weight_decay, m=[np.zeros_like(a) for _, a in named_arrays],
-                   v=[np.zeros_like(a) for _, a in named_arrays])
 
 
-def adam_step(named_arrays, grads, state: AdamState) -> None:
-    """One in-place Adam update with decoupled weight decay.
+def adam_step(params, grad: np.ndarray, state: AdamState) -> None:
+    """One in-place Adam update of `params.flat`, with decoupled weight decay.
 
-    `named_arrays` holds (label, array) pairs and `grads` one gradient per
-    array, in the same order as `state`'s moments. Decay shrinks each
-    parameter first (p <- p - lr*decay*p); the bias-corrected Adam delta
-    follows. Raises TrainingDivergedError, naming the parameter, if any
-    gradient or updated value is non-finite.
+    `grad` and the moments share the layout of `params.flat`. Decay shrinks
+    the parameters first (p <- p - lr*decay*p); the bias-corrected Adam
+    delta follows. A non-finite gradient (checked before anything moves)
+    or updated value raises TrainingDivergedError naming its array.
     """
-    if not len(named_arrays) == len(grads) == len(state.m) == len(state.v):
-        raise ContractViolationError("gradients and moments do not match the parameter list")
-    for (label, _), g in zip(named_arrays, grads):
-        if not np.isfinite(g).all():
-            raise TrainingDivergedError(f"non-finite gradient in {label}")
+    if grad.shape != params.flat.shape:
+        raise ContractViolationError(f"{grad.shape} gradient for {params.flat.size} parameters")
+    if not np.isfinite(grad).all():
+        raise TrainingDivergedError(f"non-finite gradient in {params.nonfinite_label(grad)}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    shrink = 1.0 - state.lr * state.weight_decay
-    for (label, p), g, m, v in zip(named_arrays, grads, state.m, state.v):
-        if state.weight_decay != 0.0:
-            p *= shrink
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        if not np.isfinite(p).all():
-            raise TrainingDivergedError(f"non-finite parameter in {label}")
+    p, m, v = params.flat, state.m, state.v
+    if state.weight_decay != 0.0:
+        p *= 1.0 - state.lr * state.weight_decay
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    if not np.isfinite(p).all():
+        raise TrainingDivergedError(f"non-finite parameter in {params.nonfinite_label(p)}")

@@ -10,9 +10,9 @@ range-compressed; the final score passes through tanh and lies strictly
 inside (-1, 1), higher meaning more anomalous.
 
 `ScorerParams` owns the layout: four (weights, bias) layers in
-LAYER_NAMES order, shaped as `layer_shapes` says. Its widths are read
-from the weights, and `arrays()` lists the eight arrays in the order that
-every gradient list and every Adam moment follows.
+LAYER_NAMES order, shaped as `layer_shapes` says, each array a view of
+one float64 parameter vector `flat`, which the gradient and Adam's
+moments share. Its widths are read from the weights.
 
 `score_batch` forwards BLOCK_ROWS rows at a time into one preallocated
 output, so its scratch memory is one block of activations whatever the
@@ -27,7 +27,8 @@ Training runs one `ScorerGraph` per step: a step's rows stacked once,
 represented once, with the score head run on the prefix of rows that
 need a score. `backward` then takes the losses' gradients with respect to
 those scores and representation rows back through the four dense layers
-by hand, reusing the activations and LeakyReLU factors the forward kept.
+by hand, reusing the activations and LeakyReLU factors the forward kept,
+and returns one gradient vector laid out like `flat`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ BLOCK_ROWS = 4096
 
 @dataclass
 class ScorerParams:
+    """The four layers, copied at construction into views of one vector `flat`.
+
+    `flat` holds each layer's weights then its bias, row-major, in
+    LAYER_NAMES order. In-place edits of either show in the other.
+    """
+
     rep_hidden: DenseLayer
     rep_out: DenseLayer
     score_hidden: DenseLayer
@@ -57,6 +64,11 @@ class ScorerParams:
     def __post_init__(self):
         if not 0.0 < self.slope < 1.0:
             raise InvalidParameterError(f"slope must lie in (0, 1), got {self.slope!r}")
+        arrays = [a for _, a in self.arrays()]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        views = iter(np.split(self.flat, np.cumsum([a.size for a in arrays])[:-1]))
+        for name, layer in self.named_layers():
+            setattr(self, name, DenseLayer(next(views).reshape(layer.weights.shape), next(views)))
 
     # Widths D, h1, H, h2, read from the weight shapes.
     d_in = property(lambda self: self.rep_hidden.weights.shape[1])
@@ -71,13 +83,15 @@ class ScorerParams:
         return list(zip(LAYER_NAMES, self.layers()))
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
-        """The eight (label, array) pairs, e.g. ("rep_hidden.weights", W), in layer order."""
+        """The eight (label, array) pairs, e.g. ("rep_hidden.weights", W), in `flat` order."""
         return [(f"{name}.{part}", getattr(layer, part))
                 for name, layer in self.named_layers() for part in ("weights", "bias")]
 
-    def copy(self) -> "ScorerParams":
-        layers = (DenseLayer(layer.weights.copy(), layer.bias.copy()) for layer in self.layers())
-        return ScorerParams(*layers, slope=self.slope)
+    def nonfinite_label(self, values: np.ndarray) -> str:
+        """Label of the array holding the first non-finite entry of `values`, laid out as `flat`."""
+        ends = np.cumsum([a.size for _, a in self.arrays()])
+        first = np.argmin(np.isfinite(values))
+        return self.arrays()[int(np.searchsorted(ends, first, side="right"))][0]
 
 
 def hidden_sizes(d_in: int, rep_dim: int) -> tuple[int, int]:
@@ -169,11 +183,11 @@ def _leaky_relu(pre: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
 class ScorerGraph:
     """One optimization step's stacked forward, kept for `backward`.
 
-    The Var handles in `leaves` alias the live parameter arrays, in the
-    order of `params.arrays()`. `forward` represents every row of its
-    stack once and runs the score head on a prefix of it; it keeps the
-    input, each hidden activation with its LeakyReLU factors, the
-    representation `rep` and the clamped tanh output.
+    The Var handles in `leaves` alias the live parameter arrays, in `flat`
+    order. `forward` represents every row of its stack once and runs the
+    score head on a prefix of it; it keeps the input, each hidden
+    activation with its LeakyReLU factors, the representation `rep` and
+    the clamped tanh output.
     """
 
     def __init__(self, params: ScorerParams):
@@ -204,8 +218,8 @@ class ScorerGraph:
         return self.t[:, 0]
 
 
-def backward(graph: ScorerGraph, g_scores: np.ndarray, g_rep: np.ndarray | None):
-    """Gradients of the eight parameter arrays, in `params.arrays()` order.
+def backward(graph: ScorerGraph, g_scores: np.ndarray, g_rep: np.ndarray | None) -> np.ndarray:
+    """The objective's gradient as one vector laid out like `graph.params.flat`.
 
     `g_scores` is the objective's gradient with respect to the scores
     `graph.forward` returned, `g_rep` (or None) its gradient with respect to
@@ -220,7 +234,8 @@ def backward(graph: ScorerGraph, g_scores: np.ndarray, g_rep: np.ndarray | None)
     if g_rep is not None:
         g_rep_total = g_rep_total + g_rep
     g_hidden1 = (g_rep_total @ p.rep_out.weights) * graph.f1
-    return [g_hidden1.T @ graph.x, g_hidden1.sum(axis=0),
-            g_rep_total.T @ graph.h1, g_rep_total.sum(axis=0),
-            g_hidden2.T @ graph.rep[:len(g_hidden2)], g_hidden2.sum(axis=0),
-            g_out.T @ graph.h2, g_out.sum(axis=0)]
+    return np.concatenate([
+        (g_hidden1.T @ graph.x).ravel(), g_hidden1.sum(axis=0),
+        (g_rep_total.T @ graph.h1).ravel(), g_rep_total.sum(axis=0),
+        (g_hidden2.T @ graph.rep[:len(g_hidden2)]).ravel(), g_hidden2.sum(axis=0),
+        (g_out.T @ graph.h2).ravel(), g_out.sum(axis=0)])

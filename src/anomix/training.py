@@ -5,7 +5,8 @@ and anchors), build the mixed batch, evaluate the scoring loss (which
 runs the step's one stacked forward) and the representation regularizer
 on that forward, balance them with the softmax weight (held constant for
 the gradient), run the scorer's explicit backward pass once on the
-weighted loss gradients, and take one Adam step. Epoch-average losses
+weighted loss gradients, and take one Adam step on the flat parameter
+vector. The two epoch-average losses the weight divides by start at 1 and
 update exactly once per epoch, after its last batch. A master seed fans
 out to the "init", "batching", and "augmentation" substreams, so a fixed
 (dataset, config, seed) triple reproduces the run bit for bit.
@@ -28,11 +29,11 @@ from . import losses as L
 from .data import Dataset, Role
 from .errors import InvalidParameterError, TrainingDivergedError, UnusableDatasetError
 from .interpolation import augment_batch
-from .losses import ABLATION_MODES, LossState
+from .losses import ABLATION_MODES
 from .metrics import auc_pr
 from .nn import AdamState, adam_step
 from .rng import child_seed, substream
-from .scorer import ScorerGraph, ScorerParams, backward, build_scorer, score_batch
+from .scorer import ScorerGraph, backward, build_scorer, score_batch
 
 
 @dataclass
@@ -119,10 +120,10 @@ def _validation_setup(dataset: Dataset):
 def train(dataset: Dataset, config: TrainConfig, progress=None):
     """Run the full loop; returns (parameters, history).
 
-    With model selection on and a usable validation split, the epoch
-    snapshot with the best validation PR area is returned; otherwise the
-    last-epoch parameters. `progress`, if given, receives each
-    EpochRecord as it completes.
+    With model selection on and a usable validation split, the parameters
+    of the epoch with the best validation PR area, read against the
+    validation rows' true labels, are returned; otherwise the last epoch's.
+    `progress`, if given, receives each EpochRecord as it completes.
     """
     config.validate()
     b = config.batch_size
@@ -136,17 +137,14 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
 
     params = build_scorer(dataset.n_features, config.rep_dim, seed=child_seed(config.seed, "init"))
     history = TrainHistory()
-    if config.n_epoch == 0:
-        return params, history
-
     rng_batch = substream(config.seed, "batching")
     rng_augment = substream(config.seed, "augmentation")
-    named_arrays = params.arrays()
-    optimizer = AdamState.for_arrays(named_arrays, lr=config.lr, weight_decay=config.weight_decay)
-    state = LossState(temperature=config.temperature)
+    optimizer = AdamState(config.lr, config.weight_decay, np.zeros_like(params.flat),
+                          np.zeros_like(params.flat))
+    l_bar = l_prime_bar = 1.0
     validation = _validation_setup(dataset)
     best_auc = -np.inf
-    best_params: ScorerParams | None = None
+    best_flat = None
     mode = config.ablation
     block_labels = np.concatenate([np.ones(b), -np.ones(b)])
 
@@ -173,27 +171,29 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
                     raise TrainingDivergedError(
                         f"feature regularizer diverged at epoch {epoch}, batch {batch_no}"
                     )
-                w = L.dynamic_weight(loss_val, feature_val, state)
+                w = L.dynamic_weight(loss_val, feature_val, config.temperature, l_bar, l_prime_bar)
                 g_rep = feature_grad(1.0 - w)
-            grads = backward(graph, loss_grad(w), g_rep)
-            adam_step(named_arrays, grads, optimizer)
+            adam_step(params, backward(graph, loss_grad(w), g_rep), optimizer)
             scoring_vals.append(loss_val)
             weights.append(w)
             if feature_val is not None:
                 feature_vals.append(feature_val)
-        if feature_vals:  # no_regularizer never reads the averages
-            state = L.update_epoch_averages(state, scoring_vals, feature_vals)
+        loss_scoring = float(np.mean(scoring_vals))
+        loss_feature = float(np.mean(feature_vals)) if feature_vals else None
+        # A mean of exactly 0 (say, no triplet hinge active all epoch) keeps
+        # the previous average, which stays positive: dynamic_weight divides by it.
+        l_bar, l_prime_bar = loss_scoring or l_bar, loss_feature or l_prime_bar
         val_auc = None
         if validation is not None:
             idx, labels = validation
             val_auc = auc_pr(score_batch(params, dataset.X[idx]), labels)
             if config.select_best and val_auc > best_auc:
                 best_auc = val_auc
-                best_params = params.copy()
+                best_flat = params.flat.copy()
         record = EpochRecord(
             epoch=epoch,
-            loss_scoring=float(np.mean(scoring_vals)),
-            loss_feature=float(np.mean(feature_vals)) if feature_vals else None,
+            loss_scoring=loss_scoring,
+            loss_feature=loss_feature,
             weight=float(np.mean(weights)),
             val_auc_pr=val_auc,
             seconds=time.perf_counter() - started,
@@ -202,6 +202,6 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
         if progress is not None:
             progress(record)
 
-    if config.select_best and best_params is not None:
-        return best_params, history
+    if best_flat is not None:
+        params.flat[:] = best_flat
     return params, history

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -655,6 +656,33 @@ def test_an_unusable_out_directory_is_an_error_record(tmp_path, capsys):
         record = json.loads(err[0])
         assert record["error"] == "InvalidParameterError"
         assert record["message"].startswith(f"cannot use {str(out)!r} as output directory")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "score", "synth", "sweep"])
+def test_a_closed_stdout_loses_no_output(command, toy_csv, tmp_path, capsys, monkeypatch):
+    # stdout is a pipe whose reader has exited, as in `anomix ... | head -0`
+    run, out = tmp_path / "run", tmp_path / "out"
+    assert main(_train_args(toy_csv, run)) == 0
+    scorable = ["--model", str(run / "model.json"), "--data", str(run / "test_split.csv"),
+                "--label-col", "label", "--out", str(out)]
+    argv, files = {
+        "train": (_train_args(toy_csv, out), ["history.json", "model.json", "test_split.csv"]),
+        "evaluate": (["evaluate", *scorable], ["metrics.json"]),
+        "score": (["score", *scorable], ["scores.csv"]),
+        "synth": (["synth", "--kind", "clustered", "--n", "200", "--out", str(out)],
+                  ["clustered_test.csv", "clustered_train.csv"]),
+        "sweep": (_train_args(toy_csv, out, command="sweep"), ["sweep_results.csv"]),
+    }[command]
+    capsys.readouterr()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", closed)
+        assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1  # the record, no traceback
+    assert json.loads(err[0])["error"] == "BrokenPipeError"
+    assert sorted(p.name for p in out.iterdir()) == sorted([*files, f"{command}_manifest.json"])
 
 
 def test_package_exports_resolve():

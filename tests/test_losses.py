@@ -3,19 +3,27 @@ import math
 import numpy as np
 import pytest
 
+import anomix.losses
+from anomix.data import generate_case, prepare_training
 from anomix.errors import ContractViolationError, InvalidParameterError
 from anomix.interpolation import AugmentedBatch, augment_batch
 from anomix.losses import (
     ABLATION_MODES,
-    LossState,
     dynamic_weight,
     feature_regularizer_graph,
     scoring_loss_graph,
     smooth_l1,
-    update_epoch_averages,
 )
 from anomix.nn import DenseLayer
-from anomix.scorer import ScorerGraph, backward, build_scorer, represent_batch, score_batch
+from anomix.scorer import (
+    ScorerGraph,
+    ScorerParams,
+    backward,
+    build_scorer,
+    represent_batch,
+    score_batch,
+)
+from anomix.training import TrainConfig, train
 from tests.conftest import identity_representation_scorer, step_losses, tanh_line_scorer
 
 
@@ -181,8 +189,9 @@ def test_feature_regularizer_rigid_motion_invariance(rng):
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     shift = np.array([3.0, -2.0])
-    moved = params.copy()
-    moved.rep_out = DenseLayer(rot @ params.rep_out.weights, rot @ params.rep_out.bias + shift)
+    moved = ScorerParams(params.rep_hidden,
+                         DenseLayer(rot @ params.rep_out.weights, rot @ params.rep_out.bias + shift),
+                         params.score_hidden, params.score_out)
     assert base > 0.0
     assert _feature(moved, *blocks) == pytest.approx(base, abs=1e-12)
 
@@ -236,57 +245,58 @@ def test_fused_nodes_equal_the_per_block_formulas(mode, rng):
 
 
 def test_dynamic_weight_symmetry_and_worked_example():
-    state = LossState(temperature=2.0)
-    assert dynamic_weight(3.0, 3.0, state) == pytest.approx(0.5, abs=1e-15)
-    w = dynamic_weight(2.0, 1.0, LossState(l_bar=1.0, l_prime_bar=1.0, temperature=2.0))
+    assert dynamic_weight(3.0, 3.0, 2.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+    w = dynamic_weight(2.0, 1.0, 2.0, 1.0, 1.0)
     expected = math.e / (math.e + math.exp(0.5))
     assert w == pytest.approx(expected, abs=1e-12)
     assert w == pytest.approx(0.62246, abs=5e-6)
 
 
 def test_dynamic_weight_scale_identity():
-    a = dynamic_weight(2.0, 1.0, LossState(l_bar=1.0, l_prime_bar=1.0, temperature=2.0))
-    b = dynamic_weight(6.0, 3.0, LossState(l_bar=1.0, l_prime_bar=1.0, temperature=6.0))
+    a = dynamic_weight(2.0, 1.0, 2.0, 1.0, 1.0)
+    b = dynamic_weight(6.0, 3.0, 6.0, 1.0, 1.0)
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_dynamic_weight_monotone_in_scoring_loss():
-    state = LossState(l_bar=0.7, l_prime_bar=1.3, temperature=2.0)
-    values = [dynamic_weight(l, 1.0, state) for l in (0.1, 0.5, 1.0, 2.0, 5.0)]
+    values = [dynamic_weight(l, 1.0, 2.0, 0.7, 1.3) for l in (0.1, 0.5, 1.0, 2.0, 5.0)]
     assert all(0.0 < v < 1.0 for v in values)
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_dynamic_weight_overflow_guard():
-    state = LossState(l_bar=1e-6, l_prime_bar=1.0, temperature=1.0)
-    w = dynamic_weight(5.0, 1.0, state)  # raw exponent would be 5e6
+    w = dynamic_weight(5.0, 1.0, 1.0, 1e-6, 1.0)  # raw exponent would be 5e6
     assert w == 1.0  # saturates without overflow
 
 
 def test_dynamic_weight_validation():
     with pytest.raises(InvalidParameterError):
-        dynamic_weight(1.0, 1.0, LossState(temperature=2.0, l_bar=0.0))
+        dynamic_weight(1.0, 1.0, 2.0, 0.0, 1.0)
     with pytest.raises(InvalidParameterError):
-        dynamic_weight(1.0, 1.0, LossState(temperature=0.0))
+        dynamic_weight(1.0, 1.0, 0.0, 1.0, 1.0)
 
 
-def test_update_epoch_averages():
-    state = LossState(temperature=2.0)
-    assert state.l_bar == 1.0 and state.l_prime_bar == 1.0  # pre-first-epoch init
-    updated = update_epoch_averages(state, [4.0, 4.0, 4.0], [1.0, 2.0, 3.0])
-    assert updated.l_bar == 4.0
-    assert updated.l_prime_bar == 2.0
-    assert state.l_bar == 1.0  # original untouched
-    with pytest.raises(ContractViolationError):
-        update_epoch_averages(state, [], [1.0])
+def test_an_epoch_with_zero_feature_loss_keeps_the_previous_average(monkeypatch):
+    # every triplet hinge of epoch 13 is inactive: a zero average would make
+    # the next weight undefined, so epoch 14 divides by epoch 12's
+    averages = []
 
+    def recording(loss, feature, temperature, l_bar, l_prime_bar):
+        averages.append((l_bar, l_prime_bar))
+        return dynamic_weight(loss, feature, temperature, l_bar, l_prime_bar)
 
-def test_an_epoch_with_zero_feature_loss_keeps_the_previous_average():
-    # every hinge inactive: a zero average would make the next weight undefined
-    state = update_epoch_averages(LossState(temperature=2.0), [4.0, 2.0], [0.5, 1.5])
-    updated = update_epoch_averages(state, [3.0, 3.0], [0.0, 0.0])
-    assert (updated.l_bar, updated.l_prime_bar) == (3.0, 1.0)
-    assert 0.0 < dynamic_weight(1.0, 0.0, updated) < 1.0
+    monkeypatch.setattr(anomix.losses, "dynamic_weight", recording)
+    train_half, _test = generate_case("clustered", 1000, seed=1)
+    prepared = prepare_training(train_half, labeled_anomalies=10, contamination=0.0, seed=1)
+    cfg = TrainConfig(batch_size=8, n_epoch=14, n_batch=5, rep_dim=32, seed=1,
+                      select_best=False)
+    records = train(prepared, cfg)[1].records
+    assert [r.loss_feature == 0.0 for r in records].index(True) == 12
+    # each epoch divides by the averages of the one before it, starting from 1
+    assert set(averages[:5]) == {(1.0, 1.0)}
+    assert set(averages[60:65]) == {(records[11].loss_scoring, records[11].loss_feature)}
+    assert set(averages[65:]) == {(records[12].loss_scoring, records[11].loss_feature)}
+    assert 0.0 < records[13].weight < 1.0
 
 
 # -- ablation modes -------------------------------------------------------------
@@ -338,19 +348,15 @@ def test_balanced_objective_gradient_matches_finite_differences(mode):
             value, feature_grad = feature
             return loss * w + value * (1.0 - w), (graph, loss_grad(w), feature_grad(1.0 - w))
 
-        grads = backward(*objective()[1])
+        g_explicit = backward(*objective()[1])
         h = 1e-6
-        g_fd = []
-        for _label, array in params.arrays():
-            for idx in np.ndindex(array.shape):
-                saved = array[idx]
-                array[idx] = saved + h
-                up = objective()[0]
-                array[idx] = saved - h
-                down = objective()[0]
-                array[idx] = saved
-                g_fd.append((up - down) / (2.0 * h))
-        g_explicit = np.concatenate([grad.ravel() for grad in grads])
-        g_fd = np.array(g_fd)
+        g_fd = np.empty_like(params.flat)
+        for i, saved in enumerate(params.flat.tolist()):
+            params.flat[i] = saved + h
+            up = objective()[0]
+            params.flat[i] = saved - h
+            down = objective()[0]
+            params.flat[i] = saved
+            g_fd[i] = (up - down) / (2.0 * h)
         assert np.linalg.norm(g_explicit) > 0.0
         assert np.linalg.norm(g_fd - g_explicit) / np.linalg.norm(g_explicit) <= 1e-6, k

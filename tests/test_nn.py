@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_leaky_relu_slope_domain():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(InvalidParameterError, match=re.escape(f"got {bad!r}")):
             ScorerParams(*layers, slope=bad)
-    assert ScorerParams(*layers, slope=0.2).copy().slope == 0.2
+    assert ScorerParams(*layers, slope=0.2).slope == 0.2
 
 
 def test_tanh_values():
@@ -81,14 +82,21 @@ def test_init_dense_deterministic_and_scaled():
 # -- explicit backward ---------------------------------------------------------
 
 
+def _split(params, vector):
+    """`vector`, laid out like `params.flat`, cut into the eight arrays' shapes."""
+    shapes = [a.shape for _, a in params.arrays()]
+    parts = np.split(vector, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
 def test_constant_loss_gives_zero_gradients(rng):
-    # a loss that does not depend on the scores gives zeros of each array's shape
+    # a loss that does not depend on the scores gives zeros in the parameters' layout
     params = build_scorer(3, 4, seed=0)
     graph = ScorerGraph(params)
     graph.forward(rng.normal(size=(5, 3)), 5)
-    grads = backward(graph, np.zeros(5), None)
-    assert [g.shape for g in grads] == [a.shape for _, a in params.arrays()]
-    assert all(not g.any() for g in grads)
+    grad = backward(graph, np.zeros(5), None)
+    assert grad.shape == params.flat.shape
+    assert not grad.any()
 
 
 def test_single_layer_squared_error_closed_form(rng):
@@ -102,7 +110,8 @@ def test_single_layer_squared_error_closed_form(rng):
     residual = (hidden @ params.rep_out.weights.T + params.rep_out.bias) - target
     graph = ScorerGraph(params)
     graph.forward(x, 2)
-    d_w1, d_b1, d_w2, d_b2, *head = backward(graph, np.zeros(2), 2.0 * (graph.rep - target))
+    d_w1, d_b1, d_w2, d_b2, *head = _split(params, backward(graph, np.zeros(2),
+                                                          2.0 * (graph.rep - target)))
     assert np.allclose(d_w2, 2.0 * residual.T @ hidden, atol=1e-12)
     assert np.allclose(d_b2, 2.0 * residual.sum(axis=0), atol=1e-12)
     d_hidden = 2.0 * residual @ params.rep_out.weights
@@ -119,80 +128,93 @@ def test_row_prefix_passes_gradient_to_its_rows_only(rng):
     prefix, whole = ScorerGraph(params), ScorerGraph(params)
     prefix.forward(x, 2)
     whole.forward(x[:2], 2)
-    for got, want in zip(backward(prefix, g_scores, None), backward(whole, g_scores, None)):
-        assert np.allclose(got, want, rtol=0, atol=1e-15)
+    assert np.allclose(backward(prefix, g_scores, None), backward(whole, g_scores, None),
+                       rtol=0, atol=1e-15)
 
 
 # -- optimizer ---------------------------------------------------------------
 
 
-def _adam(named_arrays, **overrides) -> AdamState:
-    """AdamState for `named_arrays` with TrainConfig's lr and decay, either overridden."""
+def _adam(params, **overrides) -> AdamState:
+    """Zeroed AdamState for `params` with TrainConfig's lr and decay, either overridden."""
     cfg = TrainConfig()
-    hyper = dict(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    return AdamState.for_arrays(named_arrays, **{**hyper, **overrides})
+    hyper = {"lr": cfg.lr, "weight_decay": cfg.weight_decay, **overrides}
+    return AdamState(hyper["lr"], hyper["weight_decay"], np.zeros_like(params.flat),
+                     np.zeros_like(params.flat))
 
 
 def _scalar_setup(weight=0.5):
-    """A 1x1 layer as (label, array) pairs, with zero gradients to fill in."""
-    layer = DenseLayer(np.array([[weight]]), np.zeros(1))
-    named = [("only.weights", layer.weights), ("only.bias", layer.bias)]
-    return layer, named, [np.zeros((1, 1)), np.zeros(1)]
+    """Scorer of 1x1 layers, `weight` first in `flat`, with a zero gradient to fill in."""
+    params = tanh_line_scorer()
+    params.rep_hidden.weights[0, 0] = weight
+    return params, np.zeros_like(params.flat)
 
 
 def test_adam_zero_gradient_is_identity():
-    layer, named, grads = _scalar_setup()
-    state = _adam(named, weight_decay=0.0)
-    before = layer.weights.copy()
-    adam_step(named, grads, state)
-    assert np.array_equal(layer.weights, before)
+    params, grad = _scalar_setup()
+    state = _adam(params, weight_decay=0.0)
+    before = params.flat.copy()
+    adam_step(params, grad, state)
+    assert np.array_equal(params.flat, before)
     assert state.t == 1
 
 
 def test_adam_first_step_closed_form():
-    layer, named, grads = _scalar_setup()
-    state = _adam(named, lr=0.005, weight_decay=0.0)
-    grads[0][0, 0] = 1.0
-    adam_step(named, grads, state)
+    params, grad = _scalar_setup()
+    state = _adam(params, lr=0.005, weight_decay=0.0)
+    grad[0] = 1.0
+    adam_step(params, grad, state)
     expected_delta = -0.005 * (1.0 / (1.0 + 1e-8))
-    assert layer.weights[0, 0] == pytest.approx(0.5 + expected_delta, abs=1e-15)
+    assert params.rep_hidden.weights[0, 0] == pytest.approx(0.5 + expected_delta, abs=1e-15)
 
-    layer2, named2, grads2 = _scalar_setup()
-    state2 = _adam(named2, lr=0.005, weight_decay=0.0)
-    grads2[0][0, 0] = -1.0
-    adam_step(named2, grads2, state2)
-    assert layer2.weights[0, 0] == pytest.approx(0.5 - expected_delta, abs=1e-15)
+    params2, grad2 = _scalar_setup()
+    state2 = _adam(params2, lr=0.005, weight_decay=0.0)
+    grad2[0] = -1.0
+    adam_step(params2, grad2, state2)
+    assert params2.rep_hidden.weights[0, 0] == pytest.approx(0.5 - expected_delta, abs=1e-15)
 
 
 def test_adam_decoupled_decay_applies_before_delta():
-    layer, named, grads = _scalar_setup(weight=2.0)
-    state = _adam(named, lr=0.1, weight_decay=0.5)
-    adam_step(named, grads, state)
+    params, grad = _scalar_setup(weight=2.0)
+    state = _adam(params, lr=0.1, weight_decay=0.5)
+    adam_step(params, grad, state)
     # zero gradient: only the decay factor acts
-    assert layer.weights[0, 0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5), abs=1e-15)
+    assert params.rep_hidden.weights[0, 0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5), abs=1e-15)
 
 
 def test_adam_rejects_nonfinite_gradient():
-    layer, named, grads = _scalar_setup()
-    state = _adam(named)
-    grads[0][0, 0] = np.nan
-    with pytest.raises(TrainingDivergedError, match=r"only\.weights"):
-        adam_step(named, grads, state)
-    # the label comes from the pairs, and nothing moved
-    assert layer.weights[0, 0] == 0.5 and state.t == 0
+    for index, label in [(0, "rep_hidden.weights"), (5, "score_hidden.bias"),
+                         (7, "score_out.bias")]:
+        params, grad = _scalar_setup()
+        state = _adam(params)
+        before = params.flat.copy()
+        grad[index] = np.nan
+        with pytest.raises(TrainingDivergedError, match=re.escape(label)):
+            adam_step(params, grad, state)
+        # the label comes from the parameters' layout, and nothing moved
+        assert np.array_equal(params.flat, before) and state.t == 0
+        assert not state.m.any() and not state.v.any()
 
 
-def test_adam_rejects_a_gradient_list_of_another_length():
-    layer, named, grads = _scalar_setup()
-    state = _adam(named)
+def test_adam_names_a_non_finite_updated_value():
+    params, grad = _scalar_setup()
+    params.score_hidden.bias[0] = np.inf
+    with pytest.raises(TrainingDivergedError, match=r"non-finite parameter in score_hidden\.bias"):
+        adam_step(params, grad, _adam(params))
+
+
+def test_adam_rejects_a_gradient_of_another_length():
+    params, grad = _scalar_setup()
+    state = _adam(params)
+    before = params.flat.copy()
     with pytest.raises(ContractViolationError):
-        adam_step(named, grads[:1], state)
-    assert layer.weights[0, 0] == 0.5 and state.t == 0
+        adam_step(params, grad[:1], state)
+    assert np.array_equal(params.flat, before) and state.t == 0
 
 
 def test_adam_step_counter_strictly_increases():
-    _layer, named, grads = _scalar_setup()
-    state = _adam(named)
+    params, grad = _scalar_setup()
+    state = _adam(params)
     for expected in (1, 2, 3):
-        adam_step(named, grads, state)
+        adam_step(params, grad, state)
         assert state.t == expected

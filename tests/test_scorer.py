@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anomix import scorer
+from anomix.artifact import ModelArtifact, load_model, save_model
 from anomix.errors import ContractViolationError, InvalidArchitectureError
 from anomix.nn import TANH_LIMIT, DenseLayer, leaky_relu
 from anomix.scorer import (
@@ -43,6 +44,30 @@ def test_build_scorer_is_seed_reproducible():
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
     assert not np.array_equal(a.rep_hidden.weights, c.rep_hidden.weights)
+
+
+def test_layers_are_views_of_one_parameter_vector(tmp_path):
+    params = build_scorer(3, 6, seed=2)
+    arrays = [a for _, a in params.arrays()]
+    # an in-place edit of a layer shows in flat, and the other way round
+    params.rep_out.bias[1] = 7.5
+    assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in arrays]))
+    params.flat[-1] = -2.0
+    assert params.score_out.bias[0] == -2.0
+    for index, label in [(0, "rep_hidden.weights"), (params.flat.size - 1, "score_out.bias")]:
+        values = np.zeros_like(params.flat)
+        values[index:] = np.nan
+        assert params.nonfinite_label(values) == label
+    # parameters built from another's layers copy them
+    twin = ScorerParams(*params.layers(), slope=params.slope)
+    assert np.array_equal(twin.flat, params.flat)
+    assert not any(np.shares_memory(a, b) for a in arrays + [params.flat]
+                   for _, b in twin.arrays())
+    twin.flat[:] = 0.0
+    assert params.score_out.bias[0] == -2.0
+    save_model(ModelArtifact(params, None, {}, 0), tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json").params
+    assert loaded.flat.tobytes() == params.flat.tobytes()
 
 
 def test_represent_matches_hand_chain(rng):

@@ -13,7 +13,7 @@ from anomix.data import (
 )
 from anomix.errors import InvalidParameterError, UnusableDatasetError
 from anomix.interpolation import augment_batch
-from anomix.losses import ABLATION_MODES, LossState, dynamic_weight, update_epoch_averages
+from anomix.losses import ABLATION_MODES, dynamic_weight
 from anomix.metrics import auc_pr
 from anomix.nn import AdamState, adam_step
 from anomix.rng import child_seed, substream
@@ -98,9 +98,9 @@ def test_train_replay_oracle_matches_exactly():
         params = build_scorer(3, cfg.rep_dim, seed=child_seed(cfg.seed, "init"))
         rng_batch = substream(cfg.seed, "batching")
         rng_augment = substream(cfg.seed, "augmentation")
-        optimizer = AdamState.for_arrays(params.arrays(), lr=cfg.lr,
-                                         weight_decay=cfg.weight_decay)
-        state = LossState(temperature=cfg.temperature)
+        optimizer = AdamState(cfg.lr, cfg.weight_decay, np.zeros_like(params.flat),
+                              np.zeros_like(params.flat))
+        l_bar = l_prime_bar = 1.0
         labels = np.concatenate([np.ones(cfg.batch_size), -np.ones(cfg.batch_size)])
         expected_weights = []
         for _epoch in range(cfg.n_epoch):
@@ -117,18 +117,20 @@ def test_train_replay_oracle_matches_exactly():
                     w, g_rep = 1.0, None
                 else:
                     f_val, f_grad = feature
-                    w = dynamic_weight(l_val, f_val, state)
+                    w = dynamic_weight(l_val, f_val, cfg.temperature, l_bar, l_prime_bar)
                     g_rep = f_grad(1.0 - w)
                     lps.append(f_val)
                 expected_weights.append(w)
-                adam_step(params.arrays(), backward(graph, l_grad(w), g_rep), optimizer)
+                adam_step(params, backward(graph, l_grad(w), g_rep), optimizer)
                 ls.append(l_val)
             if lps:
-                state = update_epoch_averages(state, ls, lps)
+                l_bar = float(np.mean(ls)) or l_bar
+                l_prime_bar = float(np.mean(lps)) or l_prime_bar
 
         for got, want in zip(trained.layers(), params.layers()):
             assert np.array_equal(got.weights, want.weights), (mode, k)
             assert np.array_equal(got.bias, want.bias), (mode, k)
+        assert np.array_equal(trained.flat, params.flat), (mode, k)
         # first-epoch weights were computed against the initial averages of 1
         assert history.records[0].weight == pytest.approx(
             np.mean(expected_weights[:cfg.n_batch]), abs=0)
