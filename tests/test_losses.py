@@ -189,9 +189,8 @@ def test_feature_regularizer_rigid_motion_invariance(rng):
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     shift = np.array([3.0, -2.0])
-    moved = ScorerParams(params.rep_hidden,
-                         DenseLayer(rot @ params.rep_out.weights, rot @ params.rep_out.bias + shift),
-                         params.score_hidden, params.score_out)
+    rotated = DenseLayer(rot @ params.rep_out.weights, rot @ params.rep_out.bias + shift)
+    moved = ScorerParams(params.rep_hidden, rotated, params.score_hidden, params.score_out)
     assert base > 0.0
     assert _feature(moved, *blocks) == pytest.approx(base, abs=1e-12)
 

@@ -135,12 +135,9 @@ def test_row_prefix_passes_gradient_to_its_rows_only(rng):
 # -- optimizer ---------------------------------------------------------------
 
 
-def _adam(params, **overrides) -> AdamState:
-    """Zeroed AdamState for `params` with TrainConfig's lr and decay, either overridden."""
-    cfg = TrainConfig()
-    hyper = {"lr": cfg.lr, "weight_decay": cfg.weight_decay, **overrides}
-    return AdamState(hyper["lr"], hyper["weight_decay"], np.zeros_like(params.flat),
-                     np.zeros_like(params.flat))
+def _adam(params, lr=TrainConfig.lr, weight_decay=TrainConfig.weight_decay) -> AdamState:
+    """Zeroed AdamState for `params`, by default with TrainConfig's lr and decay."""
+    return AdamState(lr, weight_decay, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def _scalar_setup(weight=0.5):
