@@ -329,11 +329,18 @@ def load_features(path) -> tuple[np.ndarray, list[str]]:
 
 
 def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write features plus the 0/1 label column; round-trips via load_csv."""
+    """Write features plus the 0/1 label column; round-trips via load_csv.
+
+    The bytes are csv.writer's; rows of reprs are joined about CHUNK_ROWS cells per write.
+    """
     if label_column in dataset.feature_names:
         raise DatasetError(f"label column {label_column!r} collides with a feature name")
-    write_rows(path, [*dataset.feature_names, label_column],
-               (row.tolist() + [label] for row, label in zip(dataset.X, dataset.y.tolist())))
+    step = max(1, CHUNK_ROWS // (dataset.n_features + 1))
+    with atomic_writer(path) as fh:
+        csv.writer(fh).writerow([*dataset.feature_names, label_column])
+        for lo in range(0, len(dataset.X), step):
+            rows = zip(dataset.X[lo:lo + step].tolist(), dataset.y[lo:lo + step].tolist())
+            fh.write("".join(",".join(map(repr, [*row, label])) + "\r\n" for row, label in rows))
 
 
 # ---------------------------------------------------------------------------

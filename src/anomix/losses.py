@@ -126,8 +126,11 @@ def scoring_loss_graph(graph: ScorerGraph, mode: str, blocks, mixed: AugmentedBa
 
 
 def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """diff / dist row by row; a zero-length row gets the zero subgradient."""
-    return np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0.0)
+    """diff / dist row by row; a row whose dist is not positive gets the zero subgradient."""
+    zero = ~(dist > 0.0)
+    unit = diff / (dist + zero)[:, None]
+    unit[zero] = 0.0
+    return unit
 
 
 def feature_regularizer_graph(graph: ScorerGraph, b: int, margin: float):

@@ -9,6 +9,9 @@ second moment vector. Adam's beta1, beta2 and eps are fixed at the
 defaults of arXiv 1412.6980. Training-time state (a step's
 `ScorerGraph`, the optimizer) is single-writer; pure forward evaluation
 with frozen parameters is safe to call concurrently.
+LeakyReLU is max(x, slope*x), bitwise "x if x >= 0 else slope*x" for
+0 < slope < 1, signed zeros included. Hot paths write in place but keep
+each float operation's operands and order, so trained bytes do not move.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def init_dense(n_out: int, n_in: int, rng: np.random.Generator) -> DenseLayer:
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     """x for x >= 0, slope*x otherwise, elementwise; ScorerParams checks the slope."""
-    return np.where(x >= 0.0, x, slope * x)
+    return np.maximum(x, slope * x)
 
 
 class Var:
@@ -70,7 +73,9 @@ class Var:
 
 def v_linear(x: np.ndarray, w: Var, b: Var) -> np.ndarray:
     """x (n, d) @ w (o, d)^T + b (o,) -> (n, o); the tracer times it per layer."""
-    return x @ w.value.T + b.value
+    out = x @ w.value.T
+    out += b.value
+    return out
 
 
 @dataclass
@@ -87,10 +92,10 @@ class AdamState:
 def adam_step(params, grad: np.ndarray, state: AdamState) -> None:
     """One in-place Adam update of `params.flat`, with decoupled weight decay.
 
-    `grad` and the moments share the layout of `params.flat`. Decay shrinks
-    the parameters first (p <- p - lr*decay*p); the bias-corrected Adam
-    delta follows. A non-finite gradient (checked before anything moves)
-    or updated value raises TrainingDivergedError naming its array.
+    `grad` and the moments share the layout of `params.flat`. Decay shrinks the parameters
+    first as p * (1 - lr*decay), which rounds unlike p - lr*decay*p; then
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order. A non-finite gradient (checked
+    before anything moves) or updated value raises TrainingDivergedError naming its array.
     """
     if grad.shape != params.flat.shape:
         raise ContractViolationError(f"{grad.shape} gradient for {params.flat.size} parameters")
@@ -100,12 +105,15 @@ def adam_step(params, grad: np.ndarray, state: AdamState) -> None:
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
     p, m, v = params.flat, state.m, state.v
+    a, s = np.empty_like(p), np.empty_like(p)  # scratch for the delta's intermediates
     if state.weight_decay != 0.0:
         p *= 1.0 - state.lr * state.weight_decay
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (grad * grad)
-    p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - ADAM_BETA2, out=a)
+    np.multiply(np.divide(m, c1, out=a), state.lr, out=a)
+    np.add(np.sqrt(np.divide(v, c2, out=s), out=s), ADAM_EPS, out=s)
+    p -= np.divide(a, s, out=a)
     if not np.isfinite(p).all():
         raise TrainingDivergedError(f"non-finite parameter in {params.nonfinite_label(p)}")

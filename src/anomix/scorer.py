@@ -4,7 +4,9 @@ Layer sizing follows h1 = D + floor((H - D) / 2) for the representation
 hidden layer and h2 = floor(H / 2) for the scoring hidden layer, where D
 is the input width and H the representation width. Hidden layers use
 LeakyReLU, with the slope `ScorerParams` holds (0.01 unless a saved model
-says otherwise), checked once when the parameters are built. The
+says otherwise), checked once when the parameters are built, computed as
+max(h, slope*h) or as h times max(h >= 0, slope): for 0 < slope < 1 both
+have the bits of "h if h >= 0 else slope*h", signed zeros included. The
 representation output is linear so that distances in it are not
 range-compressed; the final score passes through tanh and lies strictly
 inside (-1, 1), higher meaning more anomalous.
@@ -28,7 +30,9 @@ represented once, with the score head run on the prefix of rows that
 need a score. `backward` then takes the losses' gradients with respect to
 those scores and representation rows back through the four dense layers
 by hand, reusing the activations and LeakyReLU factors the forward kept,
-and returns one gradient vector laid out like `flat`.
+and writes each product into its view of one gradient vector laid out like
+`flat`. Forwards add biases in place. Every float operation keeps its
+operands and order, so trained bytes are those of the plain expressions.
 """
 
 from __future__ import annotations
@@ -64,11 +68,13 @@ class ScorerParams:
     def __post_init__(self):
         if not 0.0 < self.slope < 1.0:
             raise InvalidParameterError(f"slope must lie in (0, 1), got {self.slope!r}")
-        arrays = [a for _, a in self.arrays()]
+        labels, arrays = zip(*self.arrays())
         self.flat = np.concatenate([a.ravel() for a in arrays])
-        views = iter(np.split(self.flat, np.cumsum([a.size for a in arrays])[:-1]))
-        for name, layer in self.named_layers():
-            setattr(self, name, DenseLayer(next(views).reshape(layer.weights.shape), next(views)))
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        self._parts = list(zip(labels, [0, *ends], ends, [a.shape for a in arrays]))
+        views = iter(self.views(self.flat))
+        for name in LAYER_NAMES:
+            setattr(self, name, DenseLayer(next(views), next(views)))
 
     # Widths D, h1, H, h2, read from the weight shapes.
     d_in = property(lambda self: self.rep_hidden.weights.shape[1])
@@ -87,11 +93,14 @@ class ScorerParams:
         return [(f"{name}.{part}", getattr(layer, part))
                 for name, layer in self.named_layers() for part in ("weights", "bias")]
 
+    def views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of `vector`, laid out like `flat`, shaped as the eight arrays in `flat` order."""
+        return [vector[start:end].reshape(shape) for _, start, end, shape in self._parts]
+
     def nonfinite_label(self, values: np.ndarray) -> str:
         """Label of the array holding the first non-finite entry of `values`, laid out as `flat`."""
-        ends = np.cumsum([a.size for _, a in self.arrays()])
         first = np.argmin(np.isfinite(values))
-        return self.arrays()[int(np.searchsorted(ends, first, side="right"))][0]
+        return next(label for label, _, end, _ in self._parts if first < end)
 
 
 def hidden_sizes(d_in: int, rep_dim: int) -> tuple[int, int]:
@@ -128,9 +137,14 @@ def _as_batch(x, d_in: int) -> np.ndarray:
 
 def represent_batch(params: ScorerParams, X) -> np.ndarray:
     """(n, H) representations for an (n, D) batch."""
-    X = _as_batch(X, params.d_in)
-    hidden = nn.leaky_relu(X @ params.rep_hidden.weights.T + params.rep_hidden.bias, params.slope)
-    return hidden @ params.rep_out.weights.T + params.rep_out.bias
+    hidden = _dense(_as_batch(X, params.d_in), params.rep_hidden)
+    return _dense(nn.leaky_relu(hidden, params.slope), params.rep_out)
+
+
+def _dense(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
+    out = x @ layer.weights.T
+    out += layer.bias
+    return out
 
 
 def score_batch(params: ScorerParams, X) -> np.ndarray:
@@ -146,11 +160,10 @@ def score_batch(params: ScorerParams, X) -> np.ndarray:
         if not np.isfinite(block).all():
             bad = start + int(np.argmin(np.isfinite(block).all(axis=1)))
             raise ContractViolationError(f"input row {bad} holds a non-finite value")
-        hidden = nn.leaky_relu(represent_batch(params, block) @ params.score_hidden.weights.T
-                               + params.score_hidden.bias, params.slope)
-        raw = hidden @ params.score_out.weights.T + params.score_out.bias
-        scores[start:start + len(block)] = np.clip(np.tanh(raw[:, 0]), -nn.TANH_LIMIT,
-                                                   nn.TANH_LIMIT)
+        hidden = _dense(represent_batch(params, block), params.score_hidden)
+        raw = _dense(nn.leaky_relu(hidden, params.slope), params.score_out)
+        np.clip(np.tanh(raw[:, 0]), -nn.TANH_LIMIT, nn.TANH_LIMIT,
+                out=scores[start:start + len(block)])
     return scores
 
 
@@ -175,9 +188,9 @@ def score(params: ScorerParams, x) -> float:
 
 
 def _leaky_relu(pre: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
-    """(LeakyReLU of pre, its elementwise factor, 1 or slope); backward reuses the factor."""
-    factor = np.where(pre >= 0.0, 1.0, slope)
-    return pre * factor, factor
+    """(LeakyReLU of pre, written over pre, and its factor, 1 or slope), kept for backward."""
+    factor = np.maximum(pre >= 0.0, slope)
+    return np.multiply(pre, factor, out=pre), factor
 
 
 class ScorerGraph:
@@ -226,16 +239,20 @@ def backward(graph: ScorerGraph, g_scores: np.ndarray, g_rep: np.ndarray | None)
     every row of `graph.rep` through the representation alone.
     """
     p = graph.params
+    n_scored = len(graph.t)
     g_out = g_scores[:, None] * (1.0 - graph.t * graph.t)
     g_hidden2 = (g_out @ p.score_out.weights) * graph.f2
-    # The head's gradient lands on the scored rows; g_rep adds the rest.
-    g_rep_total = np.zeros_like(graph.rep)
-    g_rep_total[:len(g_hidden2)] = g_hidden2 @ p.score_hidden.weights
+    # Unscored rows get 0.0 + g_rep, as a zero-padded sum gave: -0.0 turns into +0.0.
+    g_rep_total = np.empty_like(graph.rep)
+    head = np.matmul(g_hidden2, p.score_hidden.weights, out=g_rep_total[:n_scored])
+    np.add(0.0, 0.0 if g_rep is None else g_rep[n_scored:], out=g_rep_total[n_scored:])
     if g_rep is not None:
-        g_rep_total = g_rep_total + g_rep
+        head += g_rep[:n_scored]
     g_hidden1 = (g_rep_total @ p.rep_out.weights) * graph.f1
-    return np.concatenate([
-        (g_hidden1.T @ graph.x).ravel(), g_hidden1.sum(axis=0),
-        (g_rep_total.T @ graph.h1).ravel(), g_rep_total.sum(axis=0),
-        (g_hidden2.T @ graph.rep[:len(g_hidden2)]).ravel(), g_hidden2.sum(axis=0),
-        (g_out.T @ graph.h2).ravel(), g_out.sum(axis=0)])
+    grad = np.empty_like(p.flat)
+    views = iter(p.views(grad))
+    for g, x in ((g_hidden1, graph.x), (g_rep_total, graph.h1),
+                 (g_hidden2, graph.rep[:n_scored]), (g_out, graph.h2)):
+        np.matmul(g.T, x, out=next(views))
+        np.add.reduce(g, axis=0, out=next(views))
+    return grad

@@ -114,7 +114,7 @@ def _validation_setup(dataset: Dataset):
     labels = dataset.y[idx]
     if labels.sum() == 0 or labels.sum() == len(labels):
         return None
-    return idx, labels
+    return dataset.X[idx], labels
 
 
 def train(dataset: Dataset, config: TrainConfig, progress=None):
@@ -185,8 +185,8 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
         l_bar, l_prime_bar = loss_scoring or l_bar, loss_feature or l_prime_bar
         val_auc = None
         if validation is not None:
-            idx, labels = validation
-            val_auc = auc_pr(score_batch(params, dataset.X[idx]), labels)
+            X_valid, labels = validation
+            val_auc = auc_pr(score_batch(params, X_valid), labels)
             if config.select_best and val_auc > best_auc:
                 best_auc = val_auc
                 best_flat = params.flat.copy()

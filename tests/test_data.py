@@ -1,11 +1,13 @@
 import csv
+import io
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -165,6 +167,32 @@ def test_csv_round_trip_is_bitwise(data, plus_minus, tmp_path_factory):
     assert back.X.tobytes() == X.tobytes()
     assert back.y.tolist() == y.tolist()
     assert back.feature_names == ds.feature_names
+
+
+@st.composite
+def _named_matrices(draw):
+    """A labeled matrix and feature names that need quoting: commas, quotes, line breaks."""
+    X, y = draw(_labeled_matrices())
+    names = draw(st.lists(st.text(st.sampled_from('ab,"\r\n '), min_size=1, max_size=4),
+                          min_size=X.shape[1], max_size=X.shape[1]))
+    return X, y, names
+
+
+@settings(deadline=None, derandomize=True)
+@given(data=_named_matrices())
+@example(data=(np.empty((3, 0)), np.array([0, 1, 0]), []))
+@example(data=(np.array([[-0.0, 5e-324, 1e308]]), np.array([1]), ["a,b", 'q"t', "n\nl"]))
+def test_write_csv_bytes_equal_csv_writer(data, tmp_path_factory):
+    # write_csv joins the reprs itself, a few rows per write; its bytes stay csv.writer's
+    X, y, names = data
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    with mock.patch("anomix.data.CHUNK_ROWS", 8):
+        write_csv(Dataset(X, y, np.full(len(y), int(Role.UNLABELED)), names), path)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow([*names, "label"])
+    writer.writerows(row + [label] for row, label in zip(X.tolist(), y.tolist()))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 CHUNK = 4

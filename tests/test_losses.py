@@ -195,6 +195,14 @@ def test_feature_regularizer_rigid_motion_invariance(rng):
     assert _feature(moved, *blocks) == pytest.approx(base, abs=1e-12)
 
 
+def test_unit_rows_equal_the_masked_division_bitwise():
+    # a zero distance, also one whose squares underflowed, gives an exact zero row
+    diff = np.array([[3.0, -4.0], [0.0, -0.0], [5e-324, -5e-324], [1e-200, -1e-200], [-1.0, 0.0]])
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    expected = np.divide(diff, dist[:, None], out=np.zeros_like(diff), where=dist[:, None] > 0.0)
+    assert anomix.losses._unit_rows(diff, dist).tobytes() == expected.tobytes()
+
+
 def test_feature_regularizer_graph_matches_plain(rng):
     # the hinge written out in numpy over the reference representations
     params = build_scorer(3, 6, seed=9)

@@ -1,13 +1,21 @@
 """Memory guards for the scoring path: ingest, normalization and the batch
-forward each hold their output plus bounded scratch, measured as Python
-heap peaks with tracemalloc (numpy reports its buffers to it)."""
+forward each hold their output plus bounded scratch, and the CSV writer
+holds bounded scratch, measured as Python heap peaks with tracemalloc
+(numpy reports its buffers to it)."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from anomix.data import NormState, load_features, normalize_features, write_rows
+from anomix.data import (
+    Dataset,
+    NormState,
+    load_features,
+    normalize_features,
+    write_csv,
+    write_rows,
+)
 from anomix.scorer import BLOCK_ROWS, build_scorer, score_batch
 
 # Enough rows that one chunk of cells held as text is small next to the matrix.
@@ -52,3 +60,14 @@ def test_batch_scoring_scratch_does_not_grow_with_rows():
     # 1 MiB of slack, a quarter of one block's (BLOCK_ROWS, 128) activation.
     assert large - small <= extra_output + 2**20, (
         f"peak grew by {large - small} bytes for {extra_output} more output bytes")
+
+
+def test_csv_writer_peak_does_not_grow_with_rows(tmp_path):
+    X = np.random.default_rng(9).normal(size=(ROWS, WIDTH))
+    dataset = Dataset(X, np.zeros(ROWS, dtype=np.int64), np.zeros(ROWS, dtype=np.int64))
+    small, large = (Dataset(X[:n], dataset.y[:n], dataset.roles[:n]) for n in (ROWS // 8, ROWS))
+    _none, small_peak = _peak_bytes(write_csv, small, tmp_path / "small.csv")
+    _none, large_peak = _peak_bytes(write_csv, large, tmp_path / "large.csv")
+    # Eight times the rows; 256 KiB of slack, a small share of the 3.2 MB matrix.
+    assert large_peak - small_peak <= 2**18, (
+        f"write_csv peak grew from {small_peak} to {large_peak} bytes")

@@ -5,10 +5,24 @@ import numpy as np
 import pytest
 
 from anomix.errors import ContractViolationError, InvalidParameterError, TrainingDivergedError
-from anomix.nn import AdamState, DenseLayer, Var, adam_step, init_dense, leaky_relu, v_linear
-from anomix.scorer import ScorerGraph, ScorerParams, backward, build_scorer
+from anomix.interpolation import augment_batch
+from anomix.losses import ABLATION_MODES
+from anomix.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    TANH_LIMIT,
+    AdamState,
+    DenseLayer,
+    Var,
+    adam_step,
+    init_dense,
+    leaky_relu,
+    v_linear,
+)
+from anomix.scorer import ScorerGraph, ScorerParams, _leaky_relu, backward, build_scorer
 from anomix.training import TrainConfig
-from tests.conftest import tanh_line_scorer
+from tests.conftest import step_losses, tanh_line_scorer
 
 
 def _affine(layer: DenseLayer, rows) -> np.ndarray:
@@ -47,6 +61,20 @@ def test_dense_layer_shape_contract():
 def test_leaky_relu_values():
     assert np.array_equal(leaky_relu(np.array([2.0, 0.0, -1.0]), 0.01), [2.0, 0.0, -0.01])
     assert np.allclose(leaky_relu(np.array([-2.0, 3.0]), 0.1), [-0.2, 3.0])
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.3, 0.5, float(np.nextafter(1.0, 0.0))])
+def test_leaky_relu_forms_equal_the_where_form_bitwise(slope):
+    # max(x, slope*x) and x * max(x >= 0, slope) give np.where's bits, signed
+    # zeros, subnormals and the float64 extremes included
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.5, -1.5]
+    x = np.concatenate([edges, np.random.default_rng(0).normal(size=50)]).reshape(6, 10)
+    expected = np.where(x >= 0.0, x, slope * x)
+    factor = np.where(x >= 0.0, 1.0, slope)
+    assert leaky_relu(x, slope).tobytes() == expected.tobytes()
+    value, got_factor = _leaky_relu(x.copy(), slope)
+    assert got_factor.tobytes() == factor.tobytes()
+    assert value.tobytes() == (x * factor).tobytes() == expected.tobytes()
 
 
 def test_leaky_relu_slope_domain():
@@ -132,6 +160,60 @@ def test_row_prefix_passes_gradient_to_its_rows_only(rng):
                        rtol=0, atol=1e-15)
 
 
+def _plain_forward_backward(params, x, n_scored, g_scores, g_rep):
+    """(rep, t, gradient) of one step as plain expressions.
+
+    np.where LeakyReLU factors, each bias added to a fresh product, the
+    representation gradient zero-padded past the scored rows, and the
+    eight gradient arrays concatenated.
+    """
+    (w1, b1), (w2, b2), (w3, b3), (w4, b4) = ((l.weights, l.bias) for l in params.layers())
+    pre1 = x @ w1.T + b1
+    f1 = np.where(pre1 >= 0.0, 1.0, params.slope)
+    h1 = pre1 * f1
+    rep = h1 @ w2.T + b2
+    pre2 = rep[:n_scored] @ w3.T + b3
+    f2 = np.where(pre2 >= 0.0, 1.0, params.slope)
+    h2 = pre2 * f2
+    t = np.clip(np.tanh(h2 @ w4.T + b4), -TANH_LIMIT, TANH_LIMIT)
+    g_out = g_scores[:, None] * (1.0 - t * t)
+    g_hidden2 = (g_out @ w4) * f2
+    g_rep_total = np.zeros_like(rep)
+    g_rep_total[:n_scored] = g_hidden2 @ w3
+    if g_rep is not None:
+        g_rep_total = g_rep_total + g_rep
+    g_hidden1 = (g_rep_total @ w2) * f1
+    return rep, t, np.concatenate([
+        (g_hidden1.T @ x).ravel(), g_hidden1.sum(axis=0),
+        (g_rep_total.T @ h1).ravel(), g_rep_total.sum(axis=0),
+        (g_hidden2.T @ rep[:n_scored]).ravel(), g_hidden2.sum(axis=0),
+        (g_out.T @ h2).ravel(), g_out.sum(axis=0)])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_forward_and_backward_equal_their_plain_formulation_bitwise(mode, k):
+    rng = np.random.default_rng(5)
+    params = build_scorer(4, 8, seed=6)
+    b = 6
+    anomaly, unlabeled, anchor = (rng.uniform(0, 1, size=(b, 4)) for _ in range(3))
+    labels = np.concatenate([np.ones(b), -np.ones(b)])
+    # The second batch repeats the anchors as its unlabeled rows: every hinge
+    # is inactive, its gradient holds -0.0 entries, and zero distances take
+    # the zero subgradient.
+    for blocks, margin in (((anomaly, unlabeled, anchor), 0.5), ((anomaly, anchor, anchor), 1e-9)):
+        mixed = augment_batch(np.vstack(blocks[:2]), labels, k, 0.5, 2 * b, rng)
+        graph = ScorerGraph(params)
+        (_loss, loss_grad), feature = step_losses(graph, mode, blocks, mixed, margin)
+        g_scores = loss_grad(0.7)
+        g_rep = None if feature is None else feature[1](0.3)
+        if g_rep is not None and margin < 1e-6:
+            assert feature[0] == 0.0 and np.signbit(g_rep[g_rep == 0.0]).any()
+        rep, t, grad = _plain_forward_backward(params, graph.x, len(graph.t), g_scores, g_rep)
+        assert graph.rep.tobytes() == rep.tobytes() and graph.t.tobytes() == t.tobytes()
+        assert backward(graph, g_scores, g_rep).tobytes() == grad.tobytes()
+
+
 # -- optimizer ---------------------------------------------------------------
 
 
@@ -215,3 +297,22 @@ def test_adam_step_counter_strictly_increases():
     for expected in (1, 2, 3):
         adam_step(params, grad, state)
         assert state.t == expected
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_steps_equal_the_plain_expression_bitwise(weight_decay):
+    params = build_scorer(3, 6, seed=7)
+    state = _adam(params, lr=0.01, weight_decay=weight_decay)
+    p, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+    rng = np.random.default_rng(8)
+    for t in range(1, 6):
+        g = rng.normal(size=p.shape)
+        adam_step(params, g, state)
+        if weight_decay != 0.0:
+            p = p * (1.0 - 0.01 * weight_decay)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+        p = p - 0.01 * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        assert params.flat.tobytes() == p.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()

@@ -180,6 +180,29 @@ def test_blocked_scores_equal_each_block_scored_alone(n, rng, monkeypatch):
         assert np.allclose(scores, one_shot, rtol=0, atol=1e-15)
 
 
+def _where_scores(params, X):
+    """score_batch as plain expressions, BLOCK_ROWS rows at a time: np.where
+    LeakyReLU and each bias added to a fresh product."""
+    def hidden(pre):
+        return np.where(pre >= 0.0, pre, params.slope * pre)
+
+    (w1, b1), (w2, b2), (w3, b3), (w4, b4) = ((l.weights, l.bias) for l in params.layers())
+    blocks = [np.empty(0)]
+    for start in range(0, len(X), scorer.BLOCK_ROWS):
+        z = hidden(X[start:start + scorer.BLOCK_ROWS] @ w1.T + b1) @ w2.T + b2
+        raw = (hidden(z @ w3.T + b3) @ w4.T + b4)[:, 0]
+        blocks.append(np.clip(np.tanh(raw), -TANH_LIMIT, TANH_LIMIT))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("n", [100, 2 * scorer.BLOCK_ROWS + 7])
+def test_score_batch_equals_the_where_forward_bitwise(n, rng):
+    params = build_scorer(5, 16, seed=3)
+    X = rng.normal(size=(n, 5))
+    X[::3] *= 1e3  # both LeakyReLU branches and the tanh clamp
+    assert score_batch(params, X).tobytes() == _where_scores(params, X).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_are_rejected_by_row(bad, rng, monkeypatch):
     monkeypatch.setattr(scorer, "BLOCK_ROWS", 4)
