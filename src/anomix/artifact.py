@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NormState, write_json
+from .data import NormState, atomic_writer, write_json
 from .errors import CorruptArtifactError
 from .nn import DenseLayer
 from .scorer import LAYER_NAMES, ScorerParams, hidden_sizes, layer_shapes
@@ -41,15 +41,18 @@ def _require(condition: bool, message: str) -> None:
 
 
 def save_model(artifact: ModelArtifact, path) -> None:
+    """Write `json.dumps(payload, indent=1, allow_nan=False)` of the model's payload.
+
+    `indent` sends `json.dumps` down its pure-Python encoder, so each
+    layer array is dumped as a placeholder string and written in its place
+    by `_json_array`, which gives the same bytes.
+    """
     params = artifact.params
     layers = {}
     for name, layer in params.named_layers():
         if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
             raise CorruptArtifactError(f"refusing to save non-finite values in {name}")
-        layers[name] = {
-            "weights": layer.weights.tolist(),
-            "bias": layer.bias.tolist(),
-        }
+        layers[name] = {"weights": f"{name}.weights", "bias": f"{name}.bias"}
     payload = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
@@ -68,11 +71,42 @@ def save_model(artifact: ModelArtifact, path) -> None:
         "train_config": artifact.train_config,
         "seed": artifact.seed,
     }
-    write_json(path, payload, indent=1, allow_nan=False)
+    text = json.dumps(payload, indent=1, allow_nan=False)
+    with atomic_writer(path) as fh:
+        done = 0
+        for label, array in params.arrays():
+            # Only fixed keys and FORMAT_NAME come before the layers, so the
+            # first match is the placeholder.
+            at = text.index(f'"{label}"', done)
+            line = text[text.rindex("\n", 0, at) + 1:at]
+            fh.write(text[done:at])
+            fh.write(_json_array(array.tolist(), len(line) - len(line.lstrip(" "))))
+            done = at + len(label) + 2
+        fh.write(text[done:])
+
+
+def _json_array(values: list, level: int) -> str:
+    """`json.dumps(values, indent=1)` for a non-empty list of floats, or of such lists,
+    as it reads nested `level` deep."""
+    inner = level + 1
+    items = ([_json_array(row, inner) for row in values] if isinstance(values[0], list)
+             else map(float.__repr__, values))
+    return f"[\n{' ' * inner}" + f",\n{' ' * inner}".join(items) + f"\n{' ' * level}]"
 
 
 def _reject_constant(token: str):
     raise CorruptArtifactError(f"non-finite value {token!r} in model file")
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """`value`, a nest of JSON numbers, as a float64 array; anything else is named by `where`."""
+    try:
+        array = np.asarray(value)
+    except (ValueError, TypeError) as exc:
+        raise CorruptArtifactError(f"{where} is not an array of numbers ({exc})") from exc
+    _require(array.dtype.kind in "iuf",
+             f"{where} holds a value that is not a number (read as {array.dtype})")
+    return array.astype(np.float64, copy=False)
 
 
 def load_model(path) -> ModelArtifact:
@@ -106,8 +140,8 @@ def load_model(path) -> ModelArtifact:
     for name, shape in zip(LAYER_NAMES, layer_shapes(d_in, rep_dim)):
         block = stored.get(name)
         _require(isinstance(block, dict), f"{path}: missing layer {name!r}")
-        weights = np.asarray(block.get("weights"), dtype=np.float64)
-        bias = np.asarray(block.get("bias"), dtype=np.float64)
+        weights = _numbers(block.get("weights"), f"{path}: layer {name!r}")
+        bias = _numbers(block.get("bias"), f"{path}: layer {name!r}")
         _require(weights.shape == shape, f"{path}: layer {name!r} has shape {weights.shape}")
         _require(bias.shape == (shape[0],), f"{path}: layer {name!r} bias mis-sized")
         _require(bool(np.isfinite(weights).all() and np.isfinite(bias).all()),
@@ -119,10 +153,12 @@ def load_model(path) -> ModelArtifact:
     norm_state = None
     if norm is not None:
         _require(isinstance(norm, dict), f"{path}: malformed normalization block")
-        mins = np.asarray(norm.get("min"), dtype=np.float64)
-        maxs = np.asarray(norm.get("max"), dtype=np.float64)
+        mins = _numbers(norm.get("min"), f"{path}: normalization block")
+        maxs = _numbers(norm.get("max"), f"{path}: normalization block")
         _require(mins.shape == (d_in,) and maxs.shape == (d_in,),
                  f"{path}: normalization bounds mis-sized")
+        _require(bool(np.isfinite(mins).all() and np.isfinite(maxs).all()),
+                 f"{path}: normalization bounds hold non-finite values")
         norm_state = NormState(mins, maxs)
 
     train_config = payload.get("train_config", {})

@@ -21,9 +21,14 @@ output, so its scratch memory is one block of activations whatever the
 row count. A batch of n <= BLOCK_ROWS rows scores bit for bit as a
 whole-matrix forward. Beyond that, a score's last bits (below 1e-16) can
 depend on the size of its block, as in a whole-matrix forward they depend
-on n. `score` has its own forward on one vector (matrix-vector products
-and a scalar tanh), within 1e-15 of its `score_batch` row. Both reject
-non-finite inputs, naming the row.
+on n. `score` has its own forward on one vector: `np.dot` matrix-vector
+products with each bias added in place, and a scalar tanh, within 1e-15 of
+its `score_batch` row. Its finiteness check is the Python sum of the
+entries, with the exact numpy check run only when that sum is not finite.
+Both reject non-finite inputs, `score_batch` naming the row. Both take
+features already normalized by the model's bounds (`data.normalize_features`
+with the artifact's `norm_state`): the CLI normalizes, these do not, and
+raw rows give wrong scores without an error.
 
 Training runs one `ScorerGraph` per step: a step's rows stacked once,
 represented once, with the score head run on the prefix of rows that
@@ -150,8 +155,10 @@ def _dense(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
 def score_batch(params: ScorerParams, X) -> np.ndarray:
     """Anomaly scores for each row of X, in row order.
 
-    Raises ContractViolationError naming the first row that holds a
-    non-finite value.
+    X must already be normalized by the model's bounds (see the module
+    docstring); raw rows give wrong scores without an error. Raises
+    ContractViolationError naming the first row that holds a non-finite
+    value.
     """
     X = _as_batch(X, params.d_in)
     scores = np.empty(len(X))
@@ -170,20 +177,27 @@ def score_batch(params: ScorerParams, X) -> np.ndarray:
 def score(params: ScorerParams, x) -> float:
     """Anomaly score of a single input vector, strictly inside (-1, 1).
 
-    Raises ContractViolationError if the vector holds a non-finite value.
+    x must already be normalized by the model's bounds (see the module
+    docstring); a raw row gives a wrong score without an error. Raises
+    ContractViolationError if the vector holds a non-finite value.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.d_in,):
         raise ContractViolationError(f"expected input of length {params.d_in}, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    # A float sum is finite only if every entry is; only an overflowing or
+    # non-finite sum pays for the exact check.
+    if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
         raise ContractViolationError("input vector holds a non-finite value")
     slope = params.slope
+    hidden, rep, head, out = params.layers()
     # max(h, slope*h) is LeakyReLU for 0 < slope < 1, which ScorerParams ensures.
-    h = params.rep_hidden.weights @ x + params.rep_hidden.bias
-    z = params.rep_out.weights @ np.maximum(h, slope * h) + params.rep_out.bias
-    h = params.score_hidden.weights @ z + params.score_hidden.bias
-    raw = (float(params.score_out.weights[0] @ np.maximum(h, slope * h))
-           + float(params.score_out.bias[0]))
+    h = np.dot(hidden.weights, x)
+    h += hidden.bias
+    z = np.dot(rep.weights, np.maximum(h, slope * h))
+    z += rep.bias
+    h = np.dot(head.weights, z)
+    h += head.bias
+    raw = float(np.dot(out.weights[0], np.maximum(h, slope * h))) + float(out.bias[0])
     return min(max(math.tanh(raw), -nn.TANH_LIMIT), nn.TANH_LIMIT)
 
 

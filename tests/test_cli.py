@@ -378,6 +378,58 @@ def test_load_rejects_version_and_shape_tampering(tmp_path):
         load_model(bad2)
 
 
+@pytest.mark.parametrize("d, h", [(1, 2), (4, 8)])  # (1, 2) has 1x1 layers
+@pytest.mark.parametrize("bounds", [None, ([-0.0, 5e-324, 2.5, 1e300], [1.0] * 4)])
+def test_model_json_has_the_bytes_json_dumps_gives(d, h, bounds, tmp_path):
+    params = build_scorer(d, h, seed=3)
+    params.flat[:4] = [-0.0, 5e-324, 1e300, -1e-300]
+    norm = None if bounds is None else NormState(bounds[0][:d], bounds[1][:d])
+    # a train_config string equal to a layer label is not taken for the layer's block
+    config = {"lr": 0.001, "note": "rep_hidden.weights"}
+    path = tmp_path / "model.json"
+    save_model(ModelArtifact(params, norm, config, 4), path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=1, allow_nan=False)
+    loaded = load_model(path)
+    assert loaded.params.flat.tobytes() == params.flat.tobytes()
+    assert loaded.train_config == config
+    assert (loaded.norm_state is None) == (norm is None)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    pytest.param("layers.rep_out.weights.1", [0.5], "layer 'rep_out'", id="ragged-row"),
+    pytest.param("layers.rep_hidden.weights.0.0", {}, "layer 'rep_hidden'", id="object-cell"),
+    pytest.param("layers.score_hidden.bias.0", "0.5", "layer 'score_hidden'", id="string"),
+    pytest.param("layers.score_out.bias.0", True, "layer 'score_out'", id="bool"),
+    pytest.param("normalization.min.0", None, "normalization block", id="null-bound"),
+    # 1e999 reads as inf
+    pytest.param("normalization.max.2", "BIG", "normalization bounds hold non-finite",
+                 id="infinite-bound"),
+])
+def test_score_rejects_a_model_with_malformed_numbers(key, value, named, toy_csv, tmp_path,
+                                                       capsys):
+    X = load_csv(toy_csv, "label").X
+    path = tmp_path / "model.json"
+    save_model(ModelArtifact(build_scorer(X.shape[1], 8, seed=1),
+                             NormState(X.min(axis=0), X.max(axis=0)), {}, 1), path)
+    payload = json.loads(path.read_text())
+    *parents, index = key.split(".")
+    block = payload
+    for name in parents:
+        block = block[int(name)] if isinstance(block, list) else block[name]
+    block[int(index)] = value
+    path.write_text(json.dumps(payload).replace('"BIG"', "1e999"), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["score", "--model", str(path), "--data", str(toy_csv), "--label-col", "label",
+            "--out", str(out)]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "CorruptArtifactError"
+    assert named in record["message"]
+    assert not out.exists()
+
+
 def test_load_rejects_seed_and_train_config_tampering(tmp_path):
     params = build_scorer(4, 8, seed=1)
     path = tmp_path / "model.json"

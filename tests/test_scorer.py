@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,58 @@ def test_score_matches_hand_chain():
     h2 = leaky_relu(params.score_hidden.weights @ z + params.score_hidden.bias, 0.01)
     expected = np.tanh(params.score_out.weights @ h2 + params.score_out.bias)[0]
     assert score(params, x) == pytest.approx(expected, abs=1e-15)
+
+
+def _plain_score(params, x):
+    """score() as plain expressions: W @ x + b, max(h, slope*h), math.tanh, the clamp."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ContractViolationError("input vector holds a non-finite value")
+    slope = params.slope
+    h = params.rep_hidden.weights @ x + params.rep_hidden.bias
+    z = params.rep_out.weights @ np.maximum(h, slope * h) + params.rep_out.bias
+    h = params.score_hidden.weights @ z + params.score_hidden.bias
+    raw = (float(params.score_out.weights[0] @ np.maximum(h, slope * h))
+           + float(params.score_out.bias[0]))
+    return min(max(math.tanh(raw), -TANH_LIMIT), TANH_LIMIT)
+
+
+@pytest.mark.parametrize("d,h", [(4, 8), (10, 128), (64, 256)])
+def test_score_equals_the_plain_forward_bitwise(d, h, rng):
+    params = build_scorer(d, h, seed=5)
+    X = rng.normal(size=(60, d))  # both signs reach every LeakyReLU
+    X[::3] *= 1e3  # and tanh saturates into the clamp
+    wide = np.zeros((len(X), 3 * d))
+    wide[:, ::3] = X
+    rows = {"contiguous": list(X), "strided": list(wide[:, ::3]),
+            "fortran": list(np.asfortranarray(X)), "list": X.tolist()}
+    assert not rows["strided"][0].flags.c_contiguous
+    assert not rows["fortran"][0].flags.c_contiguous
+    expected = [_plain_score(params, x) for x in X]
+    assert TANH_LIMIT in np.abs(expected)
+    for kind, given in rows.items():
+        scores = [score(params, x) for x in given]
+        assert np.array(scores).tobytes() == np.array(expected).tobytes(), kind
+
+
+@pytest.mark.parametrize("at", [0, 3, 6])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_rejects_a_non_finite_entry_anywhere(bad, at, rng):
+    params = build_scorer(7, 12, seed=1)
+    x = rng.uniform(0, 1, size=7)
+    x[at] = bad
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        score(params, x)
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        score(params, x.tolist())
+
+
+def test_score_takes_a_finite_row_whose_sum_overflows():
+    params = build_scorer(4, 8, seed=2)
+    params.flat *= 1e-10
+    x = np.array([1e308, 1e308, 0.0, 0.0])
+    assert not math.isfinite(sum(x.tolist()))
+    assert score(params, x) == _plain_score(params, x)
 
 
 def test_zero_network_outputs():
