@@ -18,14 +18,13 @@ from .data import (
     load_features,
     minmax_normalize,
     normalize_features,
-    prepare_dataset,
     prepare_training,
     split_dataset,
     write_csv,
 )
 from .metrics import MetricsReport, evaluate_scores
 from .scorer import ScorerParams, score, score_batch
-from .training import TrainConfig, TrainHistory, train
+from .training import TrainConfig, train
 
 __version__ = "0.1.0"
 
@@ -34,8 +33,8 @@ __version__ = "0.1.0"
 # importable from its submodule.
 __all__ = [
     "Dataset", "MetricsReport", "ModelArtifact", "NormState", "Role", "ScorerParams",
-    "TrainConfig", "TrainHistory", "evaluate_scores", "generate_case", "generate_toy",
-    "load_csv", "load_features", "load_model", "minmax_normalize", "normalize_features",
-    "prepare_dataset", "prepare_training", "save_model", "score", "score_batch",
-    "split_dataset", "train", "write_csv",
+    "TrainConfig", "evaluate_scores", "generate_case", "generate_toy", "load_csv",
+    "load_features", "load_model", "minmax_normalize", "normalize_features",
+    "prepare_training", "save_model", "score", "score_batch", "split_dataset", "train",
+    "write_csv",
 ]

@@ -9,8 +9,8 @@ command returns, `main` writes its one JSON manifest, `{command}_manifest.json`
 (config hash, dataset fingerprint, seed, metrics, wall clock), and only then
 prints the command's status lines, so a closed stdout costs no file. Apart from
 manifests and wall-clock fields, all outputs are byte-deterministic for a fixed seed.
-Errors, a closed stdout among them, exit 1 with a machine-readable JSON record
-on stderr.
+Errors, a failed write and a closed stdout among them, exit 1 with a
+machine-readable JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .artifact import (
 from .data import Dataset, Role
 from .errors import AnomixError, DatasetError, InvalidParameterError, UnusableDatasetError
 from .losses import ABLATION_MODES
-from .metrics import MetricsReport, evaluate_scores
-from .rng import child_seed, substream
+from .metrics import evaluate_scores
+from .rng import child_seed
 from .scorer import hidden_sizes, score_batch
 from .training import TrainConfig, train
 
@@ -94,13 +94,22 @@ def _run_record(args, config: TrainConfig) -> dict:
             "contamination": args.contamination}
 
 
+def _train_run(dataset: Dataset, config: TrainConfig, labeled_anomalies: int,
+               contamination: float, progress=None):
+    """Split, prepare and train under config.seed: the run of `anomix train`, and of
+    each sweep cell under the cell's seed. Returns (split, prepared, params, history)."""
+    split = D.split_dataset(dataset, config.seed)
+    prepared = D.prepare_training(split, labeled_anomalies=labeled_anomalies,
+                                  contamination=contamination, seed=config.seed)
+    params, history = train(prepared, config, progress=progress)
+    return split, prepared, params, history
+
+
 def cmd_train(args):
     config, dataset = _check_run(args, [args.labeled_anomalies], [args.contamination])
-    split = D.split_dataset(dataset, rng=substream(args.seed, "split"))
-    prepared = D.prepare_training(split, labeled_anomalies=args.labeled_anomalies,
-                                  contamination=args.contamination, seed=args.seed)
-    progress = _print_progress if args.verbose else None
-    params, history = train(prepared, config, progress=progress)
+    split, prepared, params, history = _train_run(
+        dataset, config, args.labeled_anomalies, args.contamination,
+        progress=_print_progress if args.verbose else None)
 
     out = _out_dir(args.out)
     test_rows = split.indices(Role.TEST)
@@ -113,24 +122,28 @@ def cmd_train(args):
     model_path = out / "model.json"
     save_model(artifact, model_path)
     history_path = out / "history.json"
-    D.write_json(history_path, history.as_dicts(), indent=1)
+    # Wall-clock seconds go to the manifest only, so history.json stays deterministic.
+    D.write_json(history_path, [{k: v for k, v in asdict(r).items() if k != "seconds"}
+                                for r in history], indent=1)
 
-    last = history.records[-1] if history.records else None
+    last = history[-1] if history else None
     metrics = {
         "epochs_run": len(history),
         "final_loss_scoring": last.loss_scoring if last else None,
         "final_loss_feature": last.loss_feature if last else None,
         "final_val_auc_pr": last.val_auc_pr if last else None,
-        "best_val_auc_pr": max((r.val_auc_pr for r in history.records
-                                if r.val_auc_pr is not None), default=None),
+        "best_val_auc_pr": max((r.val_auc_pr for r in history if r.val_auc_pr is not None),
+                               default=None),
         # Epochs with every triplet hinge inactive; each kept the previous feature average.
-        "zero_feature_epochs": sum(r.loss_feature == 0.0 for r in history.records),
-        # Wall clock per epoch; kept out of history.json so that file stays deterministic.
-        "epoch_seconds": [r.seconds for r in history.records],
+        "zero_feature_epochs": sum(r.loss_feature == 0.0 for r in history),
+        "epoch_seconds": [r.seconds for r in history],
     }
     status = [f"model written to {model_path}"]
-    if metrics["best_val_auc_pr"] is not None:
-        status.append(f"best validation AUC-PR: {metrics['best_val_auc_pr']:.4f}")
+    # The validation AUC-PR of the returned weights: the best epoch's, or the last one's.
+    returned = "best" if config.select_best else "final"
+    val_auc = metrics[f"{returned}_val_auc_pr"]
+    if val_auc is not None:
+        status.append(f"{returned} validation AUC-PR: {val_auc:.4f}")
     return (out, artifact.train_config, args.data, args.seed, metrics,
             {"model": str(model_path), "history": str(history_path), "test_split": str(test_path)},
             status)
@@ -216,16 +229,6 @@ def cmd_synth(args):
             [f"{label}: {path}" for label, path in outputs.items()])
 
 
-def _sweep_cell(dataset: Dataset, config: TrainConfig, level: float, budget: int,
-                cell_seed: int) -> MetricsReport:
-    """The train run of one grid cell under its own seed, scored on its test split."""
-    prepared = D.prepare_dataset(dataset, labeled_anomalies=budget, contamination=level,
-                                 seed=cell_seed)
-    params, _history = train(prepared, replace(config, seed=cell_seed))
-    test_idx = prepared.indices(Role.TEST)
-    return evaluate_scores(score_batch(params, prepared.X[test_idx]), prepared.y[test_idx])
-
-
 def cmd_sweep(args):
     if args.repeats < 1:
         raise InvalidParameterError(f"repeats must be >= 1, got {args.repeats!r}")
@@ -237,7 +240,11 @@ def cmd_sweep(args):
             for rep in range(args.repeats):
                 cell_seed = child_seed(args.seed, f"cell:{level}:{budget}:{rep}")
                 try:
-                    report = _sweep_cell(dataset, config, level, budget, cell_seed)
+                    _split, prepared, params, _history = _train_run(
+                        dataset, replace(config, seed=cell_seed), budget, level)
+                    test_rows = prepared.indices(Role.TEST)
+                    report = evaluate_scores(score_batch(params, prepared.X[test_rows]),
+                                             prepared.y[test_rows])
                     outcome = ["ok", report.auc_pr, report.auc_roc]
                 except AnomixError as exc:
                     outcome = [f"error: {exc}", "", ""]
@@ -299,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset as CSV")
-    p.add_argument("--kind", required=True, choices=("toy", "clustered", "scattered", "novel"))
+    p.add_argument("--kind", required=True, choices=("toy", *D.CASE_KINDS))
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--anomaly-fraction", type=float, default=0.05)
@@ -341,7 +348,7 @@ def main(argv=None) -> int:
             wall_clock_s=time.perf_counter() - started,
             outputs=outputs,
         )
-    except AnomixError as exc:
+    except (AnomixError, OSError) as exc:
         return _error_record(type(exc).__name__, str(exc))
     try:
         print("\n".join(status), flush=True)

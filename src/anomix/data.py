@@ -406,16 +406,17 @@ def normalize_features(X: np.ndarray, state: NormState) -> np.ndarray:
     return out
 
 
-def split_dataset(dataset: Dataset, rng: np.random.Generator) -> Dataset:
+def split_dataset(dataset: Dataset, seed: int) -> Dataset:
     """Random train/valid/test split at SPLIT_RATIOS, stratified by the anomaly label.
 
-    Each class is split independently so the anomaly proportion is
-    preserved; rounding remainders go to train. Train rows start as
-    unlabeled.
+    Draws from the seed's "split" substream. Each class is split
+    independently so the anomaly proportion is preserved; rounding
+    remainders go to train. Train rows start as unlabeled.
     """
     if dataset.n_rows < 5:
         raise DatasetError("need at least 5 rows to split")
     _, valid_share, test_share = SPLIT_RATIOS
+    rng = substream(seed, "split")
     roles = np.full(dataset.n_rows, int(Role.UNLABELED))
     for cls in (0, 1):
         idx = rng.permutation(np.flatnonzero(dataset.y == cls))
@@ -679,16 +680,11 @@ def prepare_training(dataset: Dataset, *, labeled_anomalies: int, contamination:
     """normalize -> label selection -> contamination control.
 
     Expects roles already assigned (via split_dataset or a generator).
-    Each stage draws from its own named substream of the seed.
+    Each stage draws from its own named substream of the seed, so
+    prepare_training(split_dataset(dataset, seed), ..., seed=seed) is the
+    data side of an `anomix train` run.
     """
     dataset = minmax_normalize(dataset)
     dataset = select_labeled_anomalies(dataset, labeled_anomalies, substream(seed, "labeling"))
     return adjust_contamination(dataset, contamination, substream(seed, "contamination"))
 
-
-def prepare_dataset(dataset: Dataset, *, labeled_anomalies: int = LABELED_ANOMALIES,
-                    contamination: float = CONTAMINATION, seed: int) -> Dataset:
-    """Full pipeline from an unsplit dataset: split_dataset, then prepare_training."""
-    return prepare_training(split_dataset(dataset, substream(seed, "split")),
-                            labeled_anomalies=labeled_anomalies, contamination=contamination,
-                            seed=seed)

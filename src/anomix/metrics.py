@@ -1,10 +1,12 @@
 """Exact threshold-free ranking metrics from scores and labels.
 
-Both metrics are computed by one sort. Ties are handled explicitly: the
-ROC area gives half credit to tied positive/negative pairs (the rank-sum
-form of the pairwise statistic), and the PR area is step-wise average
-precision with tied scores processed as one block; no linear PR
-interpolation is used, since that is known to overestimate.
+Each metric sorts the scores once: the ROC area through `np.unique`, the
+PR area through a stable `argsort`, so `evaluate_scores` sorts twice.
+Ties are handled explicitly: the ROC area gives half credit to tied
+positive/negative pairs (the rank-sum form of the pairwise statistic),
+and the PR area is step-wise average precision with tied scores
+processed as one block; no linear PR interpolation is used, since that
+is known to overestimate.
 """
 
 from __future__ import annotations

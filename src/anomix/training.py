@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,18 +82,6 @@ class EpochRecord:
     seconds: float
 
 
-@dataclass
-class TrainHistory:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def as_dicts(self) -> list[dict]:
-        """The records without wall-clock seconds, so history.json is deterministic."""
-        return [{k: v for k, v in asdict(rec).items() if k != "seconds"} for rec in self.records]
-
-
 def sample_batches(X: np.ndarray, anomalies: np.ndarray, unlabeled: np.ndarray, b: int,
                    rng: np.random.Generator):
     """One (anomaly, unlabeled, anchor) block triple: rows of X drawn from two index pools.
@@ -118,7 +106,7 @@ def _validation_setup(dataset: Dataset):
 
 
 def train(dataset: Dataset, config: TrainConfig, progress=None):
-    """Run the full loop; returns (parameters, history).
+    """Run the full loop; returns (parameters, one EpochRecord per epoch).
 
     With model selection on and a usable validation split, the parameters
     of the epoch with the best validation PR area, read against the
@@ -136,7 +124,7 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
                                    f"2 * batch_size = {2 * b} rows, got {len(unlabeled)}")
 
     params = build_scorer(dataset.n_features, config.rep_dim, seed=child_seed(config.seed, "init"))
-    history = TrainHistory()
+    history: list[EpochRecord] = []
     rng_batch = substream(config.seed, "batching")
     rng_augment = substream(config.seed, "augmentation")
     optimizer = AdamState(config.lr, config.weight_decay, np.zeros_like(params.flat),
@@ -198,7 +186,7 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
             val_auc_pr=val_auc,
             seconds=time.perf_counter() - started,
         )
-        history.records.append(record)
+        history.append(record)
         if progress is not None:
             progress(record)
 

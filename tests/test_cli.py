@@ -19,12 +19,14 @@ from anomix.data import (
     generate_toy,
     load_csv,
     normalize_features,
+    prepare_training,
+    split_dataset,
     write_csv,
     write_rows,
 )
 from anomix.errors import CorruptArtifactError
 from anomix.scorer import build_scorer, score_batch
-from anomix.training import TrainConfig
+from anomix.training import TrainConfig, train
 
 
 @pytest.fixture
@@ -65,6 +67,28 @@ def test_train_happy_path(toy_csv, tmp_path, capsys):
     assert len(epoch_seconds) == 4
     assert all(isinstance(s, float) and s >= 0.0 for s in epoch_seconds)
     assert manifest["metrics"]["zero_feature_epochs"] == 0
+
+
+def test_last_epoch_returns_the_last_epochs_weights(toy_csv, tmp_path, capsys):
+    best, last = tmp_path / "best", tmp_path / "last"
+    assert main(_train_args(toy_csv, best)) == 0
+    assert main([*_train_args(toy_csv, last), "--last-epoch"]) == 0
+    status = capsys.readouterr().out
+    val = [rec["val_auc_pr"] for rec in json.loads((best / "history.json").read_text())]
+    # On this input the best validation epoch is not the last one, so the two runs differ.
+    assert max(val) > val[-1]
+    assert (last / "history.json").read_bytes() == (best / "history.json").read_bytes()
+    # Each run prints the validation AUC-PR of the weights it returns.
+    assert f"best validation AUC-PR: {max(val):.4f}\n" in status
+    assert f"final validation AUC-PR: {val[-1]:.4f}\n" in status
+
+    prepared = prepare_training(split_dataset(load_csv(toy_csv, "label"), 5),
+                                labeled_anomalies=10, contamination=0.03, seed=5)
+    expected, _history = train(prepared, TrainConfig(n_epoch=4, n_batch=4, batch_size=8,
+                                                     rep_dim=16, seed=5, select_best=False))
+    flat = expected.flat.tobytes()
+    assert load_model(last / "model.json").params.flat.tobytes() == flat
+    assert load_model(best / "model.json").params.flat.tobytes() != flat
 
 
 def _for_train_and_sweep(*cases):
@@ -467,7 +491,8 @@ def _sweep_args(toy_csv, out, seed, *grid):
             "--out", str(out), *grid]
 
 
-# Output file -> a call writing it into `out`, whose bytes depend on `seed`.
+# Output file -> a call writing it into `out`, whose bytes depend on `seed`. The
+# calls through `main` return its exit code; the others are library writers.
 _WRITE_SITES = {
     "model.json": lambda tmp_path, toy_csv, out, seed: save_model(
         ModelArtifact(build_scorer(4, 8, seed=seed), None, {}, seed), out / "model.json"),
@@ -489,8 +514,12 @@ _WRITE_SITES = {
 }
 
 
+_CLI_WRITES = ("history.json", "metrics.json", "scores.csv", "sweep_results.csv")
+
+
 @pytest.mark.parametrize("target", sorted(_WRITE_SITES))
-def test_failed_write_leaves_previous_file_intact(target, toy_csv, tmp_path, monkeypatch):
+def test_failed_write_leaves_previous_file_intact(target, toy_csv, tmp_path, monkeypatch,
+                                                  capsys):
     out = tmp_path / "out"
     out.mkdir()
     write = _WRITE_SITES[target]
@@ -504,13 +533,37 @@ def test_failed_write_leaves_previous_file_intact(target, toy_csv, tmp_path, mon
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="disk full"):
-        write(tmp_path, toy_csv, out, 2)
+    if target in _CLI_WRITES:
+        capsys.readouterr()
+        assert write(tmp_path, toy_csv, out, 2) == 1
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": "OSError", "message": "disk full"}
+    else:
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path, toy_csv, out, 2)
     assert (out / target).read_bytes() == before
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
     monkeypatch.undo()  # the second write does change the file once the rename works
     write(tmp_path, toy_csv, out, 2)
     assert (out / target).read_bytes() != before
+
+
+@pytest.mark.parametrize("site, blocked", [
+    ("history.json", "model.json"), ("metrics.json", "metrics.json"),
+    ("scores.csv", "scores.csv"), ("sweep_results.csv", "sweep_results.csv"),
+])
+def test_an_output_path_that_is_a_directory_is_a_json_error(site, blocked, toy_csv, tmp_path,
+                                                            capsys):
+    # train, evaluate, score and sweep, each with one output path taken by a directory
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert _WRITE_SITES[site](tmp_path, toy_csv, out, 1) == 1
+    [line] = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "IsADirectoryError"
+    assert repr(str(out / blocked)) in record["message"]
+    assert (out / blocked).is_dir()
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_save_rejects_nonfinite_weights(tmp_path):

@@ -30,7 +30,6 @@ from anomix.data import (
     load_features,
     minmax_normalize,
     normalize_features,
-    prepare_dataset,
     prepare_training,
     select_labeled_anomalies,
     split_dataset,
@@ -44,7 +43,6 @@ from anomix.errors import (
     UnusableDatasetError,
 )
 from anomix.metrics import auc_roc
-from anomix.rng import substream
 
 
 def _dataset(X, y, role=Role.UNLABELED):
@@ -529,7 +527,7 @@ def test_split_stratified_counts():
     y = np.array([1] * 10 + [0] * 90)
     ds = Dataset(np.random.default_rng(1).normal(size=(100, 3)), y,
                  np.full(100, int(Role.UNASSIGNED)))
-    out = split_dataset(ds, rng=np.random.default_rng(2))
+    out = split_dataset(ds, 2)
     for role, n_anom, n_norm in ((Role.UNLABELED, 6, 54), (Role.VALID, 2, 18), (Role.TEST, 2, 18)):
         idx = out.indices(role)
         assert out.y[idx].sum() == n_anom
@@ -539,26 +537,26 @@ def test_split_stratified_counts():
 def test_split_remainders_go_to_train():
     y = np.array([1, 0, 0, 0, 0])
     ds = Dataset(np.arange(10.0).reshape(5, 2), y, np.full(5, int(Role.UNASSIGNED)))
-    out = split_dataset(ds, rng=np.random.default_rng(0))
+    out = split_dataset(ds, 0)
     anomaly_role = out.roles[out.y == 1][0]
     assert anomaly_role == int(Role.UNLABELED)  # single anomaly lands in train
 
 
 def test_split_roles_partition_everything():
     ds = generate_toy(500, seed=4)
-    out = split_dataset(ds, rng=np.random.default_rng(1))
+    out = split_dataset(ds, 1)
     assert (out.roles != int(Role.UNASSIGNED)).all()
     assert len(out.train_indices()) + len(out.indices(Role.VALID)) + len(out.indices(Role.TEST)) == 500
 
 
 def test_split_determinism_and_validation():
     ds = generate_toy(200, seed=4)
-    a = split_dataset(ds, rng=np.random.default_rng(9))
-    b = split_dataset(ds, rng=np.random.default_rng(9))
+    a = split_dataset(ds, 9)
+    b = split_dataset(ds, 9)
     assert np.array_equal(a.roles, b.roles)
     tiny = _dataset([[1.0]] * 4, [0, 0, 0, 1])
     with pytest.raises(DatasetError):
-        split_dataset(tiny, rng=np.random.default_rng(0))
+        split_dataset(tiny, 0)
 
 
 # -- label selection -------------------------------------------------------------------
@@ -822,7 +820,8 @@ def test_case_validation():
 
 def test_prepare_dataset_end_state():
     toy = generate_toy(4000, seed=7)
-    prepared = prepare_dataset(toy, labeled_anomalies=30, contamination=0.02, seed=7)
+    prepared = prepare_training(split_dataset(toy, 7), labeled_anomalies=30, contamination=0.02,
+                                seed=7)
     assert len(prepared.indices(Role.LABELED_ANOMALY)) == 30
     pool = prepared.indices(Role.UNLABELED)
     achieved = prepared.y[pool].sum() / len(pool)
@@ -830,17 +829,3 @@ def test_prepare_dataset_end_state():
     train_rows = prepared.X[prepared.train_indices()]
     assert train_rows.min() >= 0.0 and train_rows.max() <= 1.0
     assert (prepared.roles != int(Role.UNASSIGNED)).all()
-
-
-@pytest.mark.parametrize("seed", [0, 7, 123])
-def test_prepare_dataset_is_split_then_prepare_training(seed):
-    # The sweep runs prepare_dataset, while `anomix train` splits first (to
-    # write test_split.csv) and then calls prepare_training: both must agree.
-    toy = generate_toy(1500, seed=seed)
-    knobs = dict(labeled_anomalies=12, contamination=0.05)
-    one_call = prepare_dataset(toy, seed=seed, **knobs)
-    two_steps = prepare_training(split_dataset(toy, substream(seed, "split")), seed=seed, **knobs)
-    for name in ("X", "y", "roles"):
-        assert np.array_equal(getattr(one_call, name), getattr(two_steps, name)), name
-    assert np.array_equal(one_call.norm_state.mins, two_steps.norm_state.mins)
-    assert np.array_equal(one_call.norm_state.maxs, two_steps.norm_state.maxs)

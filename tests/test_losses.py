@@ -297,7 +297,7 @@ def test_an_epoch_with_zero_feature_loss_keeps_the_previous_average(monkeypatch)
     prepared = prepare_training(train_half, labeled_anomalies=10, contamination=0.0, seed=1)
     cfg = TrainConfig(batch_size=8, n_epoch=14, n_batch=5, rep_dim=32, seed=1,
                       select_best=False)
-    records = train(prepared, cfg)[1].records
+    records = train(prepared, cfg)[1]
     assert [r.loss_feature == 0.0 for r in records].index(True) == 12
     # each epoch divides by the averages of the one before it, starting from 1
     assert set(averages[:5]) == {(1.0, 1.0)}
