@@ -4,11 +4,15 @@
 --labeled-anomalies, and runs train once per grid cell under the cell's seed.
 Each command checks and loads its inputs, and `train` also trains, before it
 creates the output directory, which defaults to $ANOMIX_OUT or the working
-directory, so a run that fails by then leaves no directory behind. Once the
-command returns, `main` writes its one JSON manifest, `{command}_manifest.json`
-(config hash, dataset fingerprint, seed, metrics, wall clock), and only then
-prints the command's status lines, so a closed stdout costs no file. Apart from
-manifests and wall-clock fields, all outputs are byte-deterministic for a fixed seed.
+directory, so a run that fails by then creates and removes nothing. Opening the
+directory removes the command's old manifest, `{command}_manifest.json`, before
+the first output is written. Once the command returns, `main` writes the new
+manifest (config hash, dataset fingerprint, seed, metrics, wall clock), and only
+then prints the command's status lines, so a closed stdout costs no file. Each
+output file is replaced atomically, but the set is not: a directory without
+`{command}_manifest.json` holds an unfinished or failed run, whose files may sit
+beside an earlier run's. Apart from manifests and wall-clock fields, all outputs
+are byte-deterministic for a fixed seed.
 Errors, a failed write and a closed stdout among them, exit 1 with a
 machine-readable JSON record on stderr.
 """
@@ -43,10 +47,17 @@ _SWEEP_COLUMNS = ("contamination", "labeled_anomalies", "repeat", "seed", "statu
                   "auc_pr", "auc_roc")
 
 
-def _out_dir(arg: str | None) -> Path:
-    path = Path(arg or os.environ.get("ANOMIX_OUT") or ".")
+def _manifest_path(out: Path, command: str) -> Path:
+    return out / f"{command}_manifest.json"
+
+
+def _out_dir(args) -> Path:
+    """The command's output directory, created if need be, without its old manifest:
+    until `main` writes the new one, the directory marks an unfinished run."""
+    path = Path(args.out or os.environ.get("ANOMIX_OUT") or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
+        _manifest_path(path, args.command).unlink(missing_ok=True)
     except OSError as exc:
         raise InvalidParameterError(f"cannot use {str(path)!r} as output directory: {exc}") from exc
     return path
@@ -111,7 +122,7 @@ def cmd_train(args):
         dataset, config, args.labeled_anomalies, args.contamination,
         progress=_print_progress if args.verbose else None)
 
-    out = _out_dir(args.out)
+    out = _out_dir(args)
     test_rows = split.indices(Role.TEST)
     test_path = out / "test_split.csv"
     D.write_csv(Dataset(split.X[test_rows], split.y[test_rows], split.roles[test_rows],
@@ -182,7 +193,7 @@ def cmd_evaluate(args):
     report = evaluate_scores(score_batch(artifact.params, X), y)
     payload = {"auc_roc": report.auc_roc, "auc_pr": report.auc_pr,
                "n_pos": report.n_pos, "n_neg": report.n_neg}
-    out = _out_dir(args.out)
+    out = _out_dir(args)
     D.write_json(out / "metrics.json", payload, indent=1)
     return (out, config, args.data, artifact.seed, payload, {"metrics": str(out / "metrics.json")},
             [json.dumps(payload, indent=1)])
@@ -191,7 +202,7 @@ def cmd_evaluate(args):
 def cmd_score(args):
     artifact, X, _, config = _load_scorable(args, require_labels=False)
     scores = score_batch(artifact.params, X)
-    out = _out_dir(args.out)
+    out = _out_dir(args)
     score_path = out / "scores.csv"
     _write_scores(score_path, scores)
     return (out, config, args.data, artifact.seed, {"rows_scored": int(len(scores))},
@@ -218,7 +229,7 @@ def cmd_synth(args):
     else:
         pair = D.generate_case(args.kind, args.n, args.seed, args.anomaly_fraction)
         files = {part: (f"{args.kind}_{part}.csv", ds) for part, ds in zip(("train", "test"), pair)}
-    out = _out_dir(args.out)
+    out = _out_dir(args)
     outputs = {}
     for label, (name, dataset) in files.items():
         D.write_csv(dataset, out / name)
@@ -233,7 +244,7 @@ def cmd_sweep(args):
     if args.repeats < 1:
         raise InvalidParameterError(f"repeats must be >= 1, got {args.repeats!r}")
     config, dataset = _check_run(args, args.labeled_anomalies, args.contamination)
-    out = _out_dir(args.out)
+    out = _out_dir(args)
     rows = []
     for level in args.contamination:
         for budget in args.labeled_anomalies:
@@ -339,7 +350,7 @@ def main(argv=None) -> int:
         # Each command returns what its manifest records, then its status lines.
         out, config, data, seed, metrics, outputs, status = args.func(args)
         write_manifest(
-            out / f"{args.command}_manifest.json",
+            _manifest_path(out, args.command),
             command=args.command,
             config=config,
             dataset_fingerprint=None if data is None else file_fingerprint(data),

@@ -548,6 +548,36 @@ def test_failed_write_leaves_previous_file_intact(target, toy_csv, tmp_path, mon
     assert (out / target).read_bytes() != before
 
 
+@pytest.mark.parametrize("command, last", [
+    ("train", "history.json"), ("evaluate", "metrics.json"), ("score", "scores.csv"),
+    ("sweep", "sweep_results.csv"),
+])
+def test_a_failed_run_leaves_no_manifest_behind(command, last, toy_csv, tmp_path, monkeypatch,
+                                                capsys):
+    # A seed-2 run whose last rename fails must not leave the seed-1 manifest
+    # describing a directory that now holds some seed-2 files.
+    out = tmp_path / "out"
+    write = _WRITE_SITES[last]
+    assert write(tmp_path, toy_csv, out, 1) == 0
+    manifest = out / f"{command}_manifest.json"
+    assert json.loads(manifest.read_text())["command"] == command
+    model_before = (out / "model.json").read_bytes() if command == "train" else None
+    real_replace = os.replace
+
+    def fail(src, dst):
+        if os.path.basename(dst) == last:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert write(tmp_path, toy_csv, out, 2) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "OSError"
+    if command == "train":  # the earlier outputs were replaced: the directory mixes two runs
+        assert (out / "model.json").read_bytes() != model_before
+    assert not manifest.exists()
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 @pytest.mark.parametrize("site, blocked", [
     ("history.json", "model.json"), ("metrics.json", "metrics.json"),
     ("scores.csv", "scores.csv"), ("sweep_results.csv", "sweep_results.csv"),

@@ -57,9 +57,19 @@ def test_batch_scoring_scratch_does_not_grow_with_rows():
     _scores, small = _peak_bytes(score_batch, params, X[:n])
     _scores, large = _peak_bytes(score_batch, params, X)
     extra_output = 3 * n * 8
-    # 1 MiB of slack, a quarter of one block's (BLOCK_ROWS, 128) activation.
+    # 1 MiB of slack, one whole (BLOCK_ROWS, 128) float64 activation at 1024 rows.
     assert large - small <= extra_output + 2**20, (
         f"peak grew by {large - small} bytes for {extra_output} more output bytes")
+
+
+def test_batch_scoring_scratch_stays_near_l2_size():
+    # One block's activations and temporaries at H = 128: 2.65 MiB at 1024
+    # rows, 10.4 MiB at 4096, whose blocks spilled out of a 2 MiB L2 cache.
+    params = build_scorer(WIDTH, 128, seed=0)
+    X = np.random.default_rng(8).uniform(0, 1, size=(4 * BLOCK_ROWS, WIDTH))
+    scores, peak = _peak_bytes(score_batch, params, X)
+    assert peak - scores.nbytes <= 4 * 2**20, (
+        f"score_batch held {(peak - scores.nbytes) / 2**20:.2f} MiB beside its output")
 
 
 def test_csv_writer_peak_does_not_grow_with_rows(tmp_path):
