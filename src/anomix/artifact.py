@@ -193,7 +193,12 @@ def file_fingerprint(path) -> str:
 
 def write_manifest(path, *, command: str, config: dict, dataset_fingerprint: str | None,
                    seed: int, metrics: dict, wall_clock_s: float, outputs: dict) -> None:
-    """One manifest per command run; enough to reproduce it (hash + seed)."""
+    """One manifest per command run; enough to reproduce it (hash + seed).
+
+    `outputs` maps each output's name to its path; `output_sha256` maps the
+    same names to the SHA-256 of each file as written, so a directory whose
+    files no longer match its manifest can be told apart.
+    """
     record = {
         "command": command,
         "config": config,
@@ -203,5 +208,6 @@ def write_manifest(path, *, command: str, config: dict, dataset_fingerprint: str
         "metrics": metrics,
         "wall_clock_s": wall_clock_s,
         "outputs": outputs,
+        "output_sha256": {name: file_fingerprint(path) for name, path in outputs.items()},
     }
     write_json(path, record, indent=1, default=str)

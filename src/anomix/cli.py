@@ -7,11 +7,11 @@ creates the output directory, which defaults to $ANOMIX_OUT or the working
 directory, so a run that fails by then creates and removes nothing. Opening the
 directory removes the command's old manifest, `{command}_manifest.json`, before
 the first output is written. Once the command returns, `main` writes the new
-manifest (config hash, dataset fingerprint, seed, metrics, wall clock), and only
-then prints the command's status lines, so a closed stdout costs no file. Each
-output file is replaced atomically, but the set is not: a directory without
-`{command}_manifest.json` holds an unfinished or failed run, whose files may sit
-beside an earlier run's. Apart from manifests and wall-clock fields, all outputs
+manifest (config hash, dataset fingerprint, seed, metrics, wall clock, output
+paths and their SHA-256), and only then prints the command's status lines, so
+a closed stdout costs no file. Each output file is replaced atomically, but the
+set is not: a directory without `{command}_manifest.json` holds an unfinished or
+failed run, whose files may sit beside an earlier run's. Apart from manifests and wall-clock fields, all outputs
 are byte-deterministic for a fixed seed.
 Errors, a failed write and a closed stdout among them, exit 1 with a
 machine-readable JSON record on stderr.

@@ -4,11 +4,11 @@ A Dataset couples a float64 feature matrix with ground-truth anomaly
 flags and a per-row role: labeled anomaly, unlabeled (the training pool,
 possibly contaminated), validation, or test. All operations are pure:
 they return new datasets and never mutate their inputs. CSV files are
-read CHUNK_ROWS lines at a time. numpy's C parser takes each chunk of
-plain numeric lines; a chunk it cannot take goes, alone, through
-csv.reader and float(), which give the same values and name the first
-bad row and column. Ingest holds the float blocks plus one chunk of
-text, never the whole file as text.
+read CHUNK_ROWS lines at a time by numpy's C parser, up to the first
+chunk it cannot take. From that chunk on, csv.reader and float() read the
+rest of the file; they give the same values and name the first bad row
+and column. Ingest holds the float blocks plus one chunk of text, never
+the whole file as text.
 Every file anomix writes goes through `atomic_writer` below, so a failed
 write leaves the previous file intact.
 """
@@ -163,19 +163,19 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
     name) that holds them. Rows are read CHUNK_ROWS at a time, so at most
     one chunk of text is held.
 
-    Fast path: each chunk of physical lines goes through numpy's C parser
-    and the shared `_checked` shape, finiteness and label checks. A chunk
-    it cannot take (a quote, a blank line, a spelling only float()
-    accepts, a bad cell, a ragged row, an overlong line) goes to the csv
-    path, and the next chunk starts on the fast path again.
+    Fast path: chunks of physical lines go through numpy's C parser and
+    the shared `_checked` shape, finiteness and label checks, up to the
+    first chunk it cannot take (a quote, a blank line, a spelling only
+    float() accepts, a bad cell, a ragged row, an overlong line).
 
-    csv path: the chunk's `csv.reader` records, read on to the end of a
-    record the chunk cut, one bulk conversion (it accepts exactly the
-    spellings float() does) and the same checks. The first chunk that fails
-    is kept, and only it gets the per-cell scan that names the first fault
-    in row-major order. Every chunk is still read, so a ragged row (or an
-    unreadable one) anywhere wins over a bad cell, and both over a label
-    column that is missing or named twice.
+    csv path: from that chunk to the end of the file, one `csv.reader`
+    hands out batches of CHUNK_ROWS records, so a record may span any
+    chunk or batch boundary. Each batch gets one bulk conversion (it
+    accepts exactly the spellings float() does) and the same checks. The
+    first batch that fails is kept, and only it gets the per-cell scan that
+    names the first fault in row-major order. Every batch is still read, so
+    a ragged (or unreadable) row anywhere wins over a label column that is
+    missing or named twice, and that wins over a bad cell.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
@@ -196,22 +196,27 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
                     f"{path}: header column {i} ({name!r}) is not valid UTF-8") from None
         label_count = header.count(label_column)
         label_idx = header.index(label_column) if label_count == 1 else None
+        width = len(header)
         blocks: list[np.ndarray] = []
-        failed = None  # (row number of its first record, records) of the first chunk that failed
         row = 2
         while lines := list(itertools.islice(fh, CHUNK_ROWS)):
-            block = _parse_lines(lines, len(header), label_idx)
-            if block is None:  # this chunk, and only this one, takes the csv path
-                records = _records(lines, fh, path, len(header), row)
-                block = _convert(records, len(header), label_idx)
-                if block is None and failed is None:
-                    failed = (row, records)
-                row += len(records)
-                del records  # so the chunk's str cells are freed before the next is read
-            else:
-                row += len(lines)
+            block = _parse_lines(lines, width, label_idx)
+            if block is None:
+                break
+            blocks.append(block)
+            row += len(lines)
+        # From the first chunk numpy's parser refused (none if it took them all), csv.reader
+        # reads the rest of the file.
+        failed = None  # (row number of its first record, records) of the first batch that failed
+        reader = csv.reader(itertools.chain(lines, fh))
+        while records := _records(reader, path, width, row):
+            block = _convert(records, width, label_idx)
             if block is not None:
                 blocks.append(block)
+            elif failed is None:
+                failed = (row, records)
+            row += len(records)
+            del records  # so the batch's str cells are freed before the next is read
     if label_column is not None and label_count != 1:
         where = "not in" if label_count == 0 else f"named {label_count} times in"
         raise DatasetError(f"{path}: label column {label_column!r} {where} header {header}")
@@ -221,29 +226,20 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
     return header, X
 
 
-def _records(lines: list[str], fh, path, width: int, row: int) -> list[list[str]]:
-    """csv records of a chunk of lines, reading on in fh only to end a record the chunk cut.
+def _records(reader, path, width: int, row: int) -> list[list[str]]:
+    """The next CHUNK_ROWS records of `reader` (fewer at its end), the first being row `row`.
 
     Each record must hold `width` fields. A csv error (e.g. a field over
     csv.field_size_limit()) becomes a DatasetError naming the file and the
     row, like a ragged row.
     """
-    fed = 0
-
-    def feed():
-        nonlocal fed
-        for fed, line in enumerate(itertools.chain(lines, fh), start=1):
-            yield line
-
     records = []
     try:
-        for record in csv.reader(feed()):
+        for record in itertools.islice(reader, CHUNK_ROWS):
             if len(record) != width:
                 raise DatasetError(f"{path}: row {row} has {len(record)} fields, expected {width}")
             records.append(record)
             row += 1
-            if fed >= len(lines):  # csv.reader reads no line past the record it returns
-                break
     except csv.Error as exc:
         raise DatasetError(f"{path}: row {row}: {exc}") from None
     return records

@@ -18,17 +18,21 @@ moments share. Its widths are read from the weights.
 
 `score_batch` forwards BLOCK_ROWS rows at a time into one preallocated
 output, so its scratch memory is one block of activations whatever the
-row count. BLOCK_ROWS = 1024 keeps that block near a core's L2 cache: at
-H = 128 one block's activations and temporaries take about 2.7 MiB, where
-4096 rows took 10.4 MiB and spilled into L3. On a 2-vCPU host with 2 MiB
-of L2 per core, one call on 100k rows took, by block size: for the toy
-model 256 -> 144 ms, 1024 -> 145 ms, 4096 -> 187 ms, 8192 -> 294 ms; for a
-wide one (D = 64, H = 256) 1024 -> 557 ms, 4096 -> 729 ms. Blocks smaller
-than 1024 gain nothing more and make more Python calls per row. A batch of
-n <= BLOCK_ROWS rows scores bit for bit as a whole-matrix forward. Beyond
-that, on some BLAS builds a score's last bits (below 1e-16) can depend on
-the size of its block, as in a whole-matrix forward they depend on n; on
-the OpenBLAS measured above every bit was the same at each size.
+row count. BLOCK_ROWS = 256 keeps that block well inside a core's L2
+cache: at H = 128 scoring 1000 rows holds 0.71 MiB of activations and
+temporaries, where 1024-row blocks held 2.09 MiB, and 4096-row blocks
+10.4 MiB spilled into L3. A fresh process also pays for larger blocks in
+page faults, taken again on every call: a default `anomix train` on 5000
+toy rows, whose every epoch scores 1000 validation rows, took 33.0k minor
+faults at 1024 rows and 6.9k at 256. On a 2-vCPU host with 2 MiB of L2
+per core, one call took, by block size: for the toy model on 100k rows
+256 -> 104 ms, 1024 -> 194 ms (an earlier run: 256 -> 144, 1024 -> 145,
+4096 -> 187, 8192 -> 294 ms); for a wide one (D = 64, H = 256) on 5000
+rows 256 -> 18.6 ms, 1024 -> 20.7 ms. A batch of n <= BLOCK_ROWS rows
+scores bit for bit as a whole-matrix forward. Beyond that, on some BLAS
+builds a score's last bits (below 1e-16) can depend on the size of its
+block, as in a whole-matrix forward they depend on n; on the OpenBLAS
+measured above every bit was the same at each size.
 
 `score` has its own forward on one vector: `np.dot` matrix-vector products
 with each bias added in place, and a scalar tanh, within 1e-15 of its
@@ -62,7 +66,7 @@ from .nn import DenseLayer, Var
 
 LAYER_NAMES = ("rep_hidden", "rep_out", "score_hidden", "score_out")
 # Rows per forward block in score_batch, sized to L2 (see the module docstring).
-BLOCK_ROWS = 1024
+BLOCK_ROWS = 256
 
 
 @dataclass

@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -712,7 +713,7 @@ def test_an_int_contamination_level_gives_the_rows_of_its_float(toy_csv, tmp_pat
 
 
 _MANIFEST_KEYS = {"command", "config", "config_hash", "dataset_fingerprint", "seed", "metrics",
-                  "wall_clock_s", "outputs"}
+                  "wall_clock_s", "outputs", "output_sha256"}
 
 
 def _command_argv(command, toy_csv, tmp_path, out):
@@ -740,6 +741,9 @@ def test_each_command_writes_one_manifest(command, toy_csv, tmp_path):
     expected = None if data is None else hashlib.sha256(data.read_bytes()).hexdigest()
     assert manifest["dataset_fingerprint"] == expected
     assert all(os.path.exists(path) for path in manifest["outputs"].values())
+    assert manifest["output_sha256"] == {
+        name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for name, path in manifest["outputs"].items()}
 
 
 @pytest.mark.parametrize("command, fault, error", [

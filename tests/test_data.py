@@ -320,15 +320,16 @@ def test_a_clean_file_never_takes_the_csv_path(tmp_path, monkeypatch, rng):
 
 
 @pytest.mark.parametrize("quoted_line, newline, fast", [
-    pytest.param(2, False, [False, True, True, True], id="row-2"),
-    # the multi-line record ends inside chunk 1, one physical line spills into the rest
-    pytest.param(2, True, [False, True, True, True, True], id="row-2-multiline"),
-    pytest.param(CHUNK + 1, True, [False, True, True, True], id="cut-by-the-chunk"),
+    pytest.param(2, False, [False], id="row-2"),
+    pytest.param(2, True, [False], id="row-2-multiline"),
+    # the multi-line record starts on chunk 1's last line and ends in chunk 2
+    pytest.param(CHUNK + 1, True, [False], id="cut-by-the-chunk"),
+    pytest.param(CHUNK + 2, True, [True, False], id="opens-chunk-2"),
 ])
-def test_a_quoted_chunk_alone_takes_the_csv_path(quoted_line, newline, fast, tmp_path,
-                                                  monkeypatch, rng):
-    # only the chunk holding the quoted cell goes through csv.reader, read on
-    # to the end of a record it cuts; every later chunk takes numpy's parser
+def test_the_csv_path_reads_on_from_the_first_quoted_chunk(quoted_line, newline, fast,
+                                                           tmp_path, monkeypatch, rng):
+    # numpy's parser takes the chunks before the quoted cell; from the chunk
+    # that holds it, csv.reader reads the rest of the file
     from anomix.data import _parse_lines as parse
 
     monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
@@ -348,6 +349,32 @@ def test_a_quoted_chunk_alone_takes_the_csv_path(quoted_line, newline, fast, tmp
     monkeypatch.setattr("anomix.data._parse_lines", spy)
     assert load_features(path)[0].tobytes() == X.tobytes()
     assert taken == fast
+
+
+@pytest.mark.parametrize("fault, expected", [
+    pytest.param("0.5,0", None, id="clean"),
+    pytest.param("1", r"row 11 has 1 fields, expected 2$", id="ragged"),
+    pytest.param("0.5,x", r"row 11, column 'b': non-numeric value 'x'$", id="bad-cell"),
+])
+def test_csv_path_rows_count_records_across_batches(fault, expected, tmp_path, monkeypatch):
+    # Row 2's quote sends the file to the csv path. Rows 5 and 6, the last
+    # record of one CHUNK-record batch and the first of the next, span three
+    # physical lines each, and row 5 starts on chunk 1's last line, so physical
+    # lines and records part ways before the fault in row 11.
+    monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
+    rows = {line: "0.5,0" for line in range(2, 14)}
+    rows.update({2: '"0.5",0', 5: '"\n\n0.25",0', 6: '1,"2\n\n"', 11: fault})
+    path = tmp_path / "records.csv"
+    path.write_text("a,b\n" + "".join(rows[line] + "\n" for line in sorted(rows)),
+                    encoding="utf-8")
+    if expected is not None:
+        with pytest.raises(DatasetError, match=re.escape(str(path)) + ": " + expected):
+            load_features(path)
+        return
+    X, _header = load_features(path)
+    cells = [[0.5, 0.0]] * 12
+    cells[3], cells[4] = [0.25, 0.0], [1.0, 2.0]
+    assert X.tobytes() == np.array(cells).tobytes()
 
 
 def _reference_read(path, label_column):

@@ -249,9 +249,10 @@ def _where_scores(params, X):
     return np.concatenate(blocks)
 
 
-# 8199 rows is many blocks plus a partial one at any power-of-two BLOCK_ROWS
-# up to 4096; the BLOCK_ROWS-relative case follows the current block size.
-@pytest.mark.parametrize("n", [100, 2 * scorer.BLOCK_ROWS + 7, 8199])
+# 2055 and 8199 rows are many blocks plus a partial one at any power-of-two
+# BLOCK_ROWS up to 1024 and 4096; the BLOCK_ROWS-relative case follows the
+# current block size.
+@pytest.mark.parametrize("n", [100, 2 * scorer.BLOCK_ROWS + 7, 2055, 8199])
 def test_score_batch_equals_the_where_forward_bitwise(n, rng):
     params = build_scorer(5, 16, seed=3)
     X = rng.normal(size=(n, 5))
