@@ -1,12 +1,12 @@
 """Exact threshold-free ranking metrics from scores and labels.
 
-Each metric sorts the scores once: the ROC area through `np.unique`, the
-PR area through a stable `argsort`, so `evaluate_scores` sorts twice.
-Ties are handled explicitly: the ROC area gives half credit to tied
-positive/negative pairs (the rank-sum form of the pairwise statistic),
-and the PR area is step-wise average precision with tied scores
-processed as one block; no linear PR interpolation is used, since that
-is known to overestimate.
+Both metrics read the same tie blocks: one stable descending sort cut
+wherever the score changes, with the positives and rows seen up to the
+end of each block. The ROC area is the exact pairwise count, half
+credit for a tied positive/negative pair, divided once with correct
+rounding. The PR area is step-wise average precision with each tie
+block taken as one step; no linear PR interpolation is used, since that
+is known to overestimate. Scores must be finite: NaN has no rank.
 """
 
 from __future__ import annotations
@@ -35,52 +35,50 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise UndefinedMetricError("no rows to evaluate")
     if not np.isin(y, (0, 1)).all():
         raise UndefinedMetricError("labels must be 0 or 1")
+    bad = np.flatnonzero(~np.isfinite(s))
+    if len(bad):
+        raise UndefinedMetricError(f"scores must be finite, got {s[bad[0]]} at position {bad[0]}")
     return s, y.astype(np.int64)
 
 
-def auc_roc(scores, labels) -> float:
-    """Probability that a random positive outscores a random negative.
+def _tie_blocks(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positives and rows seen, both int64, at the end of each tie block, highest first."""
+    order = np.argsort(s, kind="mergesort")[::-1]
+    block_end = np.append(np.flatnonzero(np.diff(s[order]) != 0.0), len(s) - 1)
+    return np.cumsum(y[order])[block_end], block_end + 1
 
-    Ties count one half. Computed from average ranks in O(n log n);
-    equals the exhaustive pairwise count.
-    """
-    s, y = _validate(scores, labels)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
+
+def _roc(tp: np.ndarray, seen: np.ndarray) -> float:
+    n_pos = int(tp[-1])
+    n_neg = int(seen[-1]) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC area needs at least one positive and one negative")
-    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    avg_rank = ends - (counts - 1) / 2.0
-    rank_sum = avg_rank[inverse][y == 1].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    fp = seen - tp
+    pos = np.diff(tp, prepend=0)
+    won = int(pos @ (n_neg - fp))  # negatives in later blocks score lower
+    tied = int(pos @ np.diff(fp, prepend=0))
+    return (2 * won + tied) / (2 * n_pos * n_neg)  # int / int rounds correctly
+
+
+def _pr(tp: np.ndarray, seen: np.ndarray) -> float:
+    n_pos = int(tp[-1])
+    if n_pos == 0:
+        raise UndefinedMetricError("PR area needs at least one positive")
+    return float(np.sum(tp / seen * (np.diff(tp, prepend=0) / n_pos)))
+
+
+def auc_roc(scores, labels) -> float:
+    """Probability that a random positive outscores a random negative; ties count one half."""
+    return _roc(*_tie_blocks(*_validate(scores, labels)))
 
 
 def auc_pr(scores, labels) -> float:
     """Step-wise average precision over descending score thresholds."""
-    s, y = _validate(scores, labels)
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise UndefinedMetricError("PR area needs at least one positive")
-    order = np.argsort(s, kind="mergesort")[::-1]
-    s_desc = s[order]
-    y_desc = y[order]
-    block_end = np.flatnonzero(np.diff(s_desc) != 0.0)
-    block_end = np.concatenate([block_end, [len(s_desc) - 1]])
-    tp = np.cumsum(y_desc)[block_end].astype(np.float64)
-    seen = block_end + 1.0
-    precision = tp / seen
-    delta_recall = np.diff(np.concatenate([[0.0], tp])) / n_pos
-    return float(np.sum(precision * delta_recall))
+    return _pr(*_tie_blocks(*_validate(scores, labels)))
 
 
 def evaluate_scores(scores, labels) -> MetricsReport:
     """Both ranking metrics plus the class counts that produced them."""
-    s, y = _validate(scores, labels)
-    n_pos = int(y.sum())
-    return MetricsReport(
-        auc_roc=auc_roc(s, y),
-        auc_pr=auc_pr(s, y),
-        n_pos=n_pos,
-        n_neg=len(y) - n_pos,
-    )
+    tp, seen = _tie_blocks(*_validate(scores, labels))
+    return MetricsReport(auc_roc=_roc(tp, seen), auc_pr=_pr(tp, seen),
+                         n_pos=int(tp[-1]), n_neg=int(seen[-1] - tp[-1]))

@@ -268,7 +268,9 @@ def backward(graph: ScorerGraph, g_scores: np.ndarray, g_rep: np.ndarray | None)
     p = graph.params
     n_scored = len(graph.t)
     g_out = g_scores[:, None] * (1.0 - graph.t * graph.t)
-    g_hidden2 = (g_out @ p.score_out.weights) * graph.f2
+    # One output unit: the outer product is a broadcast. Where a product is zero it keeps
+    # its sign (-0.0 where a matmul's 0 + a*b gave +0.0); Adam's m, starting at +0.0, absorbs it.
+    g_hidden2 = (g_out * p.score_out.weights) * graph.f2
     # Unscored rows get 0.0 + g_rep, as a zero-padded sum gave: -0.0 turns into +0.0.
     g_rep_total = np.empty_like(graph.rep)
     head = np.matmul(g_hidden2, p.score_hidden.weights, out=g_rep_total[:n_scored])

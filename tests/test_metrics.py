@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from anomix.errors import UndefinedMetricError
-from anomix.metrics import auc_pr, auc_roc, evaluate_scores
+from anomix.metrics import MetricsReport, auc_pr, auc_roc, evaluate_scores
+from anomix.nn import TANH_LIMIT
 
 
 def roc_oracle(scores, labels) -> Fraction:
@@ -35,6 +36,28 @@ def pr_oracle(scores, labels) -> Fraction:
         ap += Fraction(tp - prev_tp, n_pos) * Fraction(tp, tp + fp)
         prev_tp = tp
     return ap
+
+
+def roc_rank_sum(scores, labels) -> float:
+    """The ROC area from np.unique average ranks, exact while n**2 < 2**53."""
+    s, y = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    avg_rank = np.cumsum(counts) - (counts - 1) / 2.0
+    rank_sum = avg_rank[inverse][y == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def pr_float_blocks(scores, labels) -> float:
+    """Average precision over tie blocks of a descending argsort, in float64 throughout."""
+    s, y = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    order = np.argsort(s, kind="mergesort")[::-1]
+    block_end = np.concatenate([np.flatnonzero(np.diff(s[order]) != 0.0), [len(s) - 1]])
+    tp = np.cumsum(y[order])[block_end].astype(np.float64)
+    precision = tp / (block_end + 1.0)
+    delta_recall = np.diff(np.concatenate([[0.0], tp])) / int(y.sum())
+    return float(np.sum(precision * delta_recall))
 
 
 def test_roc_worked_example():
@@ -83,8 +106,41 @@ def test_oracle_equivalence_on_random_instances(rng):
         scores = np.round(rng.uniform(size=n), 1)
         got_roc = auc_roc(scores, labels)
         got_pr = auc_pr(scores, labels)
-        assert abs(got_roc - float(roc_oracle(scores.tolist(), labels.tolist()))) <= 1e-12
+        assert got_roc == float(roc_oracle(scores.tolist(), labels.tolist()))
         assert abs(got_pr - float(pr_oracle(scores.tolist(), labels.tolist()))) <= 1e-12
+
+
+def _tie_heavy(rng, trial):
+    n = int(rng.integers(2, 401))
+    kind = trial % 4
+    if kind == 0:
+        scores = rng.integers(-3, 4, size=n).astype(np.float64)
+    elif kind == 1:
+        scores = rng.choice([0.0, -0.0, TANH_LIMIT, -TANH_LIMIT, 0.5], size=n)
+    elif kind == 2:
+        scores = np.clip(np.tanh(20.0 * rng.normal(size=n)), -TANH_LIMIT, TANH_LIMIT)
+    else:
+        scores = np.full(n, rng.choice([0.0, -0.0, TANH_LIMIT, -TANH_LIMIT]))
+    labels = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+    labels[rng.choice(n, size=2, replace=False)] = [0, 1]
+    return scores, labels
+
+
+def test_metrics_equal_the_rank_sum_and_float_block_references_bitwise(rng):
+    for trial in range(1200):
+        scores, labels = _tie_heavy(rng, trial)
+        roc, pr = roc_rank_sum(scores, labels), pr_float_blocks(scores, labels)
+        assert auc_roc(scores, labels) == roc
+        assert auc_pr(scores, labels) == pr
+        n_pos = int(labels.sum())
+        assert evaluate_scores(scores, labels) == MetricsReport(roc, pr, n_pos, len(labels) - n_pos)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("metric", [auc_roc, auc_pr, evaluate_scores])
+def test_non_finite_scores_are_rejected(metric, bad):
+    with pytest.raises(UndefinedMetricError, match=f"finite, got {bad} at position 2"):
+        metric([0.1, 0.9, bad, 0.2, bad], [0, 1, 1, 0, 1])
 
 
 def test_monotone_transform_invariance(rng):
