@@ -204,23 +204,9 @@ def cmd_score(args):
     scores = score_batch(artifact.params, X)
     out = _out_dir(args)
     score_path = out / "scores.csv"
-    _write_scores(score_path, scores)
+    D.write_scores(score_path, scores)
     return (out, config, args.data, artifact.seed, {"rows_scored": int(len(scores))},
             {"scores": str(score_path)}, [f"{len(scores)} scores written to {score_path}"])
-
-
-def _write_scores(path, scores) -> None:
-    """Write scores.csv with the bytes csv.writer gives for enumerate(scores.tolist()).
-
-    CRLF line endings and each float as its repr, which never needs quoting;
-    CHUNK_ROWS rows are joined per write.
-    """
-    values = scores.tolist()
-    with D.atomic_writer(path) as fh:
-        fh.write("row_index,score\r\n")
-        for start in range(0, len(values), D.CHUNK_ROWS):
-            fh.write("".join(f"{i},{v!r}\r\n" for i, v in
-                             enumerate(values[start:start + D.CHUNK_ROWS], start)))
 
 
 def cmd_synth(args):

@@ -10,7 +10,7 @@ rest of the file; they give the same values and name the first bad row
 and column. Ingest holds the float blocks plus one chunk of text, never
 the whole file as text.
 Every file anomix writes goes through `atomic_writer` below, so a failed
-write leaves the previous file intact.
+write leaves the previous file intact; `_write_table` streams numeric tables.
 """
 
 from __future__ import annotations
@@ -139,6 +139,19 @@ def atomic_writer(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_table(path, header, columns, format_rows) -> None:
+    """Atomically write `header` via csv.writer, then `format_rows(start, *slices)`, joined.
+
+    Each slice of `columns` is CHUNK_ROWS // len(header) rows as a list, about CHUNK_ROWS
+    cells; the rows must be csv.writer's bytes (CRLF line ends, each float as its repr).
+    """
+    step = max(1, CHUNK_ROWS // len(header))
+    with atomic_writer(path) as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(columns[0]), step):
+            fh.write("".join(format_rows(lo, *(c[lo:lo + step].tolist() for c in columns))))
 
 
 def write_rows(path, header, rows) -> None:
@@ -325,18 +338,18 @@ def load_features(path) -> tuple[np.ndarray, list[str]]:
 
 
 def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write features plus the 0/1 label column; round-trips via load_csv.
-
-    The bytes are csv.writer's; rows of reprs are joined about CHUNK_ROWS cells per write.
-    """
+    """Write features plus the 0/1 label column; round-trips via load_csv."""
     if label_column in dataset.feature_names:
         raise DatasetError(f"label column {label_column!r} collides with a feature name")
-    step = max(1, CHUNK_ROWS // (dataset.n_features + 1))
-    with atomic_writer(path) as fh:
-        csv.writer(fh).writerow([*dataset.feature_names, label_column])
-        for lo in range(0, len(dataset.X), step):
-            rows = zip(dataset.X[lo:lo + step].tolist(), dataset.y[lo:lo + step].tolist())
-            fh.write("".join(",".join(map(repr, [*row, label])) + "\r\n" for row, label in rows))
+    _write_table(path, [*dataset.feature_names, label_column], (dataset.X, dataset.y),
+                 lambda _lo, rows, labels: (",".join(map(repr, [*row, label])) + "\r\n"
+                                            for row, label in zip(rows, labels)))
+
+
+def write_scores(path, scores) -> None:
+    """Write scores.csv: `row_index,score`, one row per score in input order."""
+    _write_table(path, ["row_index", "score"], (scores,),
+                 lambda lo, values: (f"{i},{v!r}\r\n" for i, v in enumerate(values, lo)))
 
 
 # ---------------------------------------------------------------------------

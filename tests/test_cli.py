@@ -309,7 +309,9 @@ def test_score_empty_input_gives_header_only(toy_csv, tmp_path):
     assert (out / "scores.csv").read_text().strip() == "row_index,score"
 
 
-@pytest.mark.parametrize("n", [0, CHUNK_ROWS, CHUNK_ROWS + 1])
+# scores.csv holds CHUNK_ROWS // 2 rows per write.
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS // 2 - 1, CHUNK_ROWS // 2, CHUNK_ROWS // 2 + 1,
+                               CHUNK_ROWS, CHUNK_ROWS + 1])
 def test_scores_csv_has_the_bytes_csv_writer_gives(n, tmp_path):
     model = tmp_path / "model.json"
     norm = NormState([-2.0, -2.0], [2.0, 2.0])

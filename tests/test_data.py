@@ -3,6 +3,8 @@ import io
 import math
 import re
 import warnings
+from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +24,7 @@ from anomix.data import (
     Dataset,
     Role,
     adjust_contamination,
+    atomic_writer,
     check_contamination,
     generate_case,
     generate_toy,
@@ -35,6 +38,7 @@ from anomix.data import (
     split_dataset,
     write_csv,
     write_rows,
+    write_scores,
 )
 from anomix.errors import (
     ContractViolationError,
@@ -43,6 +47,7 @@ from anomix.errors import (
     UnusableDatasetError,
 )
 from anomix.metrics import auc_roc
+from anomix.nn import TANH_LIMIT
 
 
 def _dataset(X, y, role=Role.UNLABELED):
@@ -167,6 +172,20 @@ def test_csv_round_trip_is_bitwise(data, plus_minus, tmp_path_factory):
     assert back.feature_names == ds.feature_names
 
 
+@contextmanager
+def _tapped_writes():
+    """Record every text that a writer hands to `anomix.data.atomic_writer`'s handle."""
+    writes, real = [], atomic_writer
+
+    @contextmanager
+    def tapped(path):
+        with real(path) as fh:
+            yield SimpleNamespace(write=lambda text: writes.append(text) or fh.write(text))
+
+    with mock.patch("anomix.data.atomic_writer", tapped):
+        yield writes
+
+
 @st.composite
 def _named_matrices(draw):
     """A labeled matrix and feature names that need quoting: commas, quotes, line breaks."""
@@ -184,13 +203,32 @@ def test_write_csv_bytes_equal_csv_writer(data, tmp_path_factory):
     # write_csv joins the reprs itself, a few rows per write; its bytes stay csv.writer's
     X, y, names = data
     path = tmp_path_factory.getbasetemp() / "written.csv"
-    with mock.patch("anomix.data.CHUNK_ROWS", 8):
+    with mock.patch("anomix.data.CHUNK_ROWS", 8), _tapped_writes() as writes:
         write_csv(Dataset(X, y, np.full(len(y), int(Role.UNLABELED)), names), path)
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow([*names, "label"])
     writer.writerows(row + [label] for row, label in zip(X.tolist(), y.tolist()))
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    # The patched CHUNK_ROWS, read at call time, sets the rows per write.
+    step = max(1, 8 // (len(names) + 1))
+    assert len(writes) == 1 + -(-len(y) // step)
+
+
+def test_write_scores_bytes_equal_csv_writer(tmp_path):
+    # Signed zeros, the clipped tanh ends and a subnormal, two rows per write.
+    scores = np.array([-0.0, TANH_LIMIT, -TANH_LIMIT, 0.0, 5e-324, 0.1])
+    path = tmp_path / "scores.csv"
+    with mock.patch("anomix.data.CHUNK_ROWS", 4), _tapped_writes() as writes:
+        write_scores(path, scores)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["row_index", "score"])
+    writer.writerows(enumerate(scores.tolist()))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert len(writes) == 4
+    back, header = load_features(path)
+    assert header == ["row_index", "score"] and back[:, 1].tobytes() == scores.tobytes()
 
 
 CHUNK = 4

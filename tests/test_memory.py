@@ -1,6 +1,6 @@
 """Memory guards for the scoring path: ingest, normalization and the batch
-forward each hold their output plus bounded scratch, and the CSV writer
-holds bounded scratch, measured as Python heap peaks with tracemalloc
+forward each hold their output plus bounded scratch, and the CSV writers
+hold bounded scratch, measured as Python heap peaks with tracemalloc
 (numpy reports its buffers to it)."""
 
 import tracemalloc
@@ -15,6 +15,7 @@ from anomix.data import (
     normalize_features,
     write_csv,
     write_rows,
+    write_scores,
 )
 from anomix.scorer import BLOCK_ROWS, build_scorer, score_batch
 
@@ -93,3 +94,13 @@ def test_csv_writer_peak_does_not_grow_with_rows(tmp_path):
     # Eight times the rows; 256 KiB of slack, a small share of the 3.2 MB matrix.
     assert large_peak - small_peak <= 2**18, (
         f"write_csv peak grew from {small_peak} to {large_peak} bytes")
+
+
+def test_scores_writer_peak_does_not_grow_with_rows(tmp_path):
+    scores = np.random.default_rng(10).uniform(-1, 1, size=100_000)
+    _none, small_peak = _peak_bytes(write_scores, tmp_path / "small.csv", scores[:len(scores) // 8])
+    _none, large_peak = _peak_bytes(write_scores, tmp_path / "large.csv", scores)
+    # Eight times the scores, made before tracing. Every score held as a Python
+    # float at once would add about 2.7 MiB here; one chunk of them stays flat.
+    assert large_peak - small_peak <= 2**18, (
+        f"write_scores peak grew from {small_peak} to {large_peak} bytes")
