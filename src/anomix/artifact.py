@@ -114,12 +114,13 @@ def load_model(path) -> ModelArtifact:
         payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except OSError as exc:
         raise CorruptArtifactError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # Not UTF-8, or nested past the recursion limit: no anomix writer made it.
         raise CorruptArtifactError(f"{path}: not valid JSON ({exc})") from exc
     _require(isinstance(payload, dict), f"{path}: not a model container")
     _require(payload.get("format") == FORMAT_NAME, f"{path}: not an {FORMAT_NAME} file")
     version = payload.get("format_version")
-    _require(version == FORMAT_VERSION,
+    _require(type(version) is int and version == FORMAT_VERSION,
              f"{path}: format version {version!r} unsupported (expected {FORMAT_VERSION})")
 
     arch = payload.get("architecture")
@@ -159,6 +160,8 @@ def load_model(path) -> ModelArtifact:
                  f"{path}: normalization bounds mis-sized")
         _require(bool(np.isfinite(mins).all() and np.isfinite(maxs).all()),
                  f"{path}: normalization bounds hold non-finite values")
+        _require(bool((mins <= maxs).all()),
+                 f"{path}: normalization bounds have a min above the max")
         norm_state = NormState(mins, maxs)
 
     train_config = payload.get("train_config", {})

@@ -81,10 +81,11 @@ _TRAIN_KNOBS = {
 }
 
 
-def _check_run(args, budgets: list, levels: list) -> tuple[TrainConfig, Dataset]:
-    """The TrainConfig a train or sweep command sets and the data it reads, once
-    every flag value is usable and the data loads, so a rejected run writes
-    nothing. Each flag message starts with the field it rejects and states the value."""
+def _check_run(args, budgets: list, levels: list) -> tuple[TrainConfig, dict, Dataset]:
+    """The TrainConfig a train or sweep command sets, the run record that model.json
+    and the manifest keep (a sweep adds repeats), and the data it reads, once every
+    flag value is usable and the data loads, so a rejected run writes nothing. Each
+    flag message starts with the field it rejects and states the value."""
     knobs = {field: getattr(args, name) for name, (field, _help) in _TRAIN_KNOBS.items()}
     config = TrainConfig(**knobs, seed=args.seed, select_best=not args.last_epoch)
     config.validate()
@@ -96,13 +97,9 @@ def _check_run(args, budgets: list, levels: list) -> tuple[TrainConfig, Dataset]
         D.check_contamination(level)
     dataset = D.load_csv(args.data, args.label_col)
     hidden_sizes(dataset.n_features, config.rep_dim)
-    return config, dataset
-
-
-def _run_record(args, config: TrainConfig) -> dict:
-    """What a train run records in model.json and its manifest; a sweep adds repeats."""
-    return {**asdict(config), "labeled_anomalies": args.labeled_anomalies,
-            "contamination": args.contamination}
+    record = {**asdict(config), "labeled_anomalies": args.labeled_anomalies,
+              "contamination": args.contamination}
+    return config, record, dataset
 
 
 def _train_run(dataset: Dataset, config: TrainConfig, labeled_anomalies: int,
@@ -117,7 +114,7 @@ def _train_run(dataset: Dataset, config: TrainConfig, labeled_anomalies: int,
 
 
 def cmd_train(args):
-    config, dataset = _check_run(args, [args.labeled_anomalies], [args.contamination])
+    config, record, dataset = _check_run(args, [args.labeled_anomalies], [args.contamination])
     split, prepared, params, history = _train_run(
         dataset, config, args.labeled_anomalies, args.contamination,
         progress=_print_progress if args.verbose else None)
@@ -129,7 +126,7 @@ def cmd_train(args):
                         split.feature_names), test_path, label_column=args.label_col)
 
     artifact = ModelArtifact(params=params, norm_state=prepared.norm_state,
-                             train_config=_run_record(args, config), seed=args.seed)
+                             train_config=record, seed=args.seed)
     model_path = out / "model.json"
     save_model(artifact, model_path)
     history_path = out / "history.json"
@@ -155,7 +152,7 @@ def cmd_train(args):
     val_auc = metrics[f"{returned}_val_auc_pr"]
     if val_auc is not None:
         status.append(f"{returned} validation AUC-PR: {val_auc:.4f}")
-    return (out, artifact.train_config, args.data, args.seed, metrics,
+    return (out, record, args.data, args.seed, metrics,
             {"model": str(model_path), "history": str(history_path), "test_split": str(test_path)},
             status)
 
@@ -167,45 +164,39 @@ def _print_progress(record) -> None:
           f"w={record.weight:.3f}{val}", file=sys.stderr)
 
 
-def _load_scorable(args, require_labels: bool):
-    """(model, features, labels-or-None, manifest config) for a model-consuming command."""
+def _scored(args):
+    """(scores, labels-or-None, manifest config, model seed) of `--data` under `--model`:
+    the front end of evaluate and score. The rows are read with their labels exactly
+    when --label-col is given; evaluate requires it, and "" names a missing column."""
     artifact = load_model(args.model)
-    if require_labels or args.label_col:
-        if not args.label_col:
-            raise DatasetError("this command needs --label-col to find the labels")
+    if args.label_col is None:
+        X, y = D.load_features(args.data)[0], None
+    else:
         dataset = D.load_csv(args.data, args.label_col)
         X, y = dataset.X, dataset.y
-    else:
-        X, _names = D.load_features(args.data)
-        y = None
     if X.shape[1] != artifact.params.d_in:
-        raise DatasetError(
-            f"model expects {artifact.params.d_in} features, data has {X.shape[1]}"
-        )
+        raise DatasetError(f"model expects {artifact.params.d_in} features, data has {X.shape[1]}")
     if artifact.norm_state is not None:
         X = D.normalize_features(X, artifact.norm_state)
-    return artifact, X, y, {"model": str(args.model), "data": str(args.data),
-                            "label_col": args.label_col}
+    config = {"model": str(args.model), "data": str(args.data), "label_col": args.label_col}
+    return score_batch(artifact.params, X), y, config, artifact.seed
 
 
 def cmd_evaluate(args):
-    artifact, X, y, config = _load_scorable(args, require_labels=True)
-    report = evaluate_scores(score_batch(artifact.params, X), y)
-    payload = {"auc_roc": report.auc_roc, "auc_pr": report.auc_pr,
-               "n_pos": report.n_pos, "n_neg": report.n_neg}
+    scores, y, config, seed = _scored(args)
+    payload = asdict(evaluate_scores(scores, y))
     out = _out_dir(args)
     D.write_json(out / "metrics.json", payload, indent=1)
-    return (out, config, args.data, artifact.seed, payload, {"metrics": str(out / "metrics.json")},
+    return (out, config, args.data, seed, payload, {"metrics": str(out / "metrics.json")},
             [json.dumps(payload, indent=1)])
 
 
 def cmd_score(args):
-    artifact, X, _, config = _load_scorable(args, require_labels=False)
-    scores = score_batch(artifact.params, X)
+    scores, _, config, seed = _scored(args)
     out = _out_dir(args)
     score_path = out / "scores.csv"
     D.write_scores(score_path, scores)
-    return (out, config, args.data, artifact.seed, {"rows_scored": int(len(scores))},
+    return (out, config, args.data, seed, {"rows_scored": int(len(scores))},
             {"scores": str(score_path)}, [f"{len(scores)} scores written to {score_path}"])
 
 
@@ -229,7 +220,7 @@ def cmd_synth(args):
 def cmd_sweep(args):
     if args.repeats < 1:
         raise InvalidParameterError(f"repeats must be >= 1, got {args.repeats!r}")
-    config, dataset = _check_run(args, args.labeled_anomalies, args.contamination)
+    config, record, dataset = _check_run(args, args.labeled_anomalies, args.contamination)
     out = _out_dir(args)
     rows = []
     for level in args.contamination:
@@ -250,7 +241,7 @@ def cmd_sweep(args):
     results_path = out / "sweep_results.csv"
     D.write_rows(results_path, _SWEEP_COLUMNS, rows)
     n_ok = sum(row[_SWEEP_COLUMNS.index("status")] == "ok" for row in rows)
-    return (out, {**_run_record(args, config), "repeats": args.repeats}, args.data, args.seed,
+    return (out, {**record, "repeats": args.repeats}, args.data, args.seed,
             {"cells": len(rows), "cells_ok": n_ok}, {"results": str(results_path)},
             [f"{len(rows)} sweep rows written to {results_path}"])
 
@@ -262,14 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Output directory defaults to $ANOMIX_OUT, then the working directory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command takes --out; evaluate and score read --data under --model.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    scorable = argparse.ArgumentParser(add_help=False, parents=[out])
+    scorable.add_argument("--model", required=True)
+    scorable.add_argument("--data", required=True)
 
     # The flags train and sweep share; sweep runs train once per grid cell.
-    run = argparse.ArgumentParser(add_help=False)
+    run = argparse.ArgumentParser(add_help=False, parents=[out])
     run.add_argument("--data", required=True,
                      help="CSV with a header row and a binary label column")
     run.add_argument("--label-col", required=True)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out", default=None)
     defaults = TrainConfig()
     for name, (field, help_text) in _TRAIN_KNOBS.items():
         default = getattr(defaults, field)
@@ -286,28 +282,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a labeled CSV and report AUC-ROC / AUC-PR")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("evaluate", parents=[scorable],
+                       help="score a labeled CSV and report AUC-ROC / AUC-PR")
     p.add_argument("--label-col", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("score", help="write scores.csv (row_index, score) in input order")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("score", parents=[scorable],
+                       help="write scores.csv (row_index, score) in input order")
     p.add_argument("--label-col", default=None,
                    help="drop this label column before scoring; the column must exist and "
                         "hold 0/1 or -1/+1")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset as CSV")
+    p = sub.add_parser("synth", parents=[out], help="generate a synthetic dataset as CSV")
     p.add_argument("--kind", required=True, choices=("toy", *D.CASE_KINDS))
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--anomaly-fraction", type=float, default=0.05)
-    p.add_argument("--out", default=None)
+    p.add_argument("--anomaly-fraction", type=float, default=D.ANOMALY_FRACTION)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(

@@ -51,10 +51,12 @@ _LABEL_VALUES = (0.0, 1.0, -1.0)  # accepted in a CSV label column; 1 marks an a
 CHUNK_ROWS = 4096
 # Train / validation / test shares of each class in split_dataset.
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
-# Protocol defaults, written only here: labeled anomalies and the target anomaly
-# share of the unlabeled pool. The feature share spliced per injected anomaly is fixed.
+# Protocol defaults, written only here: labeled anomalies, the target anomaly
+# share of the unlabeled pool and the anomaly share of synthetic data. The
+# feature share spliced per injected anomaly is fixed.
 LABELED_ANOMALIES = 30
 CONTAMINATION = 0.02
+ANOMALY_FRACTION = 0.05
 FEATURE_FRACTION = 0.05
 
 
@@ -579,7 +581,7 @@ def _check_generator_args(kind: str, n: int, n_min: int, seed: int,
             f"anomaly_fraction must lie in (0, 0.5), got {anomaly_fraction!r}")
 
 
-def generate_toy(n: int, seed: int = 0, anomaly_fraction: float = 0.05) -> Dataset:
+def generate_toy(n: int, seed: int = 0, anomaly_fraction: float = ANOMALY_FRACTION) -> Dataset:
     """Seeded 10-feature toy dataset with a 3-cluster anomaly class."""
     _check_generator_args("toy", n, 50, seed, anomaly_fraction)
     rng = np.random.default_rng(seed)
@@ -659,7 +661,7 @@ def _case_split(kind: str, n: int, rng: np.random.Generator,
 
 
 def generate_case(kind: str, n: int, seed: int = 0,
-                  anomaly_fraction: float = 0.05) -> tuple[Dataset, Dataset]:
+                  anomaly_fraction: float = ANOMALY_FRACTION) -> tuple[Dataset, Dataset]:
     """(train, test) pair for one 2-d anomaly-layout case.
 
     clustered: anomaly blobs near the normal blobs, same mixture in both

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from anomix import cli
 from anomix.artifact import ModelArtifact, load_model, save_model, write_manifest
 from anomix.cli import _TRAIN_KNOBS, build_parser, main
 from anomix.data import (
@@ -194,6 +195,37 @@ def test_every_train_config_field_is_a_train_flag_and_a_sweep_key():
         knobs = {field: getattr(args, name) for name, (field, _help) in _TRAIN_KNOBS.items()}
         # Each flag's default is TrainConfig()'s.
         assert TrainConfig(**knobs, seed=args.seed, select_best=not args.last_epoch) == TrainConfig()
+
+
+_TRAIN_DEFAULTS = {"out": None, "seed": 0, "epochs": 50, "batches_per_epoch": 20,
+                   "batch_size": 32, "lr": 0.005, "rep_dim": 128, "k": 2, "alpha": 0.5,
+                   "margin": 1.0, "temperature": 2.0, "weight_decay": 1e-05, "ablation": "full",
+                   "last_epoch": False}
+
+
+# Minimal argv -> everything it parses to besides "command": every flag and default.
+_PARSED = {
+    ("train", "--data", "d.csv", "--label-col", "y"):
+        {**_TRAIN_DEFAULTS, "data": "d.csv", "label_col": "y", "labeled_anomalies": 30,
+         "contamination": 0.02, "verbose": False, "func": cli.cmd_train},
+    ("sweep", "--data", "d.csv", "--label-col", "y"):
+        {**_TRAIN_DEFAULTS, "data": "d.csv", "label_col": "y", "labeled_anomalies": [30],
+         "contamination": [0.02], "repeats": 1, "func": cli.cmd_sweep},
+    ("evaluate", "--model", "m.json", "--data", "d.csv", "--label-col", "y"):
+        {"out": None, "model": "m.json", "data": "d.csv", "label_col": "y",
+         "func": cli.cmd_evaluate},
+    ("score", "--model", "m.json", "--data", "d.csv"):
+        {"out": None, "model": "m.json", "data": "d.csv", "label_col": None,
+         "func": cli.cmd_score},
+    ("synth", "--kind", "toy"):
+        {"out": None, "kind": "toy", "n": 5000, "seed": 0, "anomaly_fraction": 0.05,
+         "func": cli.cmd_synth},
+}
+
+
+@pytest.mark.parametrize("argv", list(_PARSED), ids=lambda argv: argv[0])
+def test_each_command_parses_its_flags_and_defaults(argv):
+    assert vars(build_parser().parse_args(argv)) == {"command": argv[0], **_PARSED[argv]}
 
 
 def test_train_determinism_byte_identical(toy_csv, tmp_path):
@@ -390,12 +422,14 @@ def test_load_rejects_version_and_shape_tampering(tmp_path):
     path = tmp_path / "model.json"
     save_model(ModelArtifact(params, None, {}, 1), path)
 
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 99
     bad = tmp_path / "versioned.json"
-    bad.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(CorruptArtifactError, match="version"):
-        load_model(bad)
+    # true and 1.0 compare equal to 1, but no anomix writer produces them
+    for version in (99, True, 1.0):
+        payload = json.loads(path.read_text())
+        payload["format_version"] = version
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptArtifactError, match="version"):
+            load_model(bad)
 
     payload = json.loads(path.read_text())
     payload["layers"]["score_out"]["weights"] = [[1.0, 2.0, 3.0]]
@@ -404,9 +438,21 @@ def test_load_rejects_version_and_shape_tampering(tmp_path):
     with pytest.raises(CorruptArtifactError):
         load_model(bad2)
 
+    # Swapped min-max bounds would scale every such feature to 0.
+    save_model(ModelArtifact(params, NormState([0.0, -1.0, 2.0, 0.0], [1.0, 1.0, 2.0, 3.0]),
+                             {}, 1), path)
+    payload = json.loads(path.read_text())
+    norm = payload["normalization"]
+    norm["min"], norm["max"] = norm["max"], norm["min"]
+    bad3 = tmp_path / "bounds.json"
+    bad3.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CorruptArtifactError, match="min above the max"):
+        load_model(bad3)
+
 
 @pytest.mark.parametrize("d, h", [(1, 2), (4, 8)])  # (1, 2) has 1x1 layers
-@pytest.mark.parametrize("bounds", [None, ([-0.0, 5e-324, 2.5, 1e300], [1.0] * 4)])
+# min <= max, as load_model requires, with -0.0 against 0.0 and a tied pair
+@pytest.mark.parametrize("bounds", [None, ([-0.0, 5e-324, 2.5, 1e300], [0.0, 1.0, 2.5, 1e300])])
 def test_model_json_has_the_bytes_json_dumps_gives(d, h, bounds, tmp_path):
     params = build_scorer(d, h, seed=3)
     params.flat[:4] = [-0.0, 5e-324, 1e300, -1e-300]
@@ -748,11 +794,22 @@ def test_each_command_writes_one_manifest(command, toy_csv, tmp_path):
         for name, path in manifest["outputs"].items()}
 
 
+# Model files that do not decode, and what the error then says.
+_UNDECODABLE = {"not-utf8": b"\xff{}", "nested-too-deep": b"[" * 100_000}
+_NAMED = {"not-utf8": ": not valid JSON (", "nested-too-deep": ": not valid JSON (",
+          "empty-label": ": label column '' not in header"}
+
+
 @pytest.mark.parametrize("command, fault, error", [
     ("evaluate", "no-model", "CorruptArtifactError"),
     ("score", "no-model", "CorruptArtifactError"),
     ("evaluate", "no-label", "DatasetError"),
     ("sweep", "no-data", "DatasetError"),
+    *[(command, fault, "CorruptArtifactError") for fault in _UNDECODABLE
+      for command in ("evaluate", "score")],
+    # "" is a missing column on both commands, not an absent flag
+    ("evaluate", "empty-label", "DatasetError"),
+    ("score", "empty-label", "DatasetError"),
 ])
 def test_a_failed_input_leaves_no_output_directory(command, fault, error, toy_csv, tmp_path,
                                                    capsys):
@@ -761,12 +818,15 @@ def test_a_failed_input_leaves_no_output_directory(command, fault, error, toy_cs
         argv = _sweep_args(tmp_path / "missing.csv", out, 1)
     else:
         model = str(tmp_path / "nope.json") if fault == "no-model" else _untrained_model(tmp_path, 1)
-        label = "missing" if fault == "no-label" else "label"
+        if fault in _UNDECODABLE:
+            Path(model).write_bytes(_UNDECODABLE[fault])
+        label = {"no-label": "missing", "empty-label": ""}.get(fault, "label")
         argv = [command, "--model", model, "--data", str(toy_csv), "--label-col", label,
                 "--out", str(out)]
     assert main(argv) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == error
+    assert _NAMED.get(fault, "") in record["message"]
     assert not out.exists()
 
 
