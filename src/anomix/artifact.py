@@ -3,10 +3,10 @@
 Models are stored as a versioned, self-describing JSON container with
 float64 values written through Python's shortest round-trip repr, so a
 save/load cycle reproduces scores bit for bit. The format version is
-checked before any weight is interpreted, and non-finite values are
-rejected both on save and on load. Models and manifests go through
-`data.atomic_writer`, the one writer for every file anomix produces, so an
-interrupted write leaves the previous file intact.
+checked before any weight is interpreted, and the same rules run in both
+directions: `save_model` writes only what `load_model` accepts. Models and
+manifests go through `data.atomic_writer`, the one writer for every file
+anomix produces, so an interrupted write leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -43,35 +43,30 @@ def _require(condition: bool, message: str) -> None:
 def save_model(artifact: ModelArtifact, path) -> None:
     """Write `json.dumps(payload, indent=1, allow_nan=False)` of the model's payload.
 
-    `indent` sends `json.dumps` down its pure-Python encoder, so each
-    layer array is dumped as a placeholder string and written in its place
-    by `_json_array`, which gives the same bytes.
+    Built from the live arrays, it must pass `load_model`'s rules before any file
+    is opened. `indent` sends `json.dumps` down its pure-Python encoder, so each
+    layer array is dumped as a placeholder string and written in its place by
+    `_json_array`, which gives the same bytes.
     """
     params = artifact.params
-    layers = {}
-    for name, layer in params.named_layers():
-        if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
-            raise CorruptArtifactError(f"refusing to save non-finite values in {name}")
-        layers[name] = {"weights": f"{name}.weights", "bias": f"{name}.bias"}
     payload = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
-        "architecture": {
-            "d_in": params.d_in,
-            "rep_dim": params.rep_dim,
-            "h1": params.h1,
-            "h2": params.h2,
-            "slope": params.slope,
-        },
-        "layers": layers,
+        "architecture": {"d_in": params.d_in, "rep_dim": params.rep_dim, "h1": params.h1,
+                         "h2": params.h2, "slope": params.slope},
+        "layers": {name: {"weights": layer.weights, "bias": layer.bias}
+                   for name, layer in params.named_layers()},
         "normalization": None if artifact.norm_state is None else {
-            "min": artifact.norm_state.mins.tolist(),
-            "max": artifact.norm_state.maxs.tolist(),
-        },
+            "min": artifact.norm_state.mins.tolist(), "max": artifact.norm_state.maxs.tolist()},
         "train_config": artifact.train_config,
         "seed": artifact.seed,
     }
-    text = json.dumps(payload, indent=1, allow_nan=False)
+    _artifact_from_payload(payload, path)
+    payload["layers"] = {n: {"weights": f"{n}.weights", "bias": f"{n}.bias"} for n in LAYER_NAMES}
+    try:
+        text = json.dumps(payload, indent=1, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise CorruptArtifactError(f"{path}: train_config does not encode as JSON ({exc})") from exc
     with atomic_writer(path) as fh:
         done = 0
         for label, array in params.arrays():
@@ -117,6 +112,11 @@ def load_model(path) -> ModelArtifact:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # Not UTF-8, or nested past the recursion limit: no anomix writer made it.
         raise CorruptArtifactError(f"{path}: not valid JSON ({exc})") from exc
+    return _artifact_from_payload(payload, path)
+
+
+def _artifact_from_payload(payload, path) -> ModelArtifact:
+    """The artifact `payload` describes, once it meets every rule of a model file at `path`."""
     _require(isinstance(payload, dict), f"{path}: not a model container")
     _require(payload.get("format") == FORMAT_NAME, f"{path}: not an {FORMAT_NAME} file")
     version = payload.get("format_version")

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anomix import cli
 from anomix.artifact import ModelArtifact, load_model, save_model, write_manifest
@@ -650,6 +653,105 @@ def test_save_rejects_nonfinite_weights(tmp_path):
     params.rep_hidden.weights[0, 0] = np.inf
     with pytest.raises(CorruptArtifactError):
         save_model(ModelArtifact(params, None, {}, 1), tmp_path / "m.json")
+
+
+def _inf_weight_scorer():
+    params = build_scorer(4, 8, seed=1)
+    params.score_hidden.bias[2] = -np.inf
+    return params
+
+
+# Each artifact breaks one rule of a model file. `hand` is the same break in a
+# payload written by hand, where JSON can express it.
+@pytest.mark.parametrize("field, value, hand, named", [
+    pytest.param("norm_state", NormState([0.0, 2.0, 0.0, 0.0], [1.0] * 4),
+                 {"normalization": {"min": [0.0, 2.0, 0.0, 0.0], "max": [1.0] * 4}},
+                 "min above the max", id="swapped-bounds"),
+    pytest.param("norm_state", NormState([0.0] * 3, [1.0] * 3),
+                 {"normalization": {"min": [0.0] * 3, "max": [1.0] * 3}},
+                 "mis-sized", id="short-bounds"),
+    pytest.param("seed", True, {"seed": True}, "seed", id="seed-true"),
+    pytest.param("seed", 3.0, {"seed": 3.0}, "seed", id="seed-float"),
+    pytest.param("train_config", [1, 2], {"train_config": [1, 2]}, "train_config",
+                 id="config-list"),
+    pytest.param("norm_state", NormState([0.0, np.nan, 0.0, 0.0], [1.0] * 4), None,
+                 "normalization bounds hold non-finite values", id="nan-bound"),
+    pytest.param("params", _inf_weight_scorer(), None,
+                 "layer 'score_hidden' holds non-finite values", id="inf-weight"),
+    pytest.param("train_config", {"lr": np.nan}, None, "train_config", id="nan-config"),
+    pytest.param("seed", np.int64(3), None, "seed", id="int64-seed"),
+])
+def test_save_refuses_what_load_refuses(field, value, hand, named, tmp_path):
+    good = ModelArtifact(build_scorer(4, 8, seed=1), None, {}, 1)
+    bad = dataclasses.replace(good, **{field: value})
+    path = tmp_path / "model.json"
+
+    def refused():
+        with pytest.raises(CorruptArtifactError, match=re.escape(named)) as caught:
+            save_model(bad, path)
+        assert str(path) in str(caught.value)
+        assert [p.name for p in tmp_path.iterdir()] == ([path.name] if path.exists() else [])
+        return str(caught.value)
+
+    message = refused()
+    assert not path.exists()
+    save_model(good, path)
+    before = path.read_bytes()
+    assert refused() == message
+    assert path.read_bytes() == before
+    if hand is not None:
+        # load_model gives the same message for the same break at the same path.
+        path.write_text(json.dumps({**json.loads(before), **hand}), encoding="utf-8")
+        with pytest.raises(CorruptArtifactError) as caught:
+            load_model(path)
+        assert str(caught.value) == message
+
+
+_ODD_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.5])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | _ODD_FLOATS
+_JSON_CONFIG = st.dictionaries(st.text(max_size=4), st.recursive(
+    st.none() | st.booleans() | st.integers() | _FINITE | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6), max_size=4)
+
+
+@st.composite
+def _artifacts(draw):
+    d, h = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    params = build_scorer(d, h, seed=0)
+    params.flat[:] = draw(hnp.arrays(np.float64, params.flat.size, elements=_FINITE))
+    norm = None
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(_FINITE, _FINITE).map(sorted), min_size=d, max_size=d))
+        norm = NormState(*zip(*pairs))
+    return ModelArtifact(params, norm, draw(_JSON_CONFIG), draw(st.integers(-2**70, 2**70)))
+
+
+def _odd_artifact():
+    params = build_scorer(2, 4, seed=0)
+    params.flat[:3] = [-0.0, 5e-324, 1e300]
+    return ModelArtifact(params, NormState([-0.0, 2.5], [0.0, 2.5]), {"lr": 1e-3}, 7)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(artifact=_artifacts())
+@example(artifact=_odd_artifact())
+def test_every_saved_model_loads_back_and_saves_to_the_same_bytes(artifact, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    save_model(artifact, path)
+    saved = path.read_bytes()
+    loaded = load_model(path)
+    assert loaded.params.flat.tobytes() == artifact.params.flat.tobytes()
+    if artifact.norm_state is None:
+        assert loaded.norm_state is None
+    else:
+        assert loaded.norm_state.mins.tobytes() == artifact.norm_state.mins.tobytes()
+        assert loaded.norm_state.maxs.tobytes() == artifact.norm_state.maxs.tobytes()
+    assert loaded.train_config == artifact.train_config
+    assert loaded.seed == artifact.seed
+    save_model(loaded, path)
+    assert path.read_bytes() == saved
 
 
 # -- sweep -------------------------------------------------------------------------
