@@ -4,7 +4,8 @@ Models are stored as a versioned, self-describing JSON container with
 float64 values written through Python's shortest round-trip repr, so a
 save/load cycle reproduces scores bit for bit. The format version is
 checked before any weight is interpreted, and the same rules run in both
-directions: `save_model` writes only what `load_model` accepts. Models and
+directions: `save_model` writes only what `load_model` accepts. Every model
+holds its min-max bounds and the one LeakyReLU slope. Models and
 manifests go through `data.atomic_writer`, the one writer for every file
 anomix produces, so an interrupted write leaves the previous file intact.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import NormState, atomic_writer, write_json
-from .errors import CorruptArtifactError
+from .errors import ContractViolationError, CorruptArtifactError
 from .nn import DenseLayer
 from .scorer import LAYER_NAMES, ScorerParams, hidden_sizes, layer_shapes
 
@@ -30,7 +31,7 @@ FORMAT_VERSION = 1
 @dataclass
 class ModelArtifact:
     params: ScorerParams
-    norm_state: NormState | None
+    norm_state: NormState
     train_config: dict
     seed: int
 
@@ -63,10 +64,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
     }
     _artifact_from_payload(payload, path)
     payload["layers"] = {n: {"weights": f"{n}.weights", "bias": f"{n}.bias"} for n in LAYER_NAMES}
-    try:
-        text = json.dumps(payload, indent=1, allow_nan=False)
-    except (TypeError, ValueError) as exc:
-        raise CorruptArtifactError(f"{path}: train_config does not encode as JSON ({exc})") from exc
+    text = json.dumps(payload, indent=1, allow_nan=False)
     with atomic_writer(path) as fh:
         done = 0
         for label, array in params.arrays():
@@ -130,8 +128,8 @@ def _artifact_from_payload(payload, path) -> ModelArtifact:
                  f"{path}: architecture {key!r} is {arch.get(key)!r}, not a positive integer")
     d_in, rep_dim, h1, h2 = arch["d_in"], arch["rep_dim"], arch["h1"], arch["h2"]
     slope = arch.get("slope")
-    _require(type(slope) is float and 0.0 < slope < 1.0,
-             f"{path}: architecture 'slope' is {slope!r}, not a number in (0, 1)")
+    _require(type(slope) is float and slope == ScorerParams.slope,
+             f"{path}: architecture 'slope' is {slope!r}, not {ScorerParams.slope!r}")
     _require(rep_dim > 1, f"{path}: architecture 'rep_dim' is 1, which leaves no scoring unit")
     _require((h1, h2) == hidden_sizes(d_in, rep_dim), f"{path}: architecture violates the sizing rule")
 
@@ -148,24 +146,28 @@ def _artifact_from_payload(payload, path) -> ModelArtifact:
         _require(bool(np.isfinite(weights).all() and np.isfinite(bias).all()),
                  f"{path}: layer {name!r} holds non-finite values")
         built.append(DenseLayer(weights, bias))
-    params = ScorerParams(*built, slope=slope)
+    params = ScorerParams(*built)
 
     norm = payload.get("normalization")
-    norm_state = None
-    if norm is not None:
-        _require(isinstance(norm, dict), f"{path}: malformed normalization block")
-        mins = _numbers(norm.get("min"), f"{path}: normalization block")
-        maxs = _numbers(norm.get("max"), f"{path}: normalization block")
-        _require(mins.shape == (d_in,) and maxs.shape == (d_in,),
-                 f"{path}: normalization bounds mis-sized")
-        _require(bool(np.isfinite(mins).all() and np.isfinite(maxs).all()),
-                 f"{path}: normalization bounds hold non-finite values")
-        _require(bool((mins <= maxs).all()),
-                 f"{path}: normalization bounds have a min above the max")
+    _require(isinstance(norm, dict), f"{path}: missing normalization block")
+    mins = _numbers(norm.get("min"), f"{path}: normalization block")
+    maxs = _numbers(norm.get("max"), f"{path}: normalization block")
+    _require(mins.shape == (d_in,) and maxs.shape == (d_in,),
+             f"{path}: normalization bounds mis-sized")
+    try:
         norm_state = NormState(mins, maxs)
+    except ContractViolationError as exc:
+        raise CorruptArtifactError(f"{path}: {exc}") from exc
 
     train_config = payload.get("train_config", {})
     _require(isinstance(train_config, dict), f"{path}: train_config is not an object")
+    try:
+        # A parsed file's config comes back equal unless a number read as inf (1e999).
+        echo = json.loads(json.dumps(train_config, allow_nan=False))
+    except (TypeError, ValueError) as exc:
+        raise CorruptArtifactError(f"{path}: train_config does not encode as JSON ({exc})") from exc
+    _require(echo == train_config, f"{path}: train_config does not load back as saved "
+                                   "(every key must be a string, every array a list)")
     seed = payload.get("seed", 0)
     _require(type(seed) is int, f"{path}: seed {seed!r} is not an integer")
     return ModelArtifact(

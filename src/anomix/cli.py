@@ -176,8 +176,7 @@ def _scored(args):
         X, y = dataset.X, dataset.y
     if X.shape[1] != artifact.params.d_in:
         raise DatasetError(f"model expects {artifact.params.d_in} features, data has {X.shape[1]}")
-    if artifact.norm_state is not None:
-        X = D.normalize_features(X, artifact.norm_state)
+    X = D.normalize_features(X, artifact.norm_state)
     config = {"model": str(args.model), "data": str(args.data), "label_col": args.label_col}
     return score_batch(artifact.params, X), y, config, artifact.seed
 

@@ -62,7 +62,11 @@ FEATURE_FRACTION = 0.05
 
 @dataclass
 class NormState:
-    """Per-feature (min, max) recorded from training-role rows."""
+    """Per-feature (min, max) recorded from training-role rows: finite, each min <= its max.
+
+    Already-normalized features take identity bounds, `NormState(np.zeros(d), np.ones(d))`,
+    and pass `normalize_features` bit for bit: x - 0.0 and x / 1.0 are exact.
+    """
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -72,6 +76,10 @@ class NormState:
         self.maxs = np.asarray(self.maxs, dtype=np.float64)
         if self.mins.shape != self.maxs.shape or self.mins.ndim != 1:
             raise ContractViolationError("normalization bounds must be matching vectors")
+        if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
+            raise ContractViolationError("normalization bounds hold non-finite values")
+        if not (self.mins <= self.maxs).all():
+            raise ContractViolationError("normalization bounds have a min above the max")
 
 
 @dataclass
@@ -374,9 +382,10 @@ def minmax_normalize(dataset: Dataset) -> Dataset:
 
     Training rows land in [0, 1]; validation and test rows reuse the
     training bounds and may fall outside. Constant features map to 0.
-    Applying the op twice is the identity on X. Raises DatasetError naming
-    the first feature column whose training span (max - min) overflows
-    float64, or whose scaled values are not finite.
+    Applying the op twice is the identity on X. A training row holding a
+    non-finite value gives NormState's ContractViolationError. Raises
+    DatasetError naming the first feature column whose training span
+    (max - min) overflows float64, or whose scaled values are not finite.
     """
     train = dataset.train_indices()
     if len(train) == 0:

@@ -58,7 +58,7 @@ def init_dense(n_out: int, n_in: int, rng: np.random.Generator) -> DenseLayer:
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    """x for x >= 0, slope*x otherwise, elementwise; ScorerParams checks the slope."""
+    """x for x >= 0, slope*x otherwise, elementwise, for 0 < slope < 1 (ScorerParams.slope)."""
     return np.maximum(x, slope * x)
 
 

@@ -3,13 +3,13 @@
 Layer sizing follows h1 = D + floor((H - D) / 2) for the representation
 hidden layer and h2 = floor(H / 2) for the scoring hidden layer, where D
 is the input width and H the representation width. Hidden layers use
-LeakyReLU, with the slope `ScorerParams` holds (0.01 unless a saved model
-says otherwise), checked once when the parameters are built, computed as
-max(h, slope*h) or as h times max(h >= 0, slope): for 0 < slope < 1 both
-have the bits of "h if h >= 0 else slope*h", signed zeros included. The
-representation output is linear so that distances in it are not
-range-compressed; the final score passes through tanh and lies strictly
-inside (-1, 1), higher meaning more anomalous.
+LeakyReLU with the one slope of every model, the class constant
+`ScorerParams.slope` = 0.01, computed as max(h, slope*h) or as h times
+max(h >= 0, slope): for 0 < slope < 1 both have the bits of "h if h >= 0
+else slope*h", signed zeros included. The representation output is linear
+so that distances in it are not range-compressed; the final score passes
+through tanh and lies strictly inside (-1, 1), higher meaning more
+anomalous.
 
 `ScorerParams` owns the layout: four (weights, bias) layers in
 LAYER_NAMES order, shaped as `layer_shapes` says, each array a view of
@@ -57,11 +57,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import nn
-from .errors import ContractViolationError, InvalidArchitectureError, InvalidParameterError
+from .errors import ContractViolationError, InvalidArchitectureError
 from .nn import DenseLayer, Var
 
 LAYER_NAMES = ("rep_hidden", "rep_out", "score_hidden", "score_out")
@@ -81,11 +82,10 @@ class ScorerParams:
     rep_out: DenseLayer
     score_hidden: DenseLayer
     score_out: DenseLayer
-    slope: float = 0.01
+    # The hidden layers' LeakyReLU slope, the same in every model.
+    slope: ClassVar[float] = 0.01
 
     def __post_init__(self):
-        if not 0.0 < self.slope < 1.0:
-            raise InvalidParameterError(f"slope must lie in (0, 1), got {self.slope!r}")
         labels, arrays = zip(*self.arrays())
         self.flat = np.concatenate([a.ravel() for a in arrays])
         ends = np.cumsum([a.size for a in arrays]).tolist()
@@ -203,7 +203,7 @@ def score(params: ScorerParams, x) -> float:
         raise ContractViolationError("input vector holds a non-finite value")
     slope = params.slope
     hidden, rep, head, out = params.layers()
-    # max(h, slope*h) is LeakyReLU for 0 < slope < 1, which ScorerParams ensures.
+    # max(h, slope*h) is LeakyReLU, as 0 < slope < 1.
     h = np.dot(hidden.weights, x)
     h += hidden.bias
     z = np.dot(rep.weights, np.maximum(h, slope * h))

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from anomix.data import NormState
 from anomix.losses import feature_regularizer_graph, scoring_loss_graph
 from anomix.nn import DenseLayer
 from anomix.scorer import ScorerParams
+
+
+def identity_bounds(d: int) -> NormState:
+    """Min-max bounds under which d already-normalized features score as they are.
+
+    x - 0.0 and x / 1.0 are exact; test_data pins that these give the features bit for bit.
+    """
+    return NormState(np.zeros(d), np.ones(d))
 
 
 def identity_representation_scorer(d: int) -> ScorerParams:

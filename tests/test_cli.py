@@ -29,9 +29,10 @@ from anomix.data import (
     write_csv,
     write_rows,
 )
-from anomix.errors import CorruptArtifactError
+from anomix.errors import ContractViolationError, CorruptArtifactError
 from anomix.scorer import build_scorer, score_batch
 from anomix.training import TrainConfig, train
+from tests.conftest import identity_bounds
 
 
 @pytest.fixture
@@ -391,7 +392,8 @@ def test_out_dir_env_var(toy_csv, tmp_path, monkeypatch):
 
 def test_save_load_round_trip_is_bit_exact(tmp_path, rng):
     params = build_scorer(6, 12, seed=9)
-    artifact = ModelArtifact(params=params, norm_state=None, train_config={"seed": 9}, seed=9)
+    artifact = ModelArtifact(params=params, norm_state=identity_bounds(6),
+                             train_config={"seed": 9}, seed=9)
     path = tmp_path / "model.json"
     save_model(artifact, path)
     loaded = load_model(path)
@@ -403,7 +405,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path, rng):
 def test_load_rejects_truncated_file(tmp_path):
     params = build_scorer(4, 8, seed=1)
     path = tmp_path / "model.json"
-    save_model(ModelArtifact(params, None, {}, 1), path)
+    save_model(ModelArtifact(params, identity_bounds(4), {}, 1), path)
     path.write_text(path.read_text()[: path.stat().st_size // 2], encoding="utf-8")
     with pytest.raises(CorruptArtifactError):
         load_model(path)
@@ -412,7 +414,7 @@ def test_load_rejects_truncated_file(tmp_path):
 def test_load_rejects_nan_weight(tmp_path):
     params = build_scorer(4, 8, seed=1)
     path = tmp_path / "model.json"
-    save_model(ModelArtifact(params, None, {}, 1), path)
+    save_model(ModelArtifact(params, identity_bounds(4), {}, 1), path)
     payload = json.loads(path.read_text())
     payload["layers"]["rep_hidden"]["weights"][0][0] = "NaN"
     path.write_text(json.dumps(payload).replace('"NaN"', "NaN"), encoding="utf-8")
@@ -423,7 +425,7 @@ def test_load_rejects_nan_weight(tmp_path):
 def test_load_rejects_version_and_shape_tampering(tmp_path):
     params = build_scorer(4, 8, seed=1)
     path = tmp_path / "model.json"
-    save_model(ModelArtifact(params, None, {}, 1), path)
+    save_model(ModelArtifact(params, identity_bounds(4), {}, 1), path)
 
     bad = tmp_path / "versioned.json"
     # true and 1.0 compare equal to 1, but no anomix writer produces them
@@ -454,12 +456,13 @@ def test_load_rejects_version_and_shape_tampering(tmp_path):
 
 
 @pytest.mark.parametrize("d, h", [(1, 2), (4, 8)])  # (1, 2) has 1x1 layers
-# min <= max, as load_model requires, with -0.0 against 0.0 and a tied pair
+# None stands for identity bounds; the other pair has min <= max, as load_model requires,
+# with -0.0 against 0.0 and a tied pair
 @pytest.mark.parametrize("bounds", [None, ([-0.0, 5e-324, 2.5, 1e300], [0.0, 1.0, 2.5, 1e300])])
 def test_model_json_has_the_bytes_json_dumps_gives(d, h, bounds, tmp_path):
     params = build_scorer(d, h, seed=3)
     params.flat[:4] = [-0.0, 5e-324, 1e300, -1e-300]
-    norm = None if bounds is None else NormState(bounds[0][:d], bounds[1][:d])
+    norm = identity_bounds(d) if bounds is None else NormState(bounds[0][:d], bounds[1][:d])
     # a train_config string equal to a layer label is not taken for the layer's block
     config = {"lr": 0.001, "note": "rep_hidden.weights"}
     path = tmp_path / "model.json"
@@ -469,7 +472,8 @@ def test_model_json_has_the_bytes_json_dumps_gives(d, h, bounds, tmp_path):
     loaded = load_model(path)
     assert loaded.params.flat.tobytes() == params.flat.tobytes()
     assert loaded.train_config == config
-    assert (loaded.norm_state is None) == (norm is None)
+    assert loaded.norm_state.mins.tobytes() == norm.mins.tobytes()
+    assert loaded.norm_state.maxs.tobytes() == norm.maxs.tobytes()
 
 
 @pytest.mark.parametrize("key, value, named", [
@@ -509,7 +513,7 @@ def test_score_rejects_a_model_with_malformed_numbers(key, value, named, toy_csv
 def test_load_rejects_seed_and_train_config_tampering(tmp_path):
     params = build_scorer(4, 8, seed=1)
     path = tmp_path / "model.json"
-    save_model(ModelArtifact(params, None, {}, 1), path)
+    save_model(ModelArtifact(params, identity_bounds(4), {}, 1), path)
     bad = tmp_path / "tampered.json"
     for key, value in (("seed", "abc"), ("seed", None), ("seed", 1.5),
                        ("train_config", [1, 2]),
@@ -518,7 +522,7 @@ def test_load_rejects_seed_and_train_config_tampering(tmp_path):
                        ("architecture.rep_dim", True), ("architecture.rep_dim", 1),
                        ("architecture.slope", "0.01"), ("architecture.slope", True),
                        ("architecture.slope", 1.5), ("architecture.slope", 0.0),
-                       ("architecture.slope", -0.2)):
+                       ("architecture.slope", -0.2), ("architecture.slope", 0.2)):
         payload = json.loads(path.read_text())
         *parents, field = key.split(".")
         block = payload[parents[0]] if parents else payload
@@ -531,7 +535,8 @@ def test_load_rejects_seed_and_train_config_tampering(tmp_path):
 
 def _untrained_model(tmp_path, seed):
     path = tmp_path / f"untrained_{seed}.json"
-    save_model(ModelArtifact(build_scorer(10, 8, seed=seed), None, {}, seed), path)
+    save_model(ModelArtifact(build_scorer(10, 8, seed=seed), identity_bounds(10), {}, seed),
+               path)
     return str(path)
 
 
@@ -547,7 +552,8 @@ def _sweep_args(toy_csv, out, seed, *grid):
 # calls through `main` return its exit code; the others are library writers.
 _WRITE_SITES = {
     "model.json": lambda tmp_path, toy_csv, out, seed: save_model(
-        ModelArtifact(build_scorer(4, 8, seed=seed), None, {}, seed), out / "model.json"),
+        ModelArtifact(build_scorer(4, 8, seed=seed), identity_bounds(4), {}, seed),
+        out / "model.json"),
     "manifest.json": lambda tmp_path, toy_csv, out, seed: write_manifest(
         out / "manifest.json", command="train", config={}, dataset_fingerprint=None,
         seed=seed, metrics={}, wall_clock_s=0.0, outputs={}),
@@ -652,7 +658,7 @@ def test_save_rejects_nonfinite_weights(tmp_path):
     params = build_scorer(4, 8, seed=1)
     params.rep_hidden.weights[0, 0] = np.inf
     with pytest.raises(CorruptArtifactError):
-        save_model(ModelArtifact(params, None, {}, 1), tmp_path / "m.json")
+        save_model(ModelArtifact(params, identity_bounds(4), {}, 1), tmp_path / "m.json")
 
 
 def _inf_weight_scorer():
@@ -664,9 +670,8 @@ def _inf_weight_scorer():
 # Each artifact breaks one rule of a model file. `hand` is the same break in a
 # payload written by hand, where JSON can express it.
 @pytest.mark.parametrize("field, value, hand, named", [
-    pytest.param("norm_state", NormState([0.0, 2.0, 0.0, 0.0], [1.0] * 4),
-                 {"normalization": {"min": [0.0, 2.0, 0.0, 0.0], "max": [1.0] * 4}},
-                 "min above the max", id="swapped-bounds"),
+    pytest.param("norm_state", None, {"normalization": None}, "missing normalization block",
+                 id="no-bounds"),
     pytest.param("norm_state", NormState([0.0] * 3, [1.0] * 3),
                  {"normalization": {"min": [0.0] * 3, "max": [1.0] * 3}},
                  "mis-sized", id="short-bounds"),
@@ -674,15 +679,18 @@ def _inf_weight_scorer():
     pytest.param("seed", 3.0, {"seed": 3.0}, "seed", id="seed-float"),
     pytest.param("train_config", [1, 2], {"train_config": [1, 2]}, "train_config",
                  id="config-list"),
-    pytest.param("norm_state", NormState([0.0, np.nan, 0.0, 0.0], [1.0] * 4), None,
-                 "normalization bounds hold non-finite values", id="nan-bound"),
     pytest.param("params", _inf_weight_scorer(), None,
                  "layer 'score_hidden' holds non-finite values", id="inf-weight"),
     pytest.param("train_config", {"lr": np.nan}, None, "train_config", id="nan-config"),
+    # json.dumps writes 1 as "1" beside the "1" key, and the tuple as a list
+    pytest.param("train_config", {1: (2, 3), "a": 1, "1": 5}, None,
+                 "train_config does not load back as saved", id="int-key-config"),
+    pytest.param("train_config", {"a": (2, 3)}, None,
+                 "train_config does not load back as saved", id="tuple-config"),
     pytest.param("seed", np.int64(3), None, "seed", id="int64-seed"),
 ])
 def test_save_refuses_what_load_refuses(field, value, hand, named, tmp_path):
-    good = ModelArtifact(build_scorer(4, 8, seed=1), None, {}, 1)
+    good = ModelArtifact(build_scorer(4, 8, seed=1), identity_bounds(4), {}, 1)
     bad = dataclasses.replace(good, **{field: value})
     path = tmp_path / "model.json"
 
@@ -707,13 +715,55 @@ def test_save_refuses_what_load_refuses(field, value, hand, named, tmp_path):
         assert str(caught.value) == message
 
 
+# Bounds NormState refuses, and the same break in a model file written by hand, where
+# load_model gives NormState's message after the path. No JSON number reads as nan;
+# 1e999 reads as inf.
+@pytest.mark.parametrize("mins, maxs, hand, message", [
+    pytest.param([0.0, 2.0, 0.0, 0.0], [1.0] * 4,
+                 {"min": [0.0, 2.0, 0.0, 0.0], "max": [1.0] * 4},
+                 "normalization bounds have a min above the max", id="swapped-bounds"),
+    pytest.param([0.0, np.nan, 0.0, 0.0], [1.0] * 4,
+                 {"min": [0.0] * 4, "max": [1.0, "INF", 1.0, 1.0]},
+                 "normalization bounds hold non-finite values", id="nan-bound"),
+])
+def test_norm_state_refuses_what_load_model_refuses(mins, maxs, hand, message, tmp_path):
+    with pytest.raises(ContractViolationError) as caught:
+        NormState(mins, maxs)
+    assert str(caught.value) == message
+    path = tmp_path / "model.json"
+    good = ModelArtifact(build_scorer(4, 8, seed=1), identity_bounds(4), {}, 1)
+    save_model(good, path)
+    payload = json.loads(path.read_text())
+    payload["normalization"] = hand
+    path.write_text(json.dumps(payload).replace('"INF"', "1e999"), encoding="utf-8")
+    with pytest.raises(CorruptArtifactError) as caught:
+        load_model(path)
+    assert str(caught.value) == f"{path}: {message}"
+    # Bounds edited in place after NormState checked them still do not reach a file.
+    before = path.read_bytes()
+    good.norm_state.mins[:], good.norm_state.maxs[:] = mins, maxs
+    with pytest.raises(CorruptArtifactError) as caught:
+        save_model(good, path)
+    assert str(caught.value) == f"{path}: {message}"
+    assert path.read_bytes() == before
+
+
 _ODD_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.5])
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | _ODD_FLOATS
-_JSON_CONFIG = st.dictionaries(st.text(max_size=4), st.recursive(
+# One key in eight is an int, which json.dumps writes as a string: it does not load
+# back as saved.
+_KEYS = st.integers(0, 7).flatmap(lambda n: st.integers(0, 9) if n == 7 else st.text(max_size=4))
+_JSON_CONFIG = st.dictionaries(_KEYS, st.recursive(
     st.none() | st.booleans() | st.integers() | _FINITE | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
     max_leaves=6), max_size=4)
+
+
+def _str_keys(value) -> bool:
+    """Whether every dict key in `value`, at every depth, is a string."""
+    if isinstance(value, dict):
+        return all(isinstance(key, str) and _str_keys(item) for key, item in value.items())
+    return not isinstance(value, list) or all(map(_str_keys, value))
 
 
 @st.composite
@@ -721,11 +771,9 @@ def _artifacts(draw):
     d, h = draw(st.integers(1, 4)), draw(st.integers(2, 6))
     params = build_scorer(d, h, seed=0)
     params.flat[:] = draw(hnp.arrays(np.float64, params.flat.size, elements=_FINITE))
-    norm = None
-    if draw(st.booleans()):
-        pairs = draw(st.lists(st.tuples(_FINITE, _FINITE).map(sorted), min_size=d, max_size=d))
-        norm = NormState(*zip(*pairs))
-    return ModelArtifact(params, norm, draw(_JSON_CONFIG), draw(st.integers(-2**70, 2**70)))
+    pairs = draw(st.lists(st.tuples(_FINITE, _FINITE).map(sorted), min_size=d, max_size=d))
+    return ModelArtifact(params, NormState(*zip(*pairs)), draw(_JSON_CONFIG),
+                         draw(st.integers(-2**70, 2**70)))
 
 
 def _odd_artifact():
@@ -734,20 +782,21 @@ def _odd_artifact():
     return ModelArtifact(params, NormState([-0.0, 2.5], [0.0, 2.5]), {"lr": 1e-3}, 7)
 
 
-@settings(deadline=None, derandomize=True, max_examples=200)
+@settings(deadline=None, derandomize=True, max_examples=300)
 @given(artifact=_artifacts())
 @example(artifact=_odd_artifact())
 def test_every_saved_model_loads_back_and_saves_to_the_same_bytes(artifact, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    if not _str_keys(artifact.train_config):
+        with pytest.raises(CorruptArtifactError, match="train_config does not load back"):
+            save_model(artifact, path)
+        return
     save_model(artifact, path)
     saved = path.read_bytes()
     loaded = load_model(path)
     assert loaded.params.flat.tobytes() == artifact.params.flat.tobytes()
-    if artifact.norm_state is None:
-        assert loaded.norm_state is None
-    else:
-        assert loaded.norm_state.mins.tobytes() == artifact.norm_state.mins.tobytes()
-        assert loaded.norm_state.maxs.tobytes() == artifact.norm_state.maxs.tobytes()
+    assert loaded.norm_state.mins.tobytes() == artifact.norm_state.mins.tobytes()
+    assert loaded.norm_state.maxs.tobytes() == artifact.norm_state.maxs.tobytes()
     assert loaded.train_config == artifact.train_config
     assert loaded.seed == artifact.seed
     save_model(loaded, path)

@@ -48,6 +48,7 @@ from anomix.errors import (
 )
 from anomix.metrics import auc_roc
 from anomix.nn import TANH_LIMIT
+from tests.conftest import identity_bounds
 
 
 def _dataset(X, y, role=Role.UNLABELED):
@@ -583,6 +584,24 @@ def test_normalize_features_dimension_check():
     state = minmax_normalize(_dataset([[0.0], [2.0]], [0, 0])).norm_state
     with pytest.raises(DatasetError):
         normalize_features(np.array([[1.0, 2.0]]), state)
+
+
+def test_minmax_refuses_a_non_finite_training_value():
+    # nan bounds would scale the column to zeros, inf bounds to nan
+    for bad in (np.nan, np.inf):
+        ds = _dataset([[0.0, 1.0], [bad, 2.0], [1.0, 3.0]], [0, 0, 1])
+        with pytest.raises(ContractViolationError, match="bounds hold non-finite values"):
+            minmax_normalize(ds)
+
+
+def test_identity_bounds_give_the_features_bit_for_bit():
+    # x - 0.0 and x / 1.0 are exact, signed zeros, subnormals and the float64 extremes included
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300, 1e308, -1e308,
+             np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.5, -3.75]
+    X = np.concatenate([edges, np.random.default_rng(3).normal(size=34)]).reshape(12, 4)
+    out = normalize_features(X, identity_bounds(4))
+    assert out.tobytes() == X.tobytes()
+    assert np.signbit(out[0, 1]) and not np.signbit(out[0, 0])
 
 
 # -- splitting ----------------------------------------------------------------------

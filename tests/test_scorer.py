@@ -16,7 +16,7 @@ from anomix.scorer import (
     score,
     score_batch,
 )
-from tests.conftest import identity_representation_scorer
+from tests.conftest import identity_bounds, identity_representation_scorer
 
 
 @pytest.mark.parametrize("d,h,expected", [
@@ -61,13 +61,13 @@ def test_layers_are_views_of_one_parameter_vector(tmp_path):
         values[index:] = np.nan
         assert params.nonfinite_label(values) == label
     # parameters built from another's layers copy them
-    twin = ScorerParams(*params.layers(), slope=params.slope)
+    twin = ScorerParams(*params.layers())
     assert np.array_equal(twin.flat, params.flat)
     assert not any(np.shares_memory(a, b) for a in arrays + [params.flat]
                    for _, b in twin.arrays())
     twin.flat[:] = 0.0
     assert params.score_out.bias[0] == -2.0
-    save_model(ModelArtifact(params, None, {}, 0), tmp_path / "model.json")
+    save_model(ModelArtifact(params, identity_bounds(3), {}, 0), tmp_path / "model.json")
     loaded = load_model(tmp_path / "model.json").params
     assert loaded.flat.tobytes() == params.flat.tobytes()
 
