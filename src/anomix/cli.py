@@ -36,7 +36,7 @@ from .artifact import (
     write_manifest,
 )
 from .data import Dataset, Role
-from .errors import AnomixError, DatasetError, InvalidParameterError, UnusableDatasetError
+from .errors import AnomixError, InvalidParameterError, UnusableDatasetError
 from .losses import ABLATION_MODES
 from .metrics import evaluate_scores
 from .rng import child_seed
@@ -174,8 +174,6 @@ def _scored(args):
     else:
         dataset = D.load_csv(args.data, args.label_col)
         X, y = dataset.X, dataset.y
-    if X.shape[1] != artifact.params.d_in:
-        raise DatasetError(f"model expects {artifact.params.d_in} features, data has {X.shape[1]}")
     X = D.normalize_features(X, artifact.norm_state)
     config = {"model": str(args.model), "data": str(args.data), "label_col": args.label_col}
     return score_batch(artifact.params, X), y, config, artifact.seed
@@ -278,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled-anomalies", type=int, default=D.LABELED_ANOMALIES)
     p.add_argument("--contamination", type=float, default=D.CONTAMINATION,
                    help="target anomaly share of the unlabeled pool")
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true",
+                   help="print each epoch's losses, loss weight and validation AUC-PR on stderr")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[scorable],

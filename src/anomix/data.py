@@ -413,7 +413,9 @@ def normalize_features(X: np.ndarray, state: NormState) -> np.ndarray:
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(state.mins):
-        raise DatasetError(f"expected (n, {len(state.mins)}) features, got {X.shape}")
+        width = X.shape[1] if X.ndim == 2 else f"shape {X.shape}"
+        raise DatasetError(f"the min-max bounds cover {len(state.mins)} features, "
+                           f"the data has {width}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _transform(X, state)
         # min and max carry any nan or inf, without a temporary the size of X.

@@ -1,4 +1,4 @@
-"""Dense layers, LeakyReLU, and Adam.
+"""Dense layers and Adam.
 
 Everything runs in float64 numpy. Batch losses reduce by the mean, so the
 learning rate does not depend on batch size. The gradient of the one
@@ -9,9 +9,9 @@ second moment vector. Adam's beta1, beta2 and eps are fixed at the
 defaults of arXiv 1412.6980. Training-time state (a step's
 `ScorerGraph`, the optimizer) is single-writer; pure forward evaluation
 with frozen parameters is safe to call concurrently.
-LeakyReLU is max(x, slope*x), bitwise "x if x >= 0 else slope*x" for
-0 < slope < 1, signed zeros included. Hot paths write in place but keep
-each float operation's operands and order, so trained bytes do not move.
+The scorer's LeakyReLU is written where each forward applies it, in
+`scorer`. Hot paths write in place but keep each float operation's
+operands and order, so trained bytes do not move.
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ def init_dense(n_out: int, n_in: int, rng: np.random.Generator) -> DenseLayer:
     """Uniform(-1/sqrt(n_in), 1/sqrt(n_in)) weights, zero bias."""
     limit = 1.0 / math.sqrt(n_in)
     return DenseLayer(rng.uniform(-limit, limit, size=(n_out, n_in)), np.zeros(n_out))
-
-
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    """x for x >= 0, slope*x otherwise, elementwise, for 0 < slope < 1 (ScorerParams.slope)."""
-    return np.maximum(x, slope * x)
 
 
 class Var:

@@ -4,12 +4,17 @@ Layer sizing follows h1 = D + floor((H - D) / 2) for the representation
 hidden layer and h2 = floor(H / 2) for the scoring hidden layer, where D
 is the input width and H the representation width. Hidden layers use
 LeakyReLU with the one slope of every model, the class constant
-`ScorerParams.slope` = 0.01, computed as max(h, slope*h) or as h times
-max(h >= 0, slope): for 0 < slope < 1 both have the bits of "h if h >= 0
-else slope*h", signed zeros included. The representation output is linear
-so that distances in it are not range-compressed; the final score passes
-through tanh and lies strictly inside (-1, 1), higher meaning more
-anomalous.
+`ScorerParams.slope` = 0.01. The representation output is linear so that
+distances in it are not range-compressed; the final score passes through
+tanh and lies strictly inside (-1, 1), higher meaning more anomalous.
+
+The forward is written once per input shape: `score` for one vector,
+`score_batch` for an (n, D) matrix, and `ScorerGraph` for a training
+step's stacked rows. LeakyReLU has two spellings. The inference forwards
+write max(h, slope*h) over h, keeping nothing. The training graph writes h
+times the factor max(h >= 0, slope), because `backward` reuses that factor
+as the activation's derivative. For 0 < slope < 1 both have the bits of
+"h if h >= 0 else slope*h", signed zeros included.
 
 `ScorerParams` owns the layout: four (weights, bias) layers in
 LAYER_NAMES order, shaped as `layer_shapes` says, each array a view of
@@ -153,12 +158,6 @@ def _as_batch(x, d_in: int) -> np.ndarray:
     return X
 
 
-def represent_batch(params: ScorerParams, X) -> np.ndarray:
-    """(n, H) representations for an (n, D) batch."""
-    hidden = _dense(_as_batch(X, params.d_in), params.rep_hidden)
-    return _dense(nn.leaky_relu(hidden, params.slope), params.rep_out)
-
-
 def _dense(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
     out = x @ layer.weights.T
     out += layer.bias
@@ -174,14 +173,17 @@ def score_batch(params: ScorerParams, X) -> np.ndarray:
     value.
     """
     X = _as_batch(X, params.d_in)
+    slope = params.slope
     scores = np.empty(len(X))
     for start in range(0, len(X), BLOCK_ROWS):
         block = X[start:start + BLOCK_ROWS]
         if not np.isfinite(block).all():
             bad = start + int(np.argmin(np.isfinite(block).all(axis=1)))
             raise ContractViolationError(f"input row {bad} holds a non-finite value")
-        hidden = _dense(represent_batch(params, block), params.score_hidden)
-        raw = _dense(nn.leaky_relu(hidden, params.slope), params.score_out)
+        h = _dense(block, params.rep_hidden)
+        z = _dense(np.maximum(h, slope * h, out=h), params.rep_out)
+        h = _dense(z, params.score_hidden)
+        raw = _dense(np.maximum(h, slope * h, out=h), params.score_out)
         np.clip(np.tanh(raw[:, 0]), -nn.TANH_LIMIT, nn.TANH_LIMIT,
                 out=scores[start:start + len(block)])
     return scores
@@ -203,14 +205,13 @@ def score(params: ScorerParams, x) -> float:
         raise ContractViolationError("input vector holds a non-finite value")
     slope = params.slope
     hidden, rep, head, out = params.layers()
-    # max(h, slope*h) is LeakyReLU, as 0 < slope < 1.
     h = np.dot(hidden.weights, x)
     h += hidden.bias
-    z = np.dot(rep.weights, np.maximum(h, slope * h))
+    z = np.dot(rep.weights, np.maximum(h, slope * h, out=h))
     z += rep.bias
     h = np.dot(head.weights, z)
     h += head.bias
-    raw = float(np.dot(out.weights[0], np.maximum(h, slope * h))) + float(out.bias[0])
+    raw = float(np.dot(out.weights[0], np.maximum(h, slope * h, out=h))) + float(out.bias[0])
     return min(max(math.tanh(raw), -nn.TANH_LIMIT), nn.TANH_LIMIT)
 
 
@@ -247,10 +248,9 @@ class ScorerGraph:
 
         Every row of X is represented, once, and kept as `rep`.
         """
-        X = _as_batch(X, self.params.d_in)
-        if not 1 <= n_scored <= len(X):
-            raise ContractViolationError(f"cannot score {n_scored} of {len(X)} rows")
         self.rep = self.represent(X)
+        if not 1 <= n_scored <= len(self.rep):
+            raise ContractViolationError(f"cannot score {n_scored} of {len(self.rep)} rows")
         w3, b3, w4, b4 = self.leaves[4:]
         self.h2, self.f2 = _leaky_relu(nn.v_linear(self.rep[:n_scored], w3, b3),
                                        self.params.slope)

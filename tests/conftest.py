@@ -15,6 +15,14 @@ def identity_bounds(d: int) -> NormState:
     return NormState(np.zeros(d), np.ones(d))
 
 
+def where_representation(params: ScorerParams, X) -> np.ndarray:
+    """The representation stage as plain expressions over every row of X at once:
+    each bias added to a fresh product, and np.where LeakyReLU."""
+    pre = X @ params.rep_hidden.weights.T + params.rep_hidden.bias
+    hidden = np.where(pre >= 0.0, pre, params.slope * pre)
+    return hidden @ params.rep_out.weights.T + params.rep_out.bias
+
+
 def identity_representation_scorer(d: int) -> ScorerParams:
     """Scorer whose representation is the identity for nonnegative inputs.
 

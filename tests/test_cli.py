@@ -97,6 +97,58 @@ def test_last_epoch_returns_the_last_epochs_weights(toy_csv, tmp_path, capsys):
     assert load_model(best / "model.json").params.flat.tobytes() != flat
 
 
+def _progress_line(record) -> str:
+    """The stderr line `train --verbose` prints for one history.json record."""
+    feat = f" loss_feature={record['loss_feature']:.4f}" if record["loss_feature"] is not None else ""
+    val = f" val_auc_pr={record['val_auc_pr']:.4f}" if record["val_auc_pr"] is not None else ""
+    return (f"epoch {record['epoch']}: loss_scoring={record['loss_scoring']:.4f}{feat} "
+            f"w={record['weight']:.3f}{val}")
+
+
+def test_verbose_prints_each_epoch_and_writes_the_same_files(toy_csv, tmp_path, capsys):
+    quiet, verbose = tmp_path / "quiet", tmp_path / "verbose"
+    assert main(_train_args(toy_csv, quiet)) == 0
+    quiet_run = capsys.readouterr()
+    assert main([*_train_args(toy_csv, verbose), "--verbose"]) == 0
+    verbose_run = capsys.readouterr()
+    assert quiet_run.err == ""
+    history = json.loads((verbose / "history.json").read_text())
+    assert len(history) == 4
+    assert verbose_run.err.splitlines() == [_progress_line(record) for record in history]
+    assert verbose_run.out == quiet_run.out.replace(str(quiet), str(verbose))
+    outputs = [json.loads((run / "train_manifest.json").read_text())["outputs"]
+               for run in (quiet, verbose)]
+    assert sorted(outputs[0]) == sorted(outputs[1]) == ["history", "model", "test_split"]
+    for name in outputs[0]:
+        assert Path(outputs[0][name]).read_bytes() == Path(outputs[1][name]).read_bytes(), name
+
+
+def test_a_validation_split_without_anomalies_selects_nothing(tmp_path, capsys):
+    # 4 anomalies in 300 rows split 4/0/0: validation and test hold normal rows only,
+    # so no epoch has a validation AUC-PR and the last epoch's weights come back.
+    data = tmp_path / "few.csv"
+    write_csv(generate_toy(300, seed=3, anomaly_fraction=4 / 300), data)
+    best, last = tmp_path / "best", tmp_path / "last"
+    argv = ["train", "--data", str(data), "--label-col", "label", "--labeled-anomalies", "2",
+            "--epochs", "3", "--batches-per-epoch", "2", "--batch-size", "8",
+            "--rep-dim", "8", "--seed", "2"]
+    assert main([*argv, "--out", str(best), "--verbose"]) == 0
+    run = capsys.readouterr()
+    history = json.loads((best / "history.json").read_text())
+    assert [record["val_auc_pr"] for record in history] == [None, None, None]
+    metrics = json.loads((best / "train_manifest.json").read_text())["metrics"]
+    assert metrics["best_val_auc_pr"] is None
+    assert metrics["final_val_auc_pr"] is None
+    assert run.out == f"model written to {best / 'model.json'}\n"
+    assert run.err.splitlines() == [_progress_line(record) for record in history]
+    assert "val_auc_pr" not in run.err
+    assert load_csv(best / "test_split.csv", "label").y.sum() == 0
+
+    assert main([*argv, "--out", str(last), "--last-epoch"]) == 0
+    flat = load_model(last / "model.json").params.flat.tobytes()
+    assert load_model(best / "model.json").params.flat.tobytes() == flat
+
+
 def _for_train_and_sweep(*cases):
     """Each case once per command that takes train's flags. A train case keeps the
     id pytest gives it by default; a sweep case's id starts with "sweep"."""
@@ -948,7 +1000,8 @@ def test_each_command_writes_one_manifest(command, toy_csv, tmp_path):
 # Model files that do not decode, and what the error then says.
 _UNDECODABLE = {"not-utf8": b"\xff{}", "nested-too-deep": b"[" * 100_000}
 _NAMED = {"not-utf8": ": not valid JSON (", "nested-too-deep": ": not valid JSON (",
-          "empty-label": ": label column '' not in header"}
+          "empty-label": ": label column '' not in header",
+          "one-column-short": "the min-max bounds cover 10 features, the data has 9"}
 
 
 @pytest.mark.parametrize("command, fault, error", [
@@ -961,6 +1014,9 @@ _NAMED = {"not-utf8": ": not valid JSON (", "nested-too-deep": ": not valid JSON
     # "" is a missing column on both commands, not an absent flag
     ("evaluate", "empty-label", "DatasetError"),
     ("score", "empty-label", "DatasetError"),
+    # the model's width is checked once, by normalize_features against its bounds
+    ("evaluate", "one-column-short", "DatasetError"),
+    ("score", "one-column-short", "DatasetError"),
 ])
 def test_a_failed_input_leaves_no_output_directory(command, fault, error, toy_csv, tmp_path,
                                                    capsys):
@@ -972,7 +1028,13 @@ def test_a_failed_input_leaves_no_output_directory(command, fault, error, toy_cs
         if fault in _UNDECODABLE:
             Path(model).write_bytes(_UNDECODABLE[fault])
         label = {"no-label": "missing", "empty-label": ""}.get(fault, "label")
-        argv = [command, "--model", model, "--data", str(toy_csv), "--label-col", label,
+        data = toy_csv
+        if fault == "one-column-short":
+            data = tmp_path / "short.csv"
+            lines = toy_csv.read_text(encoding="utf-8").splitlines()
+            data.write_text("".join(line.split(",", 1)[1] + "\n" for line in lines),
+                            encoding="utf-8")
+        argv = [command, "--model", model, "--data", str(data), "--label-col", label,
                 "--out", str(out)]
     assert main(argv) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -22,6 +22,7 @@ from anomix.data import (
     FEATURE_FRACTION,
     TOY_MIXING,
     Dataset,
+    NormState,
     Role,
     adjust_contamination,
     atomic_writer,
@@ -582,8 +583,11 @@ def test_minmax_names_the_column_whose_span_or_scale_overflows():
 
 def test_normalize_features_dimension_check():
     state = minmax_normalize(_dataset([[0.0], [2.0]], [0, 0])).norm_state
-    with pytest.raises(DatasetError):
+    with pytest.raises(DatasetError, match=r"^the min-max bounds cover 1 features, the data has 2$"):
         normalize_features(np.array([[1.0, 2.0]]), state)
+    with pytest.raises(DatasetError,
+                       match=r"^the min-max bounds cover 1 features, the data has shape \(2,\)$"):
+        normalize_features(np.array([1.0, 2.0]), state)
 
 
 def test_minmax_refuses_a_non_finite_training_value():
@@ -913,3 +917,43 @@ def test_prepare_dataset_end_state():
     train_rows = prepared.X[prepared.train_indices()]
     assert train_rows.min() >= 0.0 and train_rows.max() <= 1.0
     assert (prepared.roles != int(Role.UNASSIGNED)).all()
+
+
+_X = np.zeros((3, 2))
+_Y = np.zeros(3)
+_ROLES = np.full(3, int(Role.UNLABELED))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda _: NormState([0.0, 0.0], [1.0]), ContractViolationError,
+                 "normalization bounds must be matching vectors", id="bounds-unequal"),
+    pytest.param(lambda _: NormState(np.zeros((1, 2)), np.ones((1, 2))), ContractViolationError,
+                 "normalization bounds must be matching vectors", id="bounds-2d"),
+    pytest.param(lambda _: Dataset(np.zeros(3), _Y, _ROLES), ContractViolationError,
+                 "X must be a 2-d matrix", id="X-1d"),
+    pytest.param(lambda _: Dataset(_X, np.zeros(2), _ROLES), ContractViolationError,
+                 "labels and roles must have one entry per row", id="labels-short"),
+    pytest.param(lambda _: Dataset(_X, _Y, _ROLES[:2]), ContractViolationError,
+                 "labels and roles must have one entry per row", id="roles-short"),
+    pytest.param(lambda _: Dataset(_X, _Y, _ROLES, ["a"]), ContractViolationError,
+                 "feature name count must match columns", id="names-short"),
+    pytest.param(lambda _: Dataset(_X, [0, 2, 0], _ROLES), ContractViolationError,
+                 "labels must be 0 (normal) or 1 (anomaly)", id="label-2"),
+    pytest.param(lambda _: Dataset(_X, _Y, [2, 9, 2]), ContractViolationError,
+                 "unknown role code", id="role-9"),
+    pytest.param(lambda _: Dataset(_X, _Y, [int(Role.LABELED_ANOMALY), 2, 2]),
+                 ContractViolationError, "a labeled-anomaly row must have y = 1",
+                 id="labeled-normal"),
+    pytest.param(lambda tmp: write_csv(Dataset(_X, _Y, _ROLES, ["label", "b"]), tmp / "t.csv"),
+                 DatasetError, "label column 'label' collides with a feature name",
+                 id="label-collides"),
+    pytest.param(lambda _: adjust_contamination(Dataset(_X, _Y, np.full(3, int(Role.VALID))),
+                                                0.1, np.random.default_rng(0)),
+                 UnusableDatasetError, "no unlabeled pool to adjust", id="no-pool"),
+])
+def test_data_contract_errors(make, error, message, tmp_path):
+    with pytest.raises(error) as caught:
+        make(tmp_path)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    assert not (tmp_path / "t.csv").exists()

@@ -126,6 +126,18 @@ def test_augment_batch_validation(rng):
         augment_batch(x, np.array([1.0, 0.5, -1.0]), k=2, alpha=0.5, m=2, rng=rng)
 
 
+@pytest.mark.parametrize("x, y", [
+    pytest.param(np.zeros(3), np.zeros(3), id="x-1d"),
+    pytest.param(np.zeros((3, 2)), np.zeros(2), id="labels-short"),
+    pytest.param(np.zeros((3, 2)), np.zeros((3, 1)), id="labels-2d"),
+])
+def test_augment_batch_source_shape_errors(x, y, rng):
+    with pytest.raises(InvalidParameterError) as caught:
+        augment_batch(x, y, k=2, alpha=0.5, m=2, rng=rng)
+    assert type(caught.value) is InvalidParameterError
+    assert str(caught.value) == "sources must be an (n, d) matrix with n labels"
+
+
 def test_beta_tail_mass_matches_arcsine_law(rng):
     # Monte-Carlo check against the closed-form Beta(0.5, 0.5) CDF
     draws = _weights(2, 0.5, 30000, rng)[:, 0]

@@ -20,11 +20,15 @@ from anomix.scorer import (
     ScorerParams,
     backward,
     build_scorer,
-    represent_batch,
     score_batch,
 )
 from anomix.training import TrainConfig, train
-from tests.conftest import identity_representation_scorer, step_losses, tanh_line_scorer
+from tests.conftest import (
+    identity_representation_scorer,
+    step_losses,
+    tanh_line_scorer,
+    where_representation,
+)
 
 
 def _smooth(residual):
@@ -146,6 +150,38 @@ def test_scoring_loss_rejects_dangling_sources(rng):
         _scoring(params, batch, np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
+def _graph(n_forwarded=0):
+    """A graph of a (2 -> 4) scorer, after a forward of that many rows if any."""
+    graph = ScorerGraph(build_scorer(2, 4, seed=0))
+    if n_forwarded:
+        graph.forward(np.zeros((n_forwarded, 2)), n_forwarded)
+    return graph
+
+
+_BLOCKS = (np.zeros((2, 2)),) * 3
+_EMPTY_MIX = AugmentedBatch(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2), dtype=np.int64),
+                            np.zeros((0, 2)))
+_NO_TRIPLETS = "the graph holds no forward with anomaly, unlabeled and anchor rows"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: scoring_loss_graph(_graph(), "bogus", _BLOCKS, None),
+                 InvalidParameterError,
+                 f"unknown ablation 'bogus'; expected one of {ABLATION_MODES}", id="mode"),
+    pytest.param(lambda: scoring_loss_graph(_graph(), "full", _BLOCKS, _EMPTY_MIX),
+                 ContractViolationError, "augmented batch is empty", id="empty-mix"),
+    pytest.param(lambda: feature_regularizer_graph(_graph(), 2, 1.0),
+                 ContractViolationError, _NO_TRIPLETS, id="no-forward"),
+    pytest.param(lambda: feature_regularizer_graph(_graph(5), 2, 1.0),
+                 ContractViolationError, _NO_TRIPLETS, id="short-forward"),
+])
+def test_loss_contract_errors(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_scoring_loss_graph_matches_plain_value(rng):
     # the loss written out in numpy over the reference forward pass
     params = build_scorer(3, 6, seed=5)
@@ -209,7 +245,7 @@ def test_feature_regularizer_graph_matches_plain(rng):
     xa = rng.uniform(0, 1, size=(4, 3))
     xu = rng.uniform(0, 1, size=(4, 3))
     xq = rng.uniform(0, 1, size=(4, 3))
-    za, zu, zq = (represent_batch(params, x) for x in (xa, xu, xq))
+    za, zu, zq = (where_representation(params, x) for x in (xa, xu, xq))
     d_neg = np.linalg.norm(zu - zq, axis=1)
     d_pos = np.linalg.norm(za - zq, axis=1)
     expected = float(np.mean(np.maximum(d_neg - d_pos + 1.0, 0.0)))
@@ -243,7 +279,7 @@ def test_fused_nodes_equal_the_per_block_formulas(mode, rng):
     if mode == "no_regularizer":
         assert feature is None
         return
-    za, zu, zq = (represent_batch(params, x) for x in blocks)
+    za, zu, zq = (where_representation(params, x) for x in blocks)
     hinge = np.linalg.norm(zu - zq, axis=1) - np.linalg.norm(za - zq, axis=1) + 1.0
     assert feature[0] == np.mean(np.maximum(hinge, 0.0)) > 0.0
 

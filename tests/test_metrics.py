@@ -167,6 +167,18 @@ def test_label_reversal_complements_roc(rng):
     assert auc_roc(scores, 1 - labels) == pytest.approx(1.0 - auc_roc(scores, labels), abs=1e-12)
 
 
+@pytest.mark.parametrize("scores, labels", [
+    pytest.param([0.1, 0.2], [1], id="labels-short"),
+    pytest.param([0.1], [0, 1], id="scores-short"),
+])
+@pytest.mark.parametrize("metric", [auc_roc, auc_pr, evaluate_scores])
+def test_unequal_lengths_are_an_error(metric, scores, labels):
+    with pytest.raises(UndefinedMetricError) as caught:
+        metric(scores, labels)
+    assert type(caught.value) is UndefinedMetricError
+    assert str(caught.value) == "scores and labels must have equal length"
+
+
 def test_single_class_errors():
     with pytest.raises(UndefinedMetricError):
         auc_roc([0.1, 0.2], [1, 1])

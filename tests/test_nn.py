@@ -18,7 +18,6 @@ from anomix.nn import (
     Var,
     adam_step,
     init_dense,
-    leaky_relu,
     v_linear,
 )
 from anomix.scorer import ScorerGraph, ScorerParams, _leaky_relu, backward, build_scorer
@@ -59,20 +58,39 @@ def test_dense_layer_shape_contract():
         DenseLayer(np.eye(2), np.zeros(3))
 
 
+@pytest.mark.parametrize("weights, bias, message", [
+    pytest.param(np.zeros(3), np.zeros(3), "weights must be a 2-d matrix", id="weights-1d"),
+    pytest.param(np.zeros((1, 2, 2)), np.zeros(1), "weights must be a 2-d matrix",
+                 id="weights-3d"),
+    pytest.param(np.eye(2), np.zeros((2, 1)), "bias shape (2, 1) does not match 2 output units",
+                 id="bias-2d"),
+])
+def test_dense_layer_contract_errors(weights, bias, message):
+    with pytest.raises(ContractViolationError) as caught:
+        DenseLayer(weights, bias)
+    assert type(caught.value) is ContractViolationError
+    assert str(caught.value) == message
+
+
 def test_leaky_relu_values():
-    assert np.array_equal(leaky_relu(np.array([2.0, 0.0, -1.0]), 0.01), [2.0, 0.0, -0.01])
-    assert np.allclose(leaky_relu(np.array([-2.0, 3.0]), 0.1), [-0.2, 3.0])
+    value, factor = _leaky_relu(np.array([2.0, 0.0, -1.0]), 0.01)
+    assert np.array_equal(value, [2.0, 0.0, -0.01])
+    assert np.array_equal(factor, [1.0, 1.0, 0.01])
+    assert np.allclose(_leaky_relu(np.array([-2.0, 3.0]), 0.1)[0], [-0.2, 3.0])
 
 
 @pytest.mark.parametrize("slope", [0.01, 0.3, 0.5, float(np.nextafter(1.0, 0.0))])
 def test_leaky_relu_forms_equal_the_where_form_bitwise(slope):
-    # max(x, slope*x) and x * max(x >= 0, slope) give np.where's bits, signed
-    # zeros, subnormals and the float64 extremes included
+    # max(x, slope*x), written over x as the inference forwards write it, and
+    # x * max(x >= 0, slope) give np.where's bits, signed zeros, subnormals and
+    # the float64 extremes included
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.5, -1.5]
     x = np.concatenate([edges, np.random.default_rng(0).normal(size=50)]).reshape(6, 10)
     expected = np.where(x >= 0.0, x, slope * x)
     factor = np.where(x >= 0.0, 1.0, slope)
-    assert leaky_relu(x, slope).tobytes() == expected.tobytes()
+    inference = x.copy()
+    np.maximum(inference, slope * inference, out=inference)
+    assert inference.tobytes() == expected.tobytes()
     value, got_factor = _leaky_relu(x.copy(), slope)
     assert got_factor.tobytes() == factor.tobytes()
     assert value.tobytes() == (x * factor).tobytes() == expected.tobytes()

@@ -6,17 +6,20 @@ import pytest
 from anomix import scorer
 from anomix.artifact import ModelArtifact, load_model, save_model
 from anomix.errors import ContractViolationError, InvalidArchitectureError
-from anomix.nn import TANH_LIMIT, DenseLayer, leaky_relu
+from anomix.nn import TANH_LIMIT, DenseLayer
 from anomix.scorer import (
     ScorerGraph,
     ScorerParams,
     build_scorer,
     hidden_sizes,
-    represent_batch,
     score,
     score_batch,
 )
-from tests.conftest import identity_bounds, identity_representation_scorer
+from tests.conftest import (
+    identity_bounds,
+    identity_representation_scorer,
+    where_representation,
+)
 
 
 @pytest.mark.parametrize("d,h,expected", [
@@ -83,9 +86,9 @@ def test_represent_matches_hand_chain(rng):
         score_out=DenseLayer(np.zeros((1, 1)), np.zeros(1)),
     )
     x = rng.normal(size=3)
-    hidden = leaky_relu(w1 @ x + b1, 0.01)
-    expected = w2 @ hidden + b2
-    assert np.allclose(represent_batch(params, x[None, :])[0], expected, atol=1e-14)
+    pre = w1 @ x + b1
+    expected = w2 @ np.where(pre >= 0.0, pre, 0.01 * pre) + b2
+    assert np.allclose(ScorerGraph(params).represent(x[None, :])[0], expected, atol=1e-14)
 
 
 def test_score_matches_hand_chain():
@@ -96,9 +99,10 @@ def test_score_matches_hand_chain():
         score_out=DenseLayer(np.array([[2.0]]), np.array([0.1])),
     )
     x = np.array([0.4, 0.7])
-    h1 = leaky_relu(params.rep_hidden.weights @ x + params.rep_hidden.bias, 0.01)
-    z = params.rep_out.weights @ h1 + params.rep_out.bias
-    h2 = leaky_relu(params.score_hidden.weights @ z + params.score_hidden.bias, 0.01)
+    pre = params.rep_hidden.weights @ x + params.rep_hidden.bias
+    z = params.rep_out.weights @ np.where(pre >= 0.0, pre, 0.01 * pre) + params.rep_out.bias
+    pre = params.score_hidden.weights @ z + params.score_hidden.bias
+    h2 = np.where(pre >= 0.0, pre, 0.01 * pre)
     expected = np.tanh(params.score_out.weights @ h2 + params.score_out.bias)[0]
     assert score(params, x) == pytest.approx(expected, abs=1e-15)
 
@@ -158,7 +162,8 @@ def test_score_takes_a_finite_row_whose_sum_overflows():
 def test_zero_network_outputs():
     params = identity_representation_scorer(3)
     x = np.array([0.3, 0.6, 0.9])
-    assert np.array_equal(represent_batch(params, x[None, :])[0], x)  # identity representation
+    # identity representation
+    assert np.array_equal(ScorerGraph(params).represent(x[None, :])[0], x)
     assert score(params, x) == 0.0  # zero score head -> tanh(0)
 
     zero = ScorerParams(
@@ -167,7 +172,7 @@ def test_zero_network_outputs():
         score_hidden=DenseLayer(np.zeros((1, 2)), np.zeros(1)),
         score_out=DenseLayer(np.zeros((1, 1)), np.zeros(1)),
     )
-    assert np.array_equal(represent_batch(zero, np.array([[5.0, -3.0]])), np.zeros((1, 2)))
+    assert np.array_equal(ScorerGraph(zero).represent(np.array([[5.0, -3.0]])), np.zeros((1, 2)))
 
 
 def test_scores_live_inside_open_interval(rng):
@@ -206,9 +211,8 @@ def test_score_batch_equals_rowwise_loop_across_shapes(d, h, shift, rng):
 
 def _one_shot_scores(params, X):
     """The whole forward as one chain of matrix products over every row of X."""
-    h = leaky_relu(X @ params.rep_hidden.weights.T + params.rep_hidden.bias, params.slope)
-    z = h @ params.rep_out.weights.T + params.rep_out.bias
-    h = leaky_relu(z @ params.score_hidden.weights.T + params.score_hidden.bias, params.slope)
+    pre = where_representation(params, X) @ params.score_hidden.weights.T + params.score_hidden.bias
+    h = np.where(pre >= 0.0, pre, params.slope * pre)
     raw = (h @ params.score_out.weights.T + params.score_out.bias)[:, 0]
     return np.clip(np.tanh(raw), -TANH_LIMIT, TANH_LIMIT)
 
@@ -287,7 +291,7 @@ def test_dimension_mismatches_raise(rng):
     with pytest.raises(ContractViolationError):
         score(params, np.ones(5))
     with pytest.raises(ContractViolationError):
-        represent_batch(params, np.ones((2, 3)))
+        ScorerGraph(params).represent(np.ones((2, 3)))
     with pytest.raises(ContractViolationError):
         score_batch(params, np.ones((3, 5)))
 
@@ -296,7 +300,7 @@ def test_forward_stays_finite_on_unit_box(rng):
     for trial in range(5):
         params = build_scorer(6, 12, seed=100 + trial)
         X = rng.uniform(0, 1, size=(50, 6))
-        assert np.isfinite(represent_batch(params, X)).all()
+        assert np.isfinite(ScorerGraph(params).represent(X)).all()
         assert np.isfinite(score_batch(params, X)).all()
 
 
@@ -305,12 +309,12 @@ def test_graph_forward_equals_numpy_forward_bitwise(rng):
     X = rng.normal(size=(33, 5))  # both signs reach every LeakyReLU
     X[:3] *= 1e3  # and tanh saturates into the clamp
     graph = ScorerGraph(params)
-    assert np.array_equal(graph.represent(X), represent_batch(params, X))
+    assert graph.represent(X).tobytes() == where_representation(params, X).tobytes()
     assert np.array_equal(graph.forward(X, len(X)), score_batch(params, X))
     # the stacked forward represents every row and scores only the prefix
     prefix = graph.forward(X, 20)
     assert prefix.shape == (20,)
-    assert np.array_equal(graph.rep, represent_batch(params, X))
+    assert graph.rep.tobytes() == where_representation(params, X).tobytes()
     assert np.array_equal(prefix, score_batch(params, X[:20]))
     with pytest.raises(ContractViolationError):
         graph.forward(X, 0)
