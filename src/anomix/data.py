@@ -5,10 +5,10 @@ flags and a per-row role: labeled anomaly, unlabeled (the training pool,
 possibly contaminated), validation, or test. All operations are pure:
 they return new datasets and never mutate their inputs. CSV files are
 read CHUNK_ROWS lines at a time by numpy's C parser, up to the first
-chunk it cannot take. From that chunk on, csv.reader and float() read the
-rest of the file; they give the same values and name the first bad row
-and column. Ingest holds the float blocks plus one chunk of text, never
-the whole file as text.
+chunk it cannot take; from there csv.reader and float() read on, with
+the same values. A bad file fails at its first fault, by row and column,
+and a missing label column at the header. Ingest holds the float blocks
+plus one chunk of text, never the whole file as text.
 Every file anomix writes goes through `atomic_writer` below, so a failed
 write leaves the previous file intact; `_write_table` streams numeric tables.
 """
@@ -186,6 +186,11 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
     name) that holds them. Rows are read CHUNK_ROWS at a time, so at most
     one chunk of text is held.
 
+    A bad file raises at its first fault in file order, and nothing after
+    it is read: the header (each name UTF-8, the label column named once),
+    then row by row, each readable by csv.reader, as wide as the header,
+    then its cells left to right.
+
     Fast path: chunks of physical lines go through numpy's C parser and
     the shared `_checked` shape, finiteness and label checks, up to the
     first chunk it cannot take (a quote, a blank line, a spelling only
@@ -193,12 +198,7 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
 
     csv path: from that chunk to the end of the file, one `csv.reader`
     hands out batches of CHUNK_ROWS records, so a record may span any
-    chunk or batch boundary. Each batch gets one bulk conversion (it
-    accepts exactly the spellings float() does) and the same checks. The
-    first batch that fails is kept, and only it gets the per-cell scan that
-    names the first fault in row-major order. Every batch is still read, so
-    a ragged (or unreadable) row anywhere wins over a label column that is
-    missing or named twice, and that wins over a bad cell.
+    chunk or batch boundary, and `_convert` turns each into a block.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
@@ -218,7 +218,10 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
                 raise DatasetError(
                     f"{path}: header column {i} ({name!r}) is not valid UTF-8") from None
         label_count = header.count(label_column)
-        label_idx = header.index(label_column) if label_count == 1 else None
+        if label_column is not None and label_count != 1:
+            where = "not in" if label_count == 0 else f"named {label_count} times in"
+            raise DatasetError(f"{path}: label column {label_column!r} {where} header {header}")
+        label_idx = None if label_column is None else header.index(label_column)
         width = len(header)
         blocks: list[np.ndarray] = []
         row = 2
@@ -230,41 +233,29 @@ def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]
             row += len(lines)
         # From the first chunk numpy's parser refused (none if it took them all), csv.reader
         # reads the rest of the file.
-        failed = None  # (row number of its first record, records) of the first batch that failed
         reader = csv.reader(itertools.chain(lines, fh))
-        while records := _records(reader, path, width, row):
-            block = _convert(records, width, label_idx)
-            if block is not None:
-                blocks.append(block)
-            elif failed is None:
-                failed = (row, records)
+        while records := _records(reader, path, header, row, label_idx):
+            blocks.append(_convert(path, header, row, records, label_idx))
             row += len(records)
             del records  # so the batch's str cells are freed before the next is read
-    if label_column is not None and label_count != 1:
-        where = "not in" if label_count == 0 else f"named {label_count} times in"
-        raise DatasetError(f"{path}: label column {label_column!r} {where} header {header}")
-    if failed is not None:
-        _raise_first_fault(path, header, *failed, label_idx)
-    X = np.concatenate(blocks) if blocks else np.empty((0, len(header)))
+    X = np.concatenate(blocks) if blocks else np.empty((0, width))
     return header, X
 
 
-def _records(reader, path, width: int, row: int) -> list[list[str]]:
+def _records(reader, path, header, row: int, label_idx: int | None) -> list[list[str]]:
     """The next CHUNK_ROWS records of `reader` (fewer at its end), the first being row `row`.
 
-    Each record must hold `width` fields. A csv error (e.g. a field over
-    csv.field_size_limit()) becomes a DatasetError naming the file and the
-    row, like a ragged row.
+    A record csv.reader cannot read (e.g. a field over csv.field_size_limit()) is a
+    DatasetError naming the file and its row, raised once the records before it pass `_convert`.
     """
     records = []
     try:
         for record in itertools.islice(reader, CHUNK_ROWS):
-            if len(record) != width:
-                raise DatasetError(f"{path}: row {row} has {len(record)} fields, expected {width}")
             records.append(record)
-            row += 1
     except csv.Error as exc:
-        raise DatasetError(f"{path}: row {row}: {exc}") from None
+        if records:
+            _convert(path, header, row, records, label_idx)
+        raise DatasetError(f"{path}: row {row + len(records)}: {exc}") from None
     return records
 
 
@@ -293,27 +284,25 @@ def _parse_lines(lines: list[str], width: int, label_idx: int | None) -> np.ndar
     return _checked(block, len(lines), width, label_idx)
 
 
-def _convert(rows, width: int, label_idx: int | None) -> np.ndarray | None:
-    """One chunk of csv records as a float64 block, or None if any cell fails a check."""
+def _convert(path, header, row: int, records, label_idx: int | None) -> np.ndarray:
+    """A batch of csv records, the first being row `row`, as a float64 block.
+
+    One bulk conversion (it accepts exactly the spellings float() does) and
+    the `_checked` checks take a clean batch. Any other batch is scanned
+    record by record, width before cells, and its first fault raised.
+    """
     try:
-        block = np.array(rows, dtype=np.float64)
+        block = _checked(np.array(records, dtype=np.float64), len(records), len(header),
+                         label_idx)
     except ValueError:
-        return None
-    return _checked(block, len(rows), width, label_idx)
-
-
-def _checked(block: np.ndarray, n: int, width: int, label_idx: int | None) -> np.ndarray | None:
-    """`block` if it is (n, width), all finite, with every label in _LABEL_VALUES; else None."""
-    if block.shape != (n, width) or not np.isfinite(block).all() or (
-            label_idx is not None and not np.isin(block[:, label_idx], _LABEL_VALUES).all()):
-        return None
-    return block
-
-
-def _raise_first_fault(path, header, first_line: int, rows, label_idx) -> None:
-    """The per-cell scan of a chunk that failed its bulk pass: name its first bad cell."""
-    for line_no, row in enumerate(rows, start=first_line):
-        for i, raw in enumerate(row):
+        block = None
+    if block is not None:
+        return block
+    for line_no, record in enumerate(records, start=row):
+        if len(record) != len(header):
+            raise DatasetError(
+                f"{path}: row {line_no} has {len(record)} fields, expected {len(header)}")
+        for i, raw in enumerate(record):
             try:
                 value = float(raw)
             except ValueError:
@@ -326,6 +315,16 @@ def _raise_first_fault(path, header, first_line: int, rows, label_idx) -> None:
             if i == label_idx and value not in _LABEL_VALUES:
                 raise DatasetError(f"{path}: row {line_no}: label {raw!r} is not binary "
                                    "(accepted: 0/1 or -1/+1)")
+    raise DatasetError(f"{path}: rows {row}-{line_no} failed the bulk conversion "
+                       "but pass the per-cell scan")
+
+
+def _checked(block: np.ndarray, n: int, width: int, label_idx: int | None) -> np.ndarray | None:
+    """`block` if it is (n, width), all finite, with every label in _LABEL_VALUES; else None."""
+    if block.shape != (n, width) or not np.isfinite(block).all() or (
+            label_idx is not None and not np.isin(block[:, label_idx], _LABEL_VALUES).all()):
+        return None
+    return block
 
 
 def load_csv(path, label_column: str) -> Dataset:

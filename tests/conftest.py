@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,18 @@ def step_losses(graph, mode, blocks, mixed, margin=1.0):
     if mode == "no_regularizer":
         return loss, None
     return loss, feature_regularizer_graph(graph, len(blocks[0]), margin)
+
+
+def nan_loss_at(loss, call: int):
+    """The loss function `loss` of train()'s step, whose value is nan at its `call`-th call
+    (0-based, counted over the run) and as computed at every other call."""
+    calls = itertools.count()
+
+    def wrapped(*args):
+        value, grad = loss(*args)
+        return (math.nan if next(calls) == call else value), grad
+
+    return wrapped
 
 
 @pytest.fixture

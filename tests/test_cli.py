@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from anomix import cli
+from anomix import cli, losses
 from anomix.artifact import ModelArtifact, load_model, save_model, write_manifest
 from anomix.cli import _TRAIN_KNOBS, build_parser, main
 from anomix.data import (
@@ -32,7 +32,7 @@ from anomix.data import (
 from anomix.errors import ContractViolationError, CorruptArtifactError
 from anomix.scorer import build_scorer, score_batch
 from anomix.training import TrainConfig, train
-from tests.conftest import identity_bounds
+from tests.conftest import identity_bounds, nan_loss_at
 
 
 @pytest.fixture
@@ -192,6 +192,21 @@ def test_a_train_that_fails_writes_nothing(tmp_path, capsys):
     assert record == {"error": "UnusableDatasetError",
                       "message": "training requires an unlabeled pool of at least "
                                  "2 * batch_size = 64 rows, got 49"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loss, message", [
+    ("scoring_loss_graph", "scoring loss diverged at epoch 1, batch 1"),
+    ("feature_regularizer_graph", "feature regularizer diverged at epoch 1, batch 1"),
+])
+def test_a_diverged_train_is_one_error_record_and_writes_nothing(loss, message, toy_csv,
+                                                                 tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(f"anomix.losses.{loss}", nan_loss_at(getattr(losses, loss), 1))
+    out = tmp_path / "run"
+    assert main(_train_args(toy_csv, out)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in err] == [{"error": "TrainingDivergedError",
+                                                   "message": message}]
     assert not out.exists()
 
 
@@ -1057,6 +1072,40 @@ def test_a_label_column_named_twice_is_rejected_before_training(command, toy_csv
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "DatasetError"
     assert "label column 'label' named 2 times in header" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "score", "sweep"])
+@pytest.mark.parametrize("fault, expected", [
+    ("missing", "label column 'label' not in header"),
+    ("doubled", "label column 'label' named 2 times in header"),
+])
+def test_a_bad_label_column_fails_before_any_row_is_read(command, fault, expected, toy_csv,
+                                                         tmp_path, capsys, monkeypatch):
+    header, *rows = toy_csv.read_text(encoding="utf-8").splitlines()
+    header = header.replace("label", "lable") if fault == "missing" else header + ",label"
+    if fault == "doubled":
+        rows = [f"{row},{row.rsplit(',', 1)[1]}" for row in rows]
+    data = tmp_path / "bad_label.csv"
+    data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    if command in ("train", "sweep"):
+        argv = _train_args(data, out) if command == "train" else _sweep_args(data, out, 1)
+    else:
+        argv = [command, "--model", _untrained_model(tmp_path, 1), "--data", str(data),
+                "--label-col", "label", "--out", str(out)]
+
+    def a_row_was_read(*_args):
+        raise AssertionError("a row was read before the label column was checked")
+
+    monkeypatch.setattr("anomix.data._parse_lines", a_row_was_read)
+    monkeypatch.setattr("anomix.data._records", a_row_was_read)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "DatasetError"
+    assert record["message"].startswith(f"{data}: {expected} [")
     assert not out.exists()
 
 

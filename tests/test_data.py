@@ -263,10 +263,12 @@ def _chunked_file(tmp_path, faults, header=("a", "label")):
 
 
 @pytest.mark.parametrize("faults,header,expected", [
-    # A bad cell in chunk 1 and a ragged row in chunk 3: the ragged row wins.
-    ({3: ["oops", "0"], 11: ["1"]}, ("a", "label"), r"row 11 has 1 fields, expected 2"),
-    # No label column and a ragged row in a later chunk: the ragged row wins.
-    ({12: ["1", "0", "2"]}, ("a", "b"), r"row 12 has 3 fields, expected 2"),
+    # A bad cell in chunk 1 and a ragged row in chunk 3: the first fault, the bad cell.
+    pytest.param({3: ["oops", "0"], 11: ["1"]}, ("a", "label"),
+                 r"row 3, column 'a': non-numeric value 'oops'$", id="bad-cell-then-ragged-row"),
+    # No label column and a ragged row in a later chunk: the header fails first.
+    pytest.param({12: ["1", "0", "2"]}, ("a", "b"), r"label column 'label' not in header",
+                 id="no-label-column-then-ragged-row"),
     ({2: ["0.5", "0"]}, ("a", "b"), r"label column 'label' not in header"),
     # Bad cells in chunks 2 and 3: the chunk-2 cell, with its line number.
     ({8: ["0.5", "7"], 10: ["inf", "0"]}, ("a", "label"), r"row 8: label '7' is not binary"),
@@ -279,6 +281,35 @@ def test_fault_precedence_across_chunks(faults, header, expected, tmp_path, monk
     monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
     path = _chunked_file(tmp_path, faults, header)
     with pytest.raises(DatasetError, match=expected):
+        load_csv(path, "label")
+
+
+def test_a_batch_the_bulk_pass_refuses_is_never_dropped(tmp_path, monkeypatch):
+    # Were the bulk checks to refuse a batch whose every cell passes the scan, the
+    # batch must not go missing from the matrix: the converter raises instead.
+    monkeypatch.setattr("anomix.data.CHUNK_ROWS", CHUNK)
+    monkeypatch.setattr("anomix.data._checked", lambda *_args: None)
+    path = _chunked_file(tmp_path, {})
+    with pytest.raises(DatasetError, match=r"rows 2-5 failed the bulk conversion but pass the "
+                                           r"per-cell scan$"):
+        load_csv(path, "label")
+
+
+@pytest.mark.parametrize("header, expected", [
+    (("a", "b"), "label column 'label' not in header ['a', 'b']"),
+    (("label", "label"), "label column 'label' named 2 times in header ['label', 'label']"),
+])
+def test_a_bad_label_column_fails_before_any_row_is_read(header, expected, tmp_path,
+                                                         monkeypatch):
+    # the header alone decides, whatever the rows hold, on a file of any length
+    path = _chunked_file(tmp_path, {3: ["oops", "0"], 11: ["1"]}, header)
+
+    def a_row_was_read(*_args):
+        raise AssertionError("a row was read before the label column was checked")
+
+    monkeypatch.setattr("anomix.data._parse_lines", a_row_was_read)
+    monkeypatch.setattr("anomix.data._records", a_row_was_read)
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: {expected}") + "$"):
         load_csv(path, "label")
 
 
@@ -307,6 +338,14 @@ def test_oversized_field_names_the_file_and_row(tmp_path, monkeypatch):
     for line, expected in [(3, r"row 3: field larger than field limit"),
                            (9, r"row 9: field larger than field limit")]:
         path = _chunked_file(tmp_path, {line: ["0.5", big]}, header=("a", "b"))
+        with pytest.raises(DatasetError, match=re.escape(str(path)) + ": " + expected):
+            load_features(path)
+    # An unreadable record is the first fault only if its batch holds none before it.
+    for faults, expected in [({3: ["oops", "0"], 4: ["0.5", big]},
+                              r"row 3, column 'a': non-numeric value 'oops'$"),
+                             ({3: ["0.5", big], 4: ["oops", "0"]},
+                              r"row 3: field larger than field limit")]:
+        path = _chunked_file(tmp_path, faults, header=("a", "b"))
         with pytest.raises(DatasetError, match=re.escape(str(path)) + ": " + expected):
             load_features(path)
     path = tmp_path / "header.csv"
@@ -418,31 +457,31 @@ def test_csv_path_rows_count_records_across_batches(fault, expected, tmp_path, m
 
 
 def _reference_read(path, label_column):
-    """What _read_matrix returns or raises, rebuilt from csv.reader records and float()."""
+    """What _read_matrix returns or raises, rebuilt from csv.reader records and float():
+    the label column is checked first, then row by row, each row's width before its cells."""
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
+        if label_column is not None and label_column not in header:
+            raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
         rows = []
         for row_no, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise DatasetError(f"{path}: row {row_no} has {len(record)} fields, "
                                    f"expected {len(header)}")
+            for name, raw in zip(header, record):
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise DatasetError(f"{path}: row {row_no}, column {name!r}: "
+                                       f"non-numeric value {raw!r}") from None
+                if not math.isfinite(value):
+                    raise DatasetError(f"{path}: row {row_no}, column {name!r}: "
+                                       f"non-finite value {raw!r}")
+                if name == label_column and value not in (0.0, 1.0, -1.0):
+                    raise DatasetError(f"{path}: row {row_no}: label {raw!r} is not binary "
+                                       "(accepted: 0/1 or -1/+1)")
             rows.append(record)
-    if label_column is not None and label_column not in header:
-        raise DatasetError(f"{path}: label column {label_column!r} not in header {header}")
-    for row_no, record in enumerate(rows, start=2):
-        for name, raw in zip(header, record):
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DatasetError(f"{path}: row {row_no}, column {name!r}: "
-                                   f"non-numeric value {raw!r}") from None
-            if not math.isfinite(value):
-                raise DatasetError(f"{path}: row {row_no}, column {name!r}: "
-                                   f"non-finite value {raw!r}")
-            if name == label_column and value not in (0.0, 1.0, -1.0):
-                raise DatasetError(f"{path}: row {row_no}: label {raw!r} is not binary "
-                                   "(accepted: 0/1 or -1/+1)")
     cells = np.array([[float(raw) for raw in record] for record in rows])
     return header, cells.reshape(len(rows), len(header))
 

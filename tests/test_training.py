@@ -12,7 +12,8 @@ from anomix.data import (
     prepare_training,
     split_dataset,
 )
-from anomix.errors import InvalidParameterError, UnusableDatasetError
+from anomix import losses
+from anomix.errors import InvalidParameterError, TrainingDivergedError, UnusableDatasetError
 from anomix.interpolation import augment_batch
 from anomix.losses import ABLATION_MODES, dynamic_weight
 from anomix.metrics import auc_pr
@@ -20,7 +21,7 @@ from anomix.nn import AdamState, adam_step
 from anomix.rng import child_seed, substream
 from anomix.scorer import ScorerGraph, backward, build_scorer, score_batch
 from anomix.training import TrainConfig, sample_batches, train
-from tests.conftest import step_losses
+from tests.conftest import nan_loss_at, step_losses
 
 
 def _tiny_dataset(n_anom=2, n_unlab=8, d=3, seed=0):
@@ -172,6 +173,20 @@ def test_train_preconditions_and_validation():
         _fast_config(seed=-1).validate()
     with pytest.raises(InvalidParameterError, match=r"rep_dim must be >= 2, got 0"):
         _fast_config(rep_dim=0).validate()
+
+
+@pytest.mark.parametrize("loss, message", [
+    ("scoring_loss_graph", "scoring loss diverged"),
+    ("feature_regularizer_graph", "feature regularizer diverged"),
+])
+@pytest.mark.parametrize("call, epoch, batch", [(1, 1, 1), (2, 2, 0)])
+def test_a_non_finite_loss_stops_training_at_its_epoch_and_batch(loss, message, call, epoch,
+                                                                  batch, monkeypatch):
+    # two batches per epoch: epochs count from 1, batches within an epoch from 0
+    monkeypatch.setattr(f"anomix.losses.{loss}", nan_loss_at(getattr(losses, loss), call))
+    with pytest.raises(TrainingDivergedError,
+                       match=f"^{message} at epoch {epoch}, batch {batch}$"):
+        train(_tiny_dataset(), _fast_config())
 
 
 def test_an_epoch_with_every_hinge_inactive_does_not_abort_the_run():
