@@ -1,8 +1,11 @@
 """Model persistence and run manifests.
 
-Models are stored as a versioned, self-describing JSON container with
-float64 values written through Python's shortest round-trip repr, so a
-save/load cycle reproduces scores bit for bit. The format version is
+Models are stored as a versioned, self-describing JSON container. Each
+layer's weights and bias are one base64 string of the array's
+little-endian float64 bytes (`"<f8"`) in row-major order, shaped by
+`layer_shapes` from the architecture block; the min-max bounds are
+readable JSON numbers, Python's shortest round-trip repr. So a save/load
+cycle reproduces scores bit for bit. The format version is
 checked before any weight is interpreted, and the same rules run in both
 directions: `save_model` writes only what `load_model` accepts. Every model
 holds its min-max bounds and the one LeakyReLU slope. Models and
@@ -12,20 +15,22 @@ anomix produces, so an interrupted write leaves the previous file intact.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import NormState, atomic_writer, write_json
+from .data import NormState, write_json
 from .errors import ContractViolationError, CorruptArtifactError
 from .nn import DenseLayer
 from .scorer import LAYER_NAMES, ScorerParams, hidden_sizes, layer_shapes
 
 FORMAT_NAME = "anomix-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -45,9 +50,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
     """Write `json.dumps(payload, indent=1, allow_nan=False)` of the model's payload.
 
     Built from the live arrays, it must pass `load_model`'s rules before any file
-    is opened. `indent` sends `json.dumps` down its pure-Python encoder, so each
-    layer array is dumped as a placeholder string and written in its place by
-    `_json_array`, which gives the same bytes.
+    is opened.
     """
     params = artifact.params
     payload = {
@@ -55,7 +58,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
         "format_version": FORMAT_VERSION,
         "architecture": {"d_in": params.d_in, "rep_dim": params.rep_dim, "h1": params.h1,
                          "h2": params.h2, "slope": params.slope},
-        "layers": {name: {"weights": layer.weights, "bias": layer.bias}
+        "layers": {name: {"weights": _base64(layer.weights), "bias": _base64(layer.bias)}
                    for name, layer in params.named_layers()},
         "normalization": None if artifact.norm_state is None else {
             "min": artifact.norm_state.mins.tolist(), "max": artifact.norm_state.maxs.tolist()},
@@ -63,28 +66,24 @@ def save_model(artifact: ModelArtifact, path) -> None:
         "seed": artifact.seed,
     }
     _artifact_from_payload(payload, path)
-    payload["layers"] = {n: {"weights": f"{n}.weights", "bias": f"{n}.bias"} for n in LAYER_NAMES}
-    text = json.dumps(payload, indent=1, allow_nan=False)
-    with atomic_writer(path) as fh:
-        done = 0
-        for label, array in params.arrays():
-            # Only fixed keys and FORMAT_NAME come before the layers, so the
-            # first match is the placeholder.
-            at = text.index(f'"{label}"', done)
-            line = text[text.rindex("\n", 0, at) + 1:at]
-            fh.write(text[done:at])
-            fh.write(_json_array(array.tolist(), len(line) - len(line.lstrip(" "))))
-            done = at + len(label) + 2
-        fh.write(text[done:])
+    write_json(path, payload, indent=1, allow_nan=False)
 
 
-def _json_array(values: list, level: int) -> str:
-    """`json.dumps(values, indent=1)` for a non-empty list of floats, or of such lists,
-    as it reads nested `level` deep."""
-    inner = level + 1
-    items = ([_json_array(row, inner) for row in values] if isinstance(values[0], list)
-             else map(float.__repr__, values))
-    return f"[\n{' ' * inner}" + f",\n{' ' * inner}".join(items) + f"\n{' ' * level}]"
+def _base64(array: np.ndarray) -> str:
+    """`array`'s little-endian float64 bytes, row-major, as base64 text."""
+    return base64.b64encode(array.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _layer_array(value, shape: tuple, where: str) -> np.ndarray:
+    """The float64 array of `shape` held by the base64 text `value`; `where` names a fault."""
+    _require(isinstance(value, str), f"{where} is {type(value).__name__}, not a base64 string")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise CorruptArtifactError(f"{where} is not valid base64 ({exc})") from exc
+    size = 8 * math.prod(shape)
+    _require(len(raw) == size, f"{where} holds {len(raw)} bytes, not the {size} of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def _reject_constant(token: str):
@@ -139,10 +138,8 @@ def _artifact_from_payload(payload, path) -> ModelArtifact:
     for name, shape in zip(LAYER_NAMES, layer_shapes(d_in, rep_dim)):
         block = stored.get(name)
         _require(isinstance(block, dict), f"{path}: missing layer {name!r}")
-        weights = _numbers(block.get("weights"), f"{path}: layer {name!r}")
-        bias = _numbers(block.get("bias"), f"{path}: layer {name!r}")
-        _require(weights.shape == shape, f"{path}: layer {name!r} has shape {weights.shape}")
-        _require(bias.shape == (shape[0],), f"{path}: layer {name!r} bias mis-sized")
+        weights = _layer_array(block.get("weights"), shape, f"{path}: layer {name!r} weights")
+        bias = _layer_array(block.get("bias"), shape[:1], f"{path}: layer {name!r} bias")
         _require(bool(np.isfinite(weights).all() and np.isfinite(bias).all()),
                  f"{path}: layer {name!r} holds non-finite values")
         built.append(DenseLayer(weights, bias))

@@ -141,7 +141,7 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
         scoring_vals: list[float] = []
         feature_vals: list[float] = []
         weights: list[float] = []
-        for batch_no in range(config.n_batch):
+        for batch_no in range(1, config.n_batch + 1):
             blocks = sample_batches(dataset.X, anomalies, unlabeled, b, rng_batch)
             mixed = None
             if mode != "plain_regression":

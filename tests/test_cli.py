@@ -1,10 +1,13 @@
+import base64
 import csv
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
+import struct
 import sys
 import warnings
 from pathlib import Path
@@ -196,8 +199,8 @@ def test_a_train_that_fails_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("loss, message", [
-    ("scoring_loss_graph", "scoring loss diverged at epoch 1, batch 1"),
-    ("feature_regularizer_graph", "feature regularizer diverged at epoch 1, batch 1"),
+    ("scoring_loss_graph", "scoring loss diverged at epoch 1, batch 2"),
+    ("feature_regularizer_graph", "feature regularizer diverged at epoch 1, batch 2"),
 ])
 def test_a_diverged_train_is_one_error_record_and_writes_nothing(loss, message, toy_csv,
                                                                  tmp_path, capsys, monkeypatch):
@@ -478,14 +481,21 @@ def test_load_rejects_truncated_file(tmp_path):
         load_model(path)
 
 
+def _first_bits(bits: bytes):
+    """An edit of a layer's base64 text: its first 8 bytes replaced by `bits`."""
+    return lambda text: base64.b64encode(bits + base64.b64decode(text)[8:]).decode("ascii")
+
+
 def test_load_rejects_nan_weight(tmp_path):
     params = build_scorer(4, 8, seed=1)
     path = tmp_path / "model.json"
     save_model(ModelArtifact(params, identity_bounds(4), {}, 1), path)
     payload = json.loads(path.read_text())
-    payload["layers"]["rep_hidden"]["weights"][0][0] = "NaN"
-    path.write_text(json.dumps(payload).replace('"NaN"', "NaN"), encoding="utf-8")
-    with pytest.raises(CorruptArtifactError, match="non-finite"):
+    layer = payload["layers"]["rep_hidden"]
+    # a signalling NaN: its bits are not those of float("nan")
+    layer["weights"] = _first_bits(struct.pack("<Q", 0x7FF0000000000001))(layer["weights"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CorruptArtifactError, match="layer 'rep_hidden' holds non-finite"):
         load_model(path)
 
 
@@ -495,19 +505,24 @@ def test_load_rejects_version_and_shape_tampering(tmp_path):
     save_model(ModelArtifact(params, identity_bounds(4), {}, 1), path)
 
     bad = tmp_path / "versioned.json"
-    # true and 1.0 compare equal to 1, but no anomix writer produces them
-    for version in (99, True, 1.0):
-        payload = json.loads(path.read_text())
-        payload["format_version"] = version
-        bad.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(CorruptArtifactError, match="version"):
+    # A version-1 file, whose layers are decimal lists. 2.0 compares equal to 2, but no
+    # anomix writer produces it.
+    v1 = json.loads(path.read_text())
+    v1["layers"] = {name: {"weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
+                    for name, layer in params.named_layers()}
+    for version in (99, True, 1.0, 2.0, 1):
+        bad.write_text(json.dumps({**v1, "format_version": version}), encoding="utf-8")
+        message = f"{bad}: format version {version!r} unsupported (expected 2)"
+        with pytest.raises(CorruptArtifactError, match=f"^{re.escape(message)}$"):
             load_model(bad)
 
     payload = json.loads(path.read_text())
-    payload["layers"]["score_out"]["weights"] = [[1.0, 2.0, 3.0]]
+    # score_out is (1, 4): three values are 24 bytes, not 32
+    payload["layers"]["score_out"]["weights"] = base64.b64encode(
+        struct.pack("<3d", 1.0, 2.0, 3.0)).decode("ascii")
     bad2 = tmp_path / "shapes.json"
     bad2.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(CorruptArtifactError):
+    with pytest.raises(CorruptArtifactError, match="layer 'score_out' weights holds 24 bytes"):
         load_model(bad2)
 
     # Swapped min-max bounds would scale every such feature to 0.
@@ -530,12 +545,14 @@ def test_model_json_has_the_bytes_json_dumps_gives(d, h, bounds, tmp_path):
     params = build_scorer(d, h, seed=3)
     params.flat[:4] = [-0.0, 5e-324, 1e300, -1e-300]
     norm = identity_bounds(d) if bounds is None else NormState(bounds[0][:d], bounds[1][:d])
-    # a train_config string equal to a layer label is not taken for the layer's block
-    config = {"lr": 0.001, "note": "rep_hidden.weights"}
+    config = {"lr": 0.001}
     path = tmp_path / "model.json"
     save_model(ModelArtifact(params, norm, config, 4), path)
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=1, allow_nan=False)
+    # each layer array is the base64 of its little-endian float64 bytes, row-major
+    stored = json.loads(text)["layers"]["rep_hidden"]["weights"]
+    assert base64.b64decode(stored) == params.rep_hidden.weights.astype("<f8").tobytes()
     loaded = load_model(path)
     assert loaded.params.flat.tobytes() == params.flat.tobytes()
     assert loaded.train_config == config
@@ -543,11 +560,30 @@ def test_model_json_has_the_bytes_json_dumps_gives(d, h, bounds, tmp_path):
     assert loaded.norm_state.maxs.tobytes() == norm.maxs.tobytes()
 
 
+# A layer value is checked in order: a string, valid base64, 8 bytes per value of the
+# layer's shape, every value finite. `value` is the new value, or an edit of the saved one.
 @pytest.mark.parametrize("key, value, named", [
-    pytest.param("layers.rep_out.weights.1", [0.5], "layer 'rep_out'", id="ragged-row"),
-    pytest.param("layers.rep_hidden.weights.0.0", {}, "layer 'rep_hidden'", id="object-cell"),
-    pytest.param("layers.score_hidden.bias.0", "0.5", "layer 'score_hidden'", id="string"),
-    pytest.param("layers.score_out.bias.0", True, "layer 'score_out'", id="bool"),
+    pytest.param("layers.rep_out.weights", [0.5, 0.25], "layer 'rep_out' weights is list",
+                 id="list"),
+    pytest.param("layers.score_out.bias", True, "layer 'score_out' bias is bool", id="bool"),
+    # one character inserted: a decoder that skipped it would read the saved bytes
+    pytest.param("layers.rep_hidden.weights", lambda text: text[:4] + "*" + text[4:],
+                 "layer 'rep_hidden' weights is not valid base64", id="non-alphabet"),
+    pytest.param("layers.score_hidden.bias", lambda text: text[:4] + "\u00e9" + text[4:],
+                 "layer 'score_hidden' bias is not valid base64", id="non-ascii"),
+    # score_out's bias is one value, 8 bytes, so its text ends in one "="
+    pytest.param("layers.score_out.bias", lambda text: text.removesuffix("="),
+                 "layer 'score_out' bias is not valid base64", id="bad-padding"),
+    pytest.param("layers.rep_out.bias",
+                 lambda text: base64.b64encode(base64.b64decode(text)[:-8]).decode("ascii"),
+                 "layer 'rep_out' bias holds 56 bytes, not the 64", id="8-bytes-short"),
+    pytest.param("layers.score_hidden.weights",
+                 lambda text: base64.b64encode(base64.b64decode(text) + bytes(8)).decode("ascii"),
+                 "layer 'score_hidden' weights holds 264 bytes, not the 256", id="8-bytes-long"),
+    pytest.param("layers.rep_hidden.bias", _first_bits(struct.pack("<d", math.nan)),
+                 "layer 'rep_hidden' holds non-finite values", id="nan-bits"),
+    pytest.param("layers.score_out.weights", _first_bits(struct.pack("<d", -math.inf)),
+                 "layer 'score_out' holds non-finite values", id="inf-bits"),
     pytest.param("normalization.min.0", None, "normalization block", id="null-bound"),
     # 1e999 reads as inf
     pytest.param("normalization.max.2", "BIG", "normalization bounds hold non-finite",
@@ -560,11 +596,12 @@ def test_score_rejects_a_model_with_malformed_numbers(key, value, named, toy_csv
     save_model(ModelArtifact(build_scorer(X.shape[1], 8, seed=1),
                              NormState(X.min(axis=0), X.max(axis=0)), {}, 1), path)
     payload = json.loads(path.read_text())
-    *parents, index = key.split(".")
+    *parents, last = key.split(".")
     block = payload
     for name in parents:
         block = block[int(name)] if isinstance(block, list) else block[name]
-    block[int(index)] = value
+    last = int(last) if isinstance(block, list) else last
+    block[last] = value(block[last]) if callable(value) else value
     path.write_text(json.dumps(payload).replace('"BIG"', "1e999"), encoding="utf-8")
     out = tmp_path / "out"
     argv = ["score", "--model", str(path), "--data", str(toy_csv), "--label-col", "label",

@@ -179,13 +179,14 @@ def test_train_preconditions_and_validation():
     ("scoring_loss_graph", "scoring loss diverged"),
     ("feature_regularizer_graph", "feature regularizer diverged"),
 ])
-@pytest.mark.parametrize("call, epoch, batch", [(1, 1, 1), (2, 2, 0)])
+@pytest.mark.parametrize("call, epoch, index", [(1, 1, 1), (2, 2, 0)])
 def test_a_non_finite_loss_stops_training_at_its_epoch_and_batch(loss, message, call, epoch,
-                                                                  batch, monkeypatch):
-    # two batches per epoch: epochs count from 1, batches within an epoch from 0
+                                                                  index, monkeypatch):
+    # two batches per epoch: the run's 0-based `call` is the 0-based batch `index` of
+    # `epoch`; the message counts batches from 1, as it counts epochs
     monkeypatch.setattr(f"anomix.losses.{loss}", nan_loss_at(getattr(losses, loss), call))
     with pytest.raises(TrainingDivergedError,
-                       match=f"^{message} at epoch {epoch}, batch {batch}$"):
+                       match=f"^{message} at epoch {epoch}, batch {index + 1}$"):
         train(_tiny_dataset(), _fast_config())
 
 
