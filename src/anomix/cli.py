@@ -14,7 +14,9 @@ set is not: a directory without `{command}_manifest.json` holds an unfinished or
 failed run, whose files may sit beside an earlier run's. Apart from manifests and wall-clock fields, all outputs
 are byte-deterministic for a fixed seed.
 Errors, a failed write and a closed stdout among them, exit 1 with a
-machine-readable JSON record on stderr.
+machine-readable JSON record on stderr. A flag argparse cannot parse (say
+`--k abc`, `--ablation bogus` or a missing `--data`) exits 2 with
+argparse's usage text instead.
 """
 
 from __future__ import annotations

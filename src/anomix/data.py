@@ -92,21 +92,22 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        self.roles = np.asarray(self.roles, dtype=np.int64)
+        # Values are checked before the int64 cast, which would truncate 0.5 to 0.
+        y, roles = np.asarray(self.y), np.asarray(self.roles)
         if self.X.ndim != 2:
             raise ContractViolationError("X must be a 2-d matrix")
         n = self.X.shape[0]
-        if self.y.shape != (n,) or self.roles.shape != (n,):
+        if y.shape != (n,) or roles.shape != (n,):
             raise ContractViolationError("labels and roles must have one entry per row")
         if not self.feature_names:
             self.feature_names = [f"f{i}" for i in range(self.X.shape[1])]
         if len(self.feature_names) != self.X.shape[1]:
             raise ContractViolationError("feature name count must match columns")
-        if not np.isin(self.y, (0, 1)).all():
+        if not np.isin(y, (0, 1)).all():
             raise ContractViolationError("labels must be 0 (normal) or 1 (anomaly)")
-        if not np.isin(self.roles, [int(r) for r in Role]).all():
+        if not np.isin(roles, [int(r) for r in Role]).all():
             raise ContractViolationError("unknown role code")
+        self.y, self.roles = np.asarray(y, dtype=np.int64), np.asarray(roles, dtype=np.int64)
         bad = (self.roles == Role.LABELED_ANOMALY) & (self.y == 0)
         if bad.any():
             raise ContractViolationError("a labeled-anomaly row must have y = 1")
@@ -468,23 +469,8 @@ def select_labeled_anomalies(dataset: Dataset, n: int, rng: np.random.Generator)
                                    f"training split holds only {len(candidates)}")
     roles = dataset.roles.copy()
     roles[train] = int(Role.UNLABELED)
-    if n > 0:
-        picked = rng.choice(candidates, size=n, replace=False)
-        roles[picked] = int(Role.LABELED_ANOMALY)
+    roles[rng.choice(candidates, size=n, replace=False)] = int(Role.LABELED_ANOMALY)
     return replace(dataset, roles=roles)
-
-
-def inject_anomaly(source_a, source_b, rng: np.random.Generator) -> np.ndarray:
-    """Copy of source_a with ceil(FEATURE_FRACTION * D) random features taken from source_b."""
-    a = np.asarray(source_a, dtype=np.float64)
-    b = np.asarray(source_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ContractViolationError("sources must be two feature vectors of equal length")
-    n_replace = math.ceil(FEATURE_FRACTION * len(a))
-    positions = rng.choice(len(a), size=n_replace, replace=False)
-    out = a.copy()
-    out[positions] = b[positions]
-    return out
 
 
 def check_contamination(level: float) -> None:
@@ -497,11 +483,11 @@ def adjust_contamination(dataset: Dataset, level: float, rng: np.random.Generato
     """Move the unlabeled pool's anomaly share to the target `level`.
 
     Above target: random unlabeled anomalies are dropped. Below target:
-    synthetic anomalies are appended, each a real training anomaly with
-    ceil(FEATURE_FRACTION * D) features copied from a second one; injected rows
-    enter the unlabeled pool with y = 1 and are never reused as splice
-    sources. The achieved ratio lands within 1/|pool| of the target
-    (exactly zero when the target is zero).
+    synthetic anomalies are appended, each a real training anomaly a with
+    ceil(FEATURE_FRACTION * D) random features copied from a second one b
+    (a itself when a is the only one). Injected rows enter the unlabeled
+    pool with y = 1 and are never reused as splice sources. The achieved
+    ratio lands within 1/|pool| of the target (exactly zero at target zero).
     """
     check_contamination(level)
     pool = dataset.indices(Role.UNLABELED)
@@ -538,12 +524,16 @@ def adjust_contamination(dataset: Dataset, level: float, rng: np.random.Generato
         raise UnusableDatasetError(
             "contamination target unreachable: no real anomalies to splice from"
         )
-    new_rows = np.empty((n_inject, dataset.n_features))
-    for i in range(n_inject):
+    d = dataset.n_features
+    n_spliced = math.ceil(FEATURE_FRACTION * d)
+    new_rows = np.empty((n_inject, d))
+    for row in new_rows:
         a = int(rng.choice(sources))
         others = sources[sources != a]
         b = int(rng.choice(others)) if len(others) else a
-        new_rows[i] = inject_anomaly(dataset.X[a], dataset.X[b], rng)
+        positions = rng.choice(d, size=n_spliced, replace=False)
+        row[:] = dataset.X[a]
+        row[positions] = dataset.X[b, positions]
     return replace(
         dataset,
         X=np.vstack([dataset.X, new_rows]),

@@ -91,6 +91,14 @@ class ScorerParams:
     slope: ClassVar[float] = 0.01
 
     def __post_init__(self):
+        width = self.d_in
+        for name, layer in self.named_layers():
+            if layer.weights.shape[1] != width:
+                raise ContractViolationError(f"layer {name} takes {layer.weights.shape[1]} "
+                                             f"inputs, the layer before it gives {width}")
+            width = layer.weights.shape[0]
+        if width != 1:
+            raise ContractViolationError(f"layer score_out has {width} units, expected 1")
         labels, arrays = zip(*self.arrays())
         self.flat = np.concatenate([a.ravel() for a in arrays])
         ends = np.cumsum([a.size for a in arrays]).tolist()

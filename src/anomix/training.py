@@ -95,16 +95,6 @@ def sample_batches(X: np.ndarray, anomalies: np.ndarray, unlabeled: np.ndarray, 
     return X[pick_anom], X[pick_unlab[:b]], X[pick_unlab[b:]]
 
 
-def _validation_setup(dataset: Dataset):
-    idx = dataset.indices(Role.VALID)
-    if len(idx) == 0:
-        return None
-    labels = dataset.y[idx]
-    if labels.sum() == 0 or labels.sum() == len(labels):
-        return None
-    return dataset.X[idx], labels
-
-
 def train(dataset: Dataset, config: TrainConfig, progress=None):
     """Run the full loop; returns (parameters, one EpochRecord per epoch).
 
@@ -130,7 +120,10 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
     optimizer = AdamState(config.lr, config.weight_decay, np.zeros_like(params.flat),
                           np.zeros_like(params.flat))
     l_bar = l_prime_bar = 1.0
-    validation = _validation_setup(dataset)
+    valid = dataset.indices(Role.VALID)
+    valid_labels = dataset.y[valid]
+    # The validation PR area needs both classes among the validation rows.
+    X_valid = dataset.X[valid] if 0 < valid_labels.sum() < len(valid) else None
     best_auc = -np.inf
     best_flat = None
     mode = config.ablation
@@ -172,9 +165,8 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
         # the previous average, which stays positive: dynamic_weight divides by it.
         l_bar, l_prime_bar = loss_scoring or l_bar, loss_feature or l_prime_bar
         val_auc = None
-        if validation is not None:
-            X_valid, labels = validation
-            val_auc = auc_pr(score_batch(params, X_valid), labels)
+        if X_valid is not None:
+            val_auc = auc_pr(score_batch(params, X_valid), valid_labels)
             if config.select_best and val_auc > best_auc:
                 best_auc = val_auc
                 best_flat = params.flat.copy()

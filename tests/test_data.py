@@ -29,7 +29,6 @@ from anomix.data import (
     check_contamination,
     generate_case,
     generate_toy,
-    inject_anomaly,
     load_csv,
     load_features,
     minmax_normalize,
@@ -778,7 +777,7 @@ def test_contamination_unreachable_without_sources():
         adjust_contamination(ds, 0.02, np.random.default_rng(0))
 
 
-def test_contamination_spec_validation():
+def test_contamination_level_must_lie_in_zero_to_half():
     # The one rule for a target level, checked alike by the CLI and by adjust_contamination.
     for level in (0.5, 0.7, -0.01, math.nan):
         message = re.escape(f"contamination must lie in [0, 0.5), got {level!r}")
@@ -802,41 +801,58 @@ def test_injected_rows_are_unlabeled_anomalies():
 # -- anomaly injection ---------------------------------------------------------------------
 
 
-def test_inject_anomaly_counts():
-    assert FEATURE_FRACTION == 0.05  # the fixed splice share the README states
-    rng = np.random.default_rng(0)
-    a, b = np.zeros(20), np.ones(20)
-    out = inject_anomaly(a, b, rng)
-    assert int(out.sum()) == 1  # ceil(0.05 * 20) = 1 feature replaced
+def _injected(sources, rng):
+    """The rows adjust_contamination appends when `sources` are the only training anomalies.
 
-    a78, b78 = np.zeros(78), np.ones(78)
-    out78 = inject_anomaly(a78, b78, rng)
-    assert int(out78.sum()) == 4  # ceil(3.9)
+    The sources are labeled anomalies; 200 unlabeled normal rows of 0.5 make the
+    pool, which a 0.1 target fills with 22 injected rows.
+    """
+    sources = np.asarray(sources, dtype=float)
+    n_norm = 200
+    roles = [int(Role.LABELED_ANOMALY)] * len(sources) + [int(Role.UNLABELED)] * n_norm
+    ds = Dataset(np.vstack([sources, np.full((n_norm, sources.shape[1]), 0.5)]),
+                 [1] * len(sources) + [0] * n_norm, roles)
+    out = adjust_contamination(ds, 0.1, rng)
+    assert out.n_rows == ds.n_rows + 22 and np.array_equal(out.X[:ds.n_rows], ds.X)
+    return out.X[ds.n_rows:]
+
+
+def test_inject_anomaly_counts(rng):
+    assert FEATURE_FRACTION == 0.05  # the fixed splice share the README states
+    for d, spliced in ((20, 1), (78, 4)):  # ceil(0.05 * 20), ceil(0.05 * 78) = ceil(3.9)
+        rows = _injected([np.zeros(d), np.ones(d)], rng)
+        # The sources differ everywhere: each row is one of them with `spliced`
+        # features of the other, and both serve as the copied source.
+        assert set(rows.sum(axis=1).tolist()) == {spliced, d - spliced}
 
 
 def test_inject_anomaly_self_is_identity(rng):
+    # A lone training anomaly splices with itself.
     row = rng.normal(size=13)
-    assert np.array_equal(inject_anomaly(row, row, rng), row)
+    assert (_injected([row], rng) == row).all()
 
 
 def test_inject_anomaly_changes_only_differing_positions(rng):
     a = rng.normal(size=200)
     b = a.copy()
     b[:50] += 1.0  # only the first fifty positions differ
-    out = inject_anomaly(a, b, rng)
-    changed = np.flatnonzero(out != a)
-    assert len(changed) <= math.ceil(FEATURE_FRACTION * 200)
-    assert np.all(changed < 50)
+    for row in _injected([a, b], rng):
+        assert np.array_equal(row[50:], a[50:])
+        assert min((row != a).sum(), (row != b).sum()) <= math.ceil(FEATURE_FRACTION * 200)
 
 
 def test_inject_anomaly_fraction_domain(rng):
-    # The fixed share splices at least one feature and never more than D.
+    # The fixed share splices at least one feature and never more than D: each
+    # injected row holds one source's features at all but ceil(0.05 * D)
+    # positions and a second source's there.
     assert 0.0 < FEATURE_FRACTION <= 1.0
     for d in (1, 2, 19, 20, 21):
-        out = inject_anomaly(np.zeros(d), np.ones(d), rng)
-        assert int(out.sum()) == math.ceil(FEATURE_FRACTION * d) >= 1
-    with pytest.raises(ContractViolationError):
-        inject_anomaly(np.zeros(3), np.ones(4), rng)
+        spliced = math.ceil(FEATURE_FRACTION * d)
+        assert 1 <= spliced <= d
+        for row in _injected([np.full(d, 1.0), np.full(d, 2.0), np.full(d, 3.0)], rng):
+            values, counts = np.unique(row, return_counts=True)
+            assert set(values.tolist()) <= {1.0, 2.0, 3.0}
+            assert sorted(counts.tolist()) == sorted(n for n in (spliced, d - spliced) if n)
 
 
 # -- toy generator ---------------------------------------------------------------------------
@@ -945,7 +961,7 @@ def test_case_validation():
 # -- protocol pipeline -------------------------------------------------------------------------
 
 
-def test_prepare_dataset_end_state():
+def test_prepare_training_end_state():
     toy = generate_toy(4000, seed=7)
     prepared = prepare_training(split_dataset(toy, 7), labeled_anomalies=30, contamination=0.02,
                                 seed=7)
@@ -980,6 +996,10 @@ _ROLES = np.full(3, int(Role.UNLABELED))
                  "labels must be 0 (normal) or 1 (anomaly)", id="label-2"),
     pytest.param(lambda _: Dataset(_X, _Y, [2, 9, 2]), ContractViolationError,
                  "unknown role code", id="role-9"),
+    pytest.param(lambda _: Dataset(_X, np.array([0.5, 1.7, 0.0]), _ROLES), ContractViolationError,
+                 "labels must be 0 (normal) or 1 (anomaly)", id="label-0.5"),
+    pytest.param(lambda _: Dataset(_X, _Y, [2, 2.5, 2]), ContractViolationError,
+                 "unknown role code", id="role-2.5"),
     pytest.param(lambda _: Dataset(_X, _Y, [int(Role.LABELED_ANOMALY), 2, 2]),
                  ContractViolationError, "a labeled-anomaly row must have y = 1",
                  id="labeled-normal"),

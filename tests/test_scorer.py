@@ -294,6 +294,13 @@ def test_dimension_mismatches_raise(rng):
         ScorerGraph(params).represent(np.ones((2, 3)))
     with pytest.raises(ContractViolationError):
         score_batch(params, np.ones((3, 5)))
+    # Layers whose widths do not chain into one score are refused at construction.
+    layers = params.layers()  # widths 4 -> 6 -> 8 -> 4 -> 1
+    with pytest.raises(ContractViolationError,
+                       match=r"^layer rep_out takes 5 inputs, the layer before it gives 6$"):
+        ScorerParams(layers[0], DenseLayer(np.zeros((8, 5)), np.zeros(8)), *layers[2:])
+    with pytest.raises(ContractViolationError, match=r"^layer score_out has 3 units, expected 1$"):
+        ScorerParams(*layers[:3], DenseLayer(np.zeros((3, 4)), np.zeros(3)))
 
 
 def test_forward_stays_finite_on_unit_box(rng):
