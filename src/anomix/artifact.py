@@ -156,7 +156,9 @@ def _artifact_from_payload(payload, path) -> ModelArtifact:
     except ContractViolationError as exc:
         raise CorruptArtifactError(f"{path}: {exc}") from exc
 
-    train_config = payload.get("train_config", {})
+    for key in ("train_config", "seed"):
+        _require(key in payload, f"{path}: missing {key}")
+    train_config = payload["train_config"]
     _require(isinstance(train_config, dict), f"{path}: train_config is not an object")
     try:
         # A parsed file's config comes back equal unless a number read as inf (1e999).
@@ -165,7 +167,7 @@ def _artifact_from_payload(payload, path) -> ModelArtifact:
         raise CorruptArtifactError(f"{path}: train_config does not encode as JSON ({exc})") from exc
     _require(echo == train_config, f"{path}: train_config does not load back as saved "
                                    "(every key must be a string, every array a list)")
-    seed = payload.get("seed", 0)
+    seed = payload["seed"]
     _require(type(seed) is int, f"{path}: seed {seed!r} is not an integer")
     return ModelArtifact(
         params=params,

@@ -367,49 +367,29 @@ def write_scores(path, scores) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _transform(X: np.ndarray, state: NormState) -> np.ndarray:
-    """(X - mins) / span, computed in one output array; constant features map to 0."""
-    span = state.maxs - state.mins
-    varying = span > 0.0
-    out = np.subtract(X, state.mins)
-    out /= np.where(varying, span, 1.0)
-    out[:, ~varying] = 0.0
-    return out
-
-
 def minmax_normalize(dataset: Dataset) -> Dataset:
     """Min-max scale every feature using training-role statistics.
 
     Training rows land in [0, 1]; validation and test rows reuse the
     training bounds and may fall outside. Constant features map to 0.
     Applying the op twice is the identity on X. A training row holding a
-    non-finite value gives NormState's ContractViolationError. Raises
-    DatasetError naming the first feature column whose training span
-    (max - min) overflows float64, or whose scaled values are not finite.
+    non-finite value gives NormState's ContractViolationError; the scaling
+    and its DatasetErrors are those of `normalize_features`.
     """
     train = dataset.train_indices()
     if len(train) == 0:
         raise DatasetError("normalization requires assigned training rows")
     state = NormState(dataset.X[train].min(axis=0), dataset.X[train].max(axis=0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = _transform(dataset.X, state)
-        # min and max carry any nan or inf of a column, without a temporary the size of X.
-        finite = np.isfinite(X.min(axis=0)) & np.isfinite(X.max(axis=0))
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        span = float(state.maxs[bad]) - float(state.mins[bad])  # a Python float: no warning
-        cause = ("became non-finite when scaled by its training min-max bounds"
-                 if math.isfinite(span)
-                 else "has a training span (max - min) beyond the float64 range")
-        raise DatasetError(f"feature column {dataset.feature_names[bad]!r} {cause}")
-    return replace(dataset, X=X, norm_state=state)
+    return replace(dataset, X=normalize_features(dataset.X, state), norm_state=state)
 
 
 def normalize_features(X: np.ndarray, state: NormState) -> np.ndarray:
-    """Scale a bare matrix by recorded bounds (e.g. from a saved model).
+    """(X - mins) / span by recorded bounds, computed in one output array.
 
-    Raises DatasetError naming the first row (0-based) that scaling made
-    non-finite, e.g. a finite value far outside the bounds of a tiny span.
+    Constant features map to 0. Raises DatasetError naming the first feature
+    whose span (max - min) overflows float64, or else the first row whose
+    result is not finite and that row's first such feature, both 0-based: a
+    non-finite input, or a finite value far outside the bounds of a tiny span.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(state.mins):
@@ -417,14 +397,23 @@ def normalize_features(X: np.ndarray, state: NormState) -> np.ndarray:
         raise DatasetError(f"the min-max bounds cover {len(state.mins)} features, "
                            f"the data has {width}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _transform(X, state)
+        span = state.maxs - state.mins
+        if not np.isfinite(span).all():
+            raise DatasetError(f"the min-max bounds of feature {int(np.argmin(np.isfinite(span)))} "
+                               "span (max - min) beyond the float64 range")
+        varying = span > 0.0
+        out = np.subtract(X, state.mins)
+        out /= np.where(varying, span, 1.0)
+        out[:, ~varying] = 0.0
         # min and max carry any nan or inf, without a temporary the size of X.
         finite = out.size == 0 or math.isfinite(out.min()) and math.isfinite(out.max())
     if not finite:
-        bad = int(np.argmin(np.isfinite(out).all(axis=1)))
-        cause = ("holds a non-finite value" if not np.isfinite(X[bad]).all()
-                 else "became non-finite when scaled by the model's min-max bounds")
-        raise DatasetError(f"input row {bad} {cause}")
+        ok = np.isfinite(out)
+        row = int(np.argmin(ok.all(axis=1)))
+        col = int(np.argmin(ok[row]))
+        cause = ("holds a non-finite value" if not math.isfinite(X[row, col])
+                 else "became non-finite when scaled by the min-max bounds")
+        raise DatasetError(f"input row {row}, feature {col} {cause}")
     return out
 
 

@@ -226,6 +226,22 @@ def test_train_checks_its_flags_before_writing(command, flag, value, toy_csv, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_label_only_csv_is_refused_before_writing(command, tmp_path, capsys):
+    # No feature column leaves the scorer no input width. Checked with the flags, it
+    # stops a sweep that would otherwise record the error in every cell and exit 0.
+    data = tmp_path / "labels.csv"
+    labels = generate_toy(600, seed=21, anomaly_fraction=0.1).y.tolist()
+    write_rows(data, ["label"], [[y] for y in labels])
+    out = tmp_path / "run"
+    assert main(_train_args(data, out, command)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in err] == [{
+        "error": "InvalidArchitectureError",
+        "message": "input and representation widths must be positive"}]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value, expected", _for_train_and_sweep(
     ("--contamination", 0.7, "contamination must lie in [0, 0.5), got 0.7"),
     ("--epochs", -1, "n_epoch must be >= 0, got -1"),
@@ -382,8 +398,28 @@ def test_score_rejects_rows_that_normalize_to_non_finite(tmp_path, capsys):
     assert len(err) == 1
     assert json.loads(err[0]) == {
         "error": "DatasetError",
-        "message": "input row 6 became non-finite when scaled by the model's min-max bounds"}
+        "message": "input row 6, feature 0 became non-finite when scaled by the min-max bounds"}
     assert not (out / "scores.csv").exists()
+
+
+def test_score_refuses_bounds_whose_span_overflows(tmp_path, capsys):
+    # Each bound is finite, their span is not: every finite value of feature 0 would
+    # scale to 0, so rows differing only there would share one score.
+    model = tmp_path / "model.json"
+    save_model(ModelArtifact(build_scorer(2, 4, seed=0),
+                             NormState([-1e308, 0.0], [1e308, 1.0]), {}, 0), model)
+    data = tmp_path / "rows.csv"
+    write_rows(data, ["a", "b"], [[x, 0.5] for x in (-1e308, -1.0, 0.0, 1.0, 1e300)])
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would fail here
+        code = main(["score", "--model", str(model), "--data", str(data), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in err] == [{
+        "error": "DatasetError",
+        "message": "the min-max bounds of feature 0 span (max - min) beyond the float64 range"}]
+    assert not out.exists()
 
 
 def test_train_names_a_feature_whose_span_overflows(tmp_path, capsys):
@@ -400,7 +436,7 @@ def test_train_names_a_feature_whose_span_overflows(tmp_path, capsys):
     assert len(err) == 1
     assert json.loads(err[0]) == {
         "error": "DatasetError",
-        "message": "feature column 'f3' has a training span (max - min) beyond the float64 range"}
+        "message": "the min-max bounds of feature 3 span (max - min) beyond the float64 range"}
     assert not (out / "model.json").exists()
 
 
@@ -619,8 +655,9 @@ def test_load_rejects_seed_and_train_config_tampering(tmp_path):
     path = tmp_path / "model.json"
     save_model(ModelArtifact(params, identity_bounds(4), {}, 1), path)
     bad = tmp_path / "tampered.json"
-    for key, value in (("seed", "abc"), ("seed", None), ("seed", 1.5),
-                       ("train_config", [1, 2]),
+    missing = object()
+    for key, value in (("seed", "abc"), ("seed", None), ("seed", 1.5), ("seed", missing),
+                       ("train_config", [1, 2]), ("train_config", missing),
                        ("architecture.d_in", 3.9), ("architecture.d_in", "4"),
                        ("architecture.d_in", 0), ("architecture.h1", None),
                        ("architecture.rep_dim", True), ("architecture.rep_dim", 1),
@@ -630,7 +667,10 @@ def test_load_rejects_seed_and_train_config_tampering(tmp_path):
         payload = json.loads(path.read_text())
         *parents, field = key.split(".")
         block = payload[parents[0]] if parents else payload
-        block[field] = value
+        if value is missing:
+            del block[field]
+        else:
+            block[field] = value
         bad.write_text(json.dumps(payload), encoding="utf-8")
         # The error names the file and the field.
         with pytest.raises(CorruptArtifactError, match=re.escape(str(bad)) + ".*" + field):

@@ -607,7 +607,7 @@ def test_minmax_names_the_column_whose_span_or_scale_overflows():
         warnings.simplefilter("error")  # numpy's overflow warnings would fail here
         with pytest.raises(DatasetError) as err:
             minmax_normalize(ds)
-        assert str(err.value) == ("feature column 'f1' has a training span (max - min) "
+        assert str(err.value) == ("the min-max bounds of feature 1 span (max - min) "
                                   "beyond the float64 range")
         # A finite span of 1e-10 sends a finite test row past the float range.
         roles = [int(Role.UNLABELED)] * 2 + [int(Role.TEST)]
@@ -615,8 +615,8 @@ def test_minmax_names_the_column_whose_span_or_scale_overflows():
                        np.array(roles))
         with pytest.raises(DatasetError) as err:
             minmax_normalize(tiny)
-        assert str(err.value) == ("feature column 'f1' became non-finite when scaled by its "
-                                  "training min-max bounds")
+        assert str(err.value) == ("input row 2, feature 1 became non-finite when scaled by "
+                                  "the min-max bounds")
 
 
 def test_normalize_features_dimension_check():
@@ -626,6 +626,17 @@ def test_normalize_features_dimension_check():
     with pytest.raises(DatasetError,
                        match=r"^the min-max bounds cover 1 features, the data has shape \(2,\)$"):
         normalize_features(np.array([1.0, 2.0]), state)
+
+
+def test_normalize_features_names_the_first_bad_row_and_its_first_bad_feature():
+    state = NormState([0.0, 0.0, 0.0], [1.0, 1e-10, 1.0])
+    X = np.array([[0.5, 0.5e-10, 0.5], [0.5, 1e300, np.nan], [np.inf, 0.0, 0.5]])
+    with pytest.raises(DatasetError, match=r"^input row 1, feature 1 became non-finite when "
+                                           r"scaled by the min-max bounds$"):
+        normalize_features(X, state)
+    X[1, 1] = 0.0
+    with pytest.raises(DatasetError, match=r"^input row 1, feature 2 holds a non-finite value$"):
+        normalize_features(X, state)
 
 
 def test_minmax_refuses_a_non_finite_training_value():
