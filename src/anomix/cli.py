@@ -38,7 +38,7 @@ from .artifact import (
     write_manifest,
 )
 from .data import Dataset, Role
-from .errors import AnomixError, InvalidParameterError, UnusableDatasetError
+from .errors import AnomixError, InvalidParameterError
 from .losses import ABLATION_MODES
 from .metrics import evaluate_scores
 from .rng import child_seed
@@ -90,11 +90,10 @@ def _check_run(args, budgets: list, levels: list) -> tuple[TrainConfig, dict, Da
     flag message starts with the field it rejects and states the value."""
     knobs = {field: getattr(args, name) for name, (field, _help) in _TRAIN_KNOBS.items()}
     config = TrainConfig(**knobs, seed=args.seed, select_best=not args.last_epoch)
-    config.validate()
     for budget in budgets:
         if budget <= 0:
-            raise UnusableDatasetError("labeled_anomalies must be positive: training needs "
-                                       f"anomaly examples, got {budget!r}")
+            raise InvalidParameterError("labeled_anomalies must be positive: training needs "
+                                        f"anomaly examples, got {budget!r}")
     for level in levels:
         D.check_contamination(level)
     dataset = D.load_csv(args.data, args.label_col)

@@ -62,7 +62,7 @@ FEATURE_FRACTION = 0.05
 
 @dataclass
 class NormState:
-    """Per-feature (min, max) recorded from training-role rows: finite, each min <= its max.
+    """Per-feature (min, max) from training-role rows: finite, min <= max, equal if constant.
 
     Already-normalized features take identity bounds, `NormState(np.zeros(d), np.ones(d))`,
     and pass `normalize_features` bit for bit: x - 0.0 and x / 1.0 are exact.
@@ -386,10 +386,10 @@ def minmax_normalize(dataset: Dataset) -> Dataset:
 def normalize_features(X: np.ndarray, state: NormState) -> np.ndarray:
     """(X - mins) / span by recorded bounds, computed in one output array.
 
-    Constant features map to 0. Raises DatasetError naming the first feature
-    whose span (max - min) overflows float64, or else the first row whose
-    result is not finite and that row's first such feature, both 0-based: a
-    non-finite input, or a finite value far outside the bounds of a tiny span.
+    A constant feature divides by an infinite span, so its finite values map to 0. Raises
+    DatasetError naming the first feature whose span (max - min) overflows float64, or else the
+    first row whose result is not finite and that row's first such feature, both 0-based: a
+    non-finite input in any feature, or a finite value far outside the bounds of a tiny span.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(state.mins):
@@ -401,10 +401,8 @@ def normalize_features(X: np.ndarray, state: NormState) -> np.ndarray:
         if not np.isfinite(span).all():
             raise DatasetError(f"the min-max bounds of feature {int(np.argmin(np.isfinite(span)))} "
                                "span (max - min) beyond the float64 range")
-        varying = span > 0.0
         out = np.subtract(X, state.mins)
-        out /= np.where(varying, span, 1.0)
-        out[:, ~varying] = 0.0
+        out /= np.where(span > 0.0, span, np.inf)
         # min and max carry any nan or inf, without a temporary the size of X.
         finite = out.size == 0 or math.isfinite(out.min()) and math.isfinite(out.max())
     if not finite:

@@ -11,10 +11,11 @@ update exactly once per epoch, after its last batch. A master seed fans
 out to the "init", "batching", and "augmentation" substreams, so a fixed
 (dataset, config, seed) triple reproduces the run bit for bit.
 
-`TrainConfig` holds exactly the knobs a command sets: each field is set by a
-flag that `anomix train` and `anomix sweep` share. The fixed implementation
-details live with the code that uses them: Adam's constants in `nn`, the
-smooth-L1 beta of 1 in `losses`, the LeakyReLU slope in `ScorerParams`.
+`TrainConfig` holds exactly the knobs a command sets, each a flag shared by
+`anomix train` and `anomix sweep`, and is checked once, when it is built.
+Fixed implementation details live with the code that uses them: Adam's
+constants in `nn`, the smooth-L1 beta of 1 in `losses`, the LeakyReLU slope
+in `ScorerParams`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .rng import child_seed, substream
 from .scorer import ScorerGraph, backward, build_scorer, score_batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
     n_epoch: int = 50
@@ -52,7 +53,7 @@ class TrainConfig:
     seed: int = 0
     select_best: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Raise InvalidParameterError naming the first field out of range, its limit, its value."""
         checks = (
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
@@ -103,7 +104,6 @@ def train(dataset: Dataset, config: TrainConfig, progress=None):
     validation rows' true labels, are returned; otherwise the last epoch's.
     `progress`, if given, receives each EpochRecord as it completes.
     """
-    config.validate()
     b = config.batch_size
     anomalies = dataset.indices(Role.LABELED_ANOMALY)
     unlabeled = dataset.indices(Role.UNLABELED)

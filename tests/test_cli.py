@@ -33,6 +33,7 @@ from anomix.data import (
     write_rows,
 )
 from anomix.errors import ContractViolationError, CorruptArtifactError
+from anomix.rng import child_seed
 from anomix.scorer import build_scorer, score_batch
 from anomix.training import TrainConfig, train
 from tests.conftest import identity_bounds, nan_loss_at
@@ -126,6 +127,33 @@ def test_verbose_prints_each_epoch_and_writes_the_same_files(toy_csv, tmp_path, 
         assert Path(outputs[0][name]).read_bytes() == Path(outputs[1][name]).read_bytes(), name
 
 
+def test_zero_epochs_save_the_initial_weights_and_an_empty_history(toy_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_train_args(toy_csv, out, **{"--epochs": 0})) == 0
+    run = capsys.readouterr()
+    assert (run.out, run.err) == (f"model written to {out / 'model.json'}\n", "")
+    assert json.loads((out / "history.json").read_text()) == []
+    metrics = json.loads((out / "train_manifest.json").read_text())["metrics"]
+    assert metrics == {"epochs_run": 0, "final_loss_scoring": None, "final_loss_feature": None,
+                       "final_val_auc_pr": None, "best_val_auc_pr": None,
+                       "zero_feature_epochs": 0, "epoch_seconds": []}
+    initial = build_scorer(load_csv(toy_csv, "label").n_features, 16, seed=child_seed(5, "init"))
+    assert load_model(out / "model.json").params.flat.tobytes() == initial.flat.tobytes()
+
+
+def test_no_regularizer_prints_and_records_no_feature_loss(toy_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = _train_args(toy_csv, out, **{"--ablation": "no_regularizer", "--epochs": 2})
+    assert main([*argv, "--verbose"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    history = json.loads((out / "history.json").read_text())
+    assert lines == [_progress_line(record) for record in history] and len(lines) == 2
+    assert all("loss_feature=" not in line and " w=1.000" in line for line in lines)
+    metrics = json.loads((out / "train_manifest.json").read_text())["metrics"]
+    assert metrics["final_loss_feature"] is None
+    assert metrics["zero_feature_epochs"] == 0
+
+
 def test_a_validation_split_without_anomalies_selects_nothing(tmp_path, capsys):
     # 4 anomalies in 300 rows split 4/0/0: validation and test hold normal rows only,
     # so no epoch has a validation AUC-PR and the last epoch's weights come back.
@@ -165,9 +193,10 @@ def test_train_rejects_zero_labeled_anomalies(toy_csv, tmp_path, capsys):
     code = main(_train_args(toy_csv, out)[:-2] + ["--labeled-anomalies", "0", "--out", str(out)])
     assert code == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "UnusableDatasetError"
-    assert record["message"].startswith("labeled_anomalies must be positive")
-    assert record["message"].endswith("got 0")
+    # A flag value out of range, like every other: the data is not read.
+    assert record == {"error": "InvalidParameterError",
+                      "message": "labeled_anomalies must be positive: training needs anomaly "
+                                 "examples, got 0"}
     assert not out.exists()
 
 
@@ -1025,7 +1054,7 @@ def test_sweep_rejects_unknown_override_keys(flags, expected, toy_csv, tmp_path,
     else:
         assert main(argv) == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["message"] == expected
+        assert record == {"error": "InvalidParameterError", "message": expected}
     assert not out.exists()  # rejected before anything is written
 
 

@@ -570,9 +570,20 @@ def test_minmax_constant_feature_maps_to_zero():
     ds = _dataset([[3.0, 1.0], [3.0, 2.0]], [0, 1])
     out = minmax_normalize(ds)
     assert np.all(out.X[:, 0] == 0.0)
-    # New rows too, whatever their value in the constant feature.
-    fresh = normalize_features(np.array([[7.0, 1.5], [-2.0, 3.0]]), out.norm_state)
-    assert fresh.tolist() == [[0.0, 0.5], [0.0, 2.0]]
+    # New rows too, whatever their finite value in the constant feature: -0.0 below it.
+    fresh = normalize_features(np.array([[7.0, 1.5], [-2.0, 3.0], [1e300, 1.0]]), out.norm_state)
+    assert fresh.tolist() == [[0.0, 0.5], [0.0, 2.0], [0.0, 0.0]]
+    assert np.signbit(fresh[:, 0]).tolist() == [False, True, False]
+    # A constant feature scales by the rule of every feature, so a non-finite value is refused,
+    # and so is a finite one whose distance from the constant overflows float64.
+    with pytest.raises(DatasetError, match=r"^input row 0, feature 0 holds a non-finite value$"):
+        normalize_features(np.array([[np.nan, 0.5], [np.inf, 0.25]]),
+                           NormState([3.0, 0.0], [3.0, 1.0]))
+    with pytest.raises(DatasetError, match=r"^input row 1, feature 0 holds a non-finite value$"):
+        normalize_features(np.array([[2.0, 1.5], [-np.inf, 1.5]]), out.norm_state)
+    with pytest.raises(DatasetError, match=r"^input row 0, feature 0 became non-finite when "
+                                           r"scaled by the min-max bounds$"):
+        normalize_features(np.array([[-1e308, 0.5]]), NormState([1e308, 0.0], [1e308, 1.0]))
 
 
 def test_minmax_uses_training_stats_only():

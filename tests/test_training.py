@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -161,18 +161,26 @@ def test_sample_batches_preconditions():
 
 
 def test_train_preconditions_and_validation():
+    # A TrainConfig is checked when it is built, and cannot change after.
     with pytest.raises(InvalidParameterError):
         train(_tiny_dataset(), _fast_config(ablation="nope"))
     with pytest.raises(InvalidParameterError):
-        _fast_config(k=1).validate()
+        _fast_config(k=1)
     with pytest.raises(InvalidParameterError):
-        _fast_config(lr=0.0).validate()
+        _fast_config(lr=0.0)
     with pytest.raises(InvalidParameterError):
-        _fast_config(margin=0.0).validate()
+        _fast_config(margin=0.0)
     with pytest.raises(InvalidParameterError, match="seed"):
-        _fast_config(seed=-1).validate()
+        _fast_config(seed=-1)
     with pytest.raises(InvalidParameterError, match=r"rep_dim must be >= 2, got 0"):
-        _fast_config(rep_dim=0).validate()
+        _fast_config(rep_dim=0)
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("k must lie in [2, 2 * batch_size] = [2, 64], got 1")):
+        replace(TrainConfig(), k=1)
+    config = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.k = 1
+    assert not hasattr(config, "validate")
 
 
 @pytest.mark.parametrize("loss, message", [
