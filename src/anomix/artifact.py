@@ -183,7 +183,7 @@ def _artifact_from_payload(payload, path) -> ModelArtifact:
 
 
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -214,4 +214,4 @@ def write_manifest(path, *, command: str, config: dict, dataset_fingerprint: str
         "outputs": outputs,
         "output_sha256": {name: file_fingerprint(path) for name, path in outputs.items()},
     }
-    write_json(path, record, indent=1, default=str)
+    write_json(path, record, indent=1)

@@ -38,11 +38,11 @@ from .artifact import (
     write_manifest,
 )
 from .data import Dataset, Role
-from .errors import AnomixError, InvalidParameterError
+from .errors import AnomixError, InvalidParameterError, UnusableDatasetError
 from .losses import ABLATION_MODES
 from .metrics import evaluate_scores
 from .rng import child_seed
-from .scorer import hidden_sizes, score_batch
+from .scorer import score_batch
 from .training import TrainConfig, train
 
 _SWEEP_COLUMNS = ("contamination", "labeled_anomalies", "repeat", "seed", "status",
@@ -86,18 +86,17 @@ _TRAIN_KNOBS = {
 def _check_run(args, budgets: list, levels: list) -> tuple[TrainConfig, dict, Dataset]:
     """The TrainConfig a train or sweep command sets, the run record that model.json
     and the manifest keep (a sweep adds repeats), and the data it reads, once every
-    flag value is usable and the data loads, so a rejected run writes nothing. Each
-    flag message starts with the field it rejects and states the value."""
+    flag value is usable and the data loads with a feature column, so a rejected run
+    writes nothing. Each flag message names the field it rejects and its value."""
     knobs = {field: getattr(args, name) for name, (field, _help) in _TRAIN_KNOBS.items()}
     config = TrainConfig(**knobs, seed=args.seed, select_best=not args.last_epoch)
     for budget in budgets:
-        if budget <= 0:
-            raise InvalidParameterError("labeled_anomalies must be positive: training needs "
-                                        f"anomaly examples, got {budget!r}")
+        D.check_labeled_anomalies(budget)
     for level in levels:
         D.check_contamination(level)
     dataset = D.load_csv(args.data, args.label_col)
-    hidden_sizes(dataset.n_features, config.rep_dim)
+    if dataset.n_features == 0:
+        raise UnusableDatasetError(f"{args.data}: no feature column besides {args.label_col!r}")
     record = {**asdict(config), "labeled_anomalies": args.labeled_anomalies,
               "contamination": args.contamination}
     return config, record, dataset

@@ -438,15 +438,14 @@ def split_dataset(dataset: Dataset, seed: int) -> Dataset:
 
 
 def select_labeled_anomalies(dataset: Dataset, n: int, rng: np.random.Generator) -> Dataset:
-    """Mark n random training anomalies as labeled.
+    """Mark n >= 1 random training anomalies as labeled.
 
     Every other training row, leftover anomalies included, becomes
     unlabeled; those leftovers are the contamination. A budget above the
     training anomalies available is an UnusableDatasetError, not a smaller
     labeled set.
     """
-    if n < 0:
-        raise InvalidParameterError("labeled-anomaly count cannot be negative")
+    check_labeled_anomalies(n)
     train = dataset.train_indices()
     candidates = train[dataset.y[train] == 1]
     if len(candidates) == 0:
@@ -458,6 +457,13 @@ def select_labeled_anomalies(dataset: Dataset, n: int, rng: np.random.Generator)
     roles[train] = int(Role.UNLABELED)
     roles[rng.choice(candidates, size=n, replace=False)] = int(Role.LABELED_ANOMALY)
     return replace(dataset, roles=roles)
+
+
+def check_labeled_anomalies(n: int) -> None:
+    """Raise InvalidParameterError unless `n` is a usable labeled-anomaly budget, >= 1."""
+    if n < 1:
+        raise InvalidParameterError("labeled_anomalies must be positive: training needs "
+                                    f"anomaly examples, got {n!r}")
 
 
 def check_contamination(level: float) -> None:
@@ -599,14 +605,10 @@ CASE_SCATTER_BOX = 5.5
 CASE_SCATTER_MIN_SIGMA = 3.0
 
 
-def _case_normals(n: int, rng: np.random.Generator) -> np.ndarray:
-    which = rng.integers(0, len(CASE_NORMAL_CENTERS), size=n)
-    return CASE_NORMAL_CENTERS[which] + CASE_NORMAL_SCALE * rng.standard_normal((n, 2))
-
-
-def _case_clusters(centers: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def _case_clusters(centers: np.ndarray, scale: float, n: int,
+                   rng: np.random.Generator) -> np.ndarray:
     which = rng.integers(0, len(centers), size=n)
-    return centers[which] + CASE_ANOMALY_SCALE * rng.standard_normal((n, 2))
+    return centers[which] + scale * rng.standard_normal((n, 2))
 
 
 def _case_scattered(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -625,17 +627,18 @@ def _case_scattered(n: int, rng: np.random.Generator) -> np.ndarray:
 def _case_split(kind: str, n: int, rng: np.random.Generator,
                 anomaly_fraction: float, training: bool) -> tuple[np.ndarray, np.ndarray]:
     n_anom = int(round(anomaly_fraction * n))
-    normals = _case_normals(n - n_anom, rng)
+    normals = _case_clusters(CASE_NORMAL_CENTERS, CASE_NORMAL_SCALE, n - n_anom, rng)
     if kind == "clustered":
-        anomalies = _case_clusters(CASE_CLUSTERED_CENTERS, n_anom, rng)
+        anomalies = _case_clusters(CASE_CLUSTERED_CENTERS, CASE_ANOMALY_SCALE, n_anom, rng)
     elif kind == "scattered":
         anomalies = _case_scattered(n_anom, rng)
     else:  # novel: one extra anomaly cluster appears only at test time
         if training:
-            anomalies = _case_clusters(CASE_NOVEL_TRAIN_CENTERS, n_anom, rng)
+            anomalies = _case_clusters(CASE_NOVEL_TRAIN_CENTERS, CASE_ANOMALY_SCALE, n_anom, rng)
         else:
             n_novel = n_anom // 3
-            known = _case_clusters(CASE_NOVEL_TRAIN_CENTERS, n_anom - n_novel, rng)
+            known = _case_clusters(CASE_NOVEL_TRAIN_CENTERS, CASE_ANOMALY_SCALE,
+                                   n_anom - n_novel, rng)
             novel = CASE_NOVEL_HELD_OUT + CASE_ANOMALY_SCALE * rng.standard_normal((n_novel, 2))
             anomalies = np.vstack([known, novel])
     X = np.vstack([normals, anomalies])

@@ -13,14 +13,6 @@ class InvalidParameterError(AnomixError, ValueError):
     """A hyperparameter or flag value is outside its legal range."""
 
 
-class InvalidArchitectureError(AnomixError, ValueError):
-    """The requested layer sizing cannot produce a usable network."""
-
-
-class InsufficientBatchError(AnomixError, ValueError):
-    """A batch is too small to supply the requested number of sources."""
-
-
 class UnusableDatasetError(AnomixError, ValueError):
     """The dataset lacks the pools or labels training requires."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientBatchError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 @dataclass
@@ -37,7 +37,7 @@ class AugmentedBatch:
 
 def augment_batch(x, y, k: int, alpha: float, m: int,
                   rng: np.random.Generator) -> AugmentedBatch:
-    """m mixed samples, each built from k distinct rows of (x, y).
+    """m mixed samples, each built from k distinct rows of (x, y), 2 <= k <= n.
 
     All m samples are drawn at once. Each sample's sources are a uniform
     k-subset of the n rows, from Floyd's subset sampling run on every row
@@ -51,12 +51,10 @@ def augment_batch(x, y, k: int, alpha: float, m: int,
     n = len(x)
     if x.ndim != 2 or y.shape != (n,):
         raise InvalidParameterError("sources must be an (n, d) matrix with n labels")
-    if k < 2:
-        raise InvalidParameterError("k must be at least 2")
+    if not 2 <= k <= n:
+        raise InvalidParameterError(f"k must lie in [2, {n}] for a batch of {n} rows, got {k!r}")
     if not alpha > 0:
         raise InvalidParameterError("alpha must be positive")
-    if n < k:
-        raise InsufficientBatchError(f"batch of {n} rows cannot supply {k} distinct sources")
     if m < 1:
         raise InvalidParameterError("need at least one augmented sample")
     if not np.all(np.abs(y) == 1.0):

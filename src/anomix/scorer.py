@@ -67,7 +67,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import nn
-from .errors import ContractViolationError, InvalidArchitectureError
+from .errors import ContractViolationError, InvalidParameterError
 from .nn import DenseLayer, Var
 
 LAYER_NAMES = ("rep_hidden", "rep_out", "score_hidden", "score_out")
@@ -135,15 +135,13 @@ class ScorerParams:
 
 
 def hidden_sizes(d_in: int, rep_dim: int) -> tuple[int, int]:
-    """(h1, h2) from the sizing rule; rejects widths that collapse."""
-    if d_in < 1 or rep_dim < 1:
-        raise InvalidArchitectureError("input and representation widths must be positive")
-    # h1 = floor((D + H) / 2) >= 1 here, so only h2 can collapse.
-    h1 = d_in + (rep_dim - d_in) // 2
-    h2 = rep_dim // 2
-    if h2 < 1:
-        raise InvalidArchitectureError(f"rep_dim={rep_dim} leaves no scoring hidden units")
-    return h1, h2
+    """(h1, h2) from the sizing rule. d_in >= 1 and rep_dim >= 2, the widths that leave
+    every layer a unit, or InvalidParameterError in TrainConfig's words."""
+    if d_in < 1:
+        raise InvalidParameterError(f"d_in must be >= 1, got {d_in!r}")
+    if rep_dim < 2:
+        raise InvalidParameterError(f"rep_dim must be >= 2, got {rep_dim!r}")
+    return d_in + (rep_dim - d_in) // 2, rep_dim // 2
 
 
 def layer_shapes(d_in: int, rep_dim: int) -> list[tuple[int, int]]:

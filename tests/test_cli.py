@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from anomix import cli, losses
-from anomix.artifact import ModelArtifact, load_model, save_model, write_manifest
+from anomix.artifact import ModelArtifact, config_hash, load_model, save_model, write_manifest
 from anomix.cli import _TRAIN_KNOBS, build_parser, main
 from anomix.data import (
     CHUNK_ROWS,
@@ -250,7 +250,7 @@ def test_train_checks_its_flags_before_writing(command, flag, value, toy_csv, tm
     out = tmp_path / "run"
     assert main(_train_args(toy_csv, out, command, **{flag: value})) == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] in ("InvalidParameterError", "InvalidArchitectureError")
+    assert record["error"] == "InvalidParameterError"
     assert not (out / "test_split.csv").exists()
     assert not out.exists()
 
@@ -266,8 +266,8 @@ def test_a_label_only_csv_is_refused_before_writing(command, tmp_path, capsys):
     assert main(_train_args(data, out, command)) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert [json.loads(line) for line in err] == [{
-        "error": "InvalidArchitectureError",
-        "message": "input and representation widths must be positive"}]
+        "error": "UnusableDatasetError",
+        "message": f"{data}: no feature column besides 'label'"}]
     assert not out.exists()
 
 
@@ -1116,6 +1116,21 @@ def test_each_command_writes_one_manifest(command, toy_csv, tmp_path):
     assert manifest["output_sha256"] == {
         name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
         for name, path in manifest["outputs"].items()}
+
+
+def test_a_manifest_never_turns_a_value_into_a_string(tmp_path):
+    # As a string, np.int64(5) would hash and record like the config value "5".
+    with pytest.raises(TypeError):
+        config_hash({"a": np.int64(5)})
+    path = tmp_path / "train_manifest.json"
+    manifest = dict(command="train", config={"a": 5}, dataset_fingerprint=None, seed=0,
+                    wall_clock_s=0.0, outputs={})
+    write_manifest(path, metrics={"cells": 5}, **manifest)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_manifest(path, metrics={"cells": np.int64(5)}, **manifest)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train_manifest.json"]
 
 
 # Model files that do not decode, and what the error then says.

@@ -725,8 +725,12 @@ def test_select_labeled_anomalies_counts():
 
 
 def test_select_labeled_anomalies_boundaries():
-    none = select_labeled_anomalies(_training_pool(), 0, np.random.default_rng(0))
-    assert len(none.indices(Role.LABELED_ANOMALY)) == 0
+    # A budget of 0 leaves training no anomaly examples: refused as the CLI refuses it.
+    for n in (0, -1):
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                "labeled_anomalies must be positive: training needs anomaly examples, "
+                f"got {n}")):
+            select_labeled_anomalies(_training_pool(), n, np.random.default_rng(0))
     exact = select_labeled_anomalies(_training_pool(n_anom=5), 5, np.random.default_rng(0))
     assert len(exact.indices(Role.LABELED_ANOMALY)) == 5
     # A budget the data cannot meet fails; it is never met by labeling fewer.
@@ -735,8 +739,6 @@ def test_select_labeled_anomalies_boundaries():
         select_labeled_anomalies(_training_pool(n_anom=5), 30, np.random.default_rng(0))
     with pytest.raises(UnusableDatasetError):
         select_labeled_anomalies(_training_pool(n_anom=0), 30, np.random.default_rng(0))
-    with pytest.raises(InvalidParameterError):
-        select_labeled_anomalies(_training_pool(), -1, np.random.default_rng(0))
 
 
 # -- contamination control --------------------------------------------------------------

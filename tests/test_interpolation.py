@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from anomix.errors import InsufficientBatchError, InvalidParameterError
+from anomix.errors import InvalidParameterError
 from anomix.interpolation import augment_batch
 
 
@@ -34,11 +35,15 @@ def test_weights_simplex_for_k3(rng):
 def test_weights_parameter_validation(rng):
     x = rng.normal(size=(3, 2))
     y = np.array([1.0, -1.0, -1.0])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("k must lie in [2, 3] for a batch of 3 rows, got 1")):
         augment_batch(x, y, k=1, alpha=0.5, m=2, rng=rng)
-    with pytest.raises(InvalidParameterError):
+    # k is checked before alpha, against the batch size too.
+    with pytest.raises(InvalidParameterError, match=re.escape("k must lie in [2, 3]")):
+        augment_batch(x, y, k=4, alpha=0.0, m=2, rng=rng)
+    with pytest.raises(InvalidParameterError, match="^alpha must be positive$"):
         augment_batch(x, y, k=2, alpha=0.0, m=2, rng=rng)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="^alpha must be positive$"):
         augment_batch(x, y, k=2, alpha=-1.0, m=2, rng=rng)
 
 
@@ -118,7 +123,8 @@ def test_augment_batch_determinism():
 def test_augment_batch_validation(rng):
     x = rng.normal(size=(3, 2))
     y = np.array([1.0, -1.0, -1.0])
-    with pytest.raises(InsufficientBatchError):
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("k must lie in [2, 3] for a batch of 3 rows, got 4")):
         augment_batch(x, y, k=4, alpha=0.5, m=2, rng=rng)
     with pytest.raises(InvalidParameterError):
         augment_batch(x, y, k=2, alpha=0.5, m=0, rng=rng)

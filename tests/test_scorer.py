@@ -5,7 +5,7 @@ import pytest
 
 from anomix import scorer
 from anomix.artifact import ModelArtifact, load_model, save_model
-from anomix.errors import ContractViolationError, InvalidArchitectureError
+from anomix.errors import ContractViolationError, InvalidParameterError
 from anomix.nn import TANH_LIMIT, DenseLayer
 from anomix.scorer import (
     ScorerGraph,
@@ -33,11 +33,12 @@ def test_hidden_sizing_rule(d, h, expected):
 
 
 def test_sizing_rejects_collapsed_architectures():
-    with pytest.raises(InvalidArchitectureError):
+    # In TrainConfig's words: build_scorer(8, 0) says what `--rep-dim 0` says.
+    with pytest.raises(InvalidParameterError, match=r"^rep_dim must be >= 2, got 1$"):
         hidden_sizes(4, 1)  # no scoring hidden units
-    with pytest.raises(InvalidArchitectureError):
+    with pytest.raises(InvalidParameterError, match=r"^d_in must be >= 1, got 0$"):
         hidden_sizes(0, 8)
-    with pytest.raises(InvalidArchitectureError):
+    with pytest.raises(InvalidParameterError, match=r"^rep_dim must be >= 2, got 0$"):
         build_scorer(8, 0)
 
 
