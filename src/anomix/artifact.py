@@ -66,7 +66,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
         "seed": artifact.seed,
     }
     _artifact_from_payload(payload, path)
-    write_json(path, payload, indent=1, allow_nan=False)
+    write_json(path, payload)
 
 
 def _base64(array: np.ndarray) -> str:
@@ -87,18 +87,7 @@ def _layer_array(value, shape: tuple, where: str) -> np.ndarray:
 
 
 def _reject_constant(token: str):
-    raise CorruptArtifactError(f"non-finite value {token!r} in model file")
-
-
-def _numbers(value, where: str) -> np.ndarray:
-    """`value`, a nest of JSON numbers, as a float64 array; anything else is named by `where`."""
-    try:
-        array = np.asarray(value)
-    except (ValueError, TypeError) as exc:
-        raise CorruptArtifactError(f"{where} is not an array of numbers ({exc})") from exc
-    _require(array.dtype.kind in "iuf",
-             f"{where} holds a value that is not a number (read as {array.dtype})")
-    return array.astype(np.float64, copy=False)
+    raise ValueError(f"non-finite value {token!r}")
 
 
 def load_model(path) -> ModelArtifact:
@@ -106,8 +95,8 @@ def load_model(path) -> ModelArtifact:
         payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except OSError as exc:
         raise CorruptArtifactError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # Not UTF-8, or nested past the recursion limit: no anomix writer made it.
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, a NaN token, or nested past the recursion limit: no anomix writer made it.
         raise CorruptArtifactError(f"{path}: not valid JSON ({exc})") from exc
     return _artifact_from_payload(payload, path)
 
@@ -147,14 +136,11 @@ def _artifact_from_payload(payload, path) -> ModelArtifact:
 
     norm = payload.get("normalization")
     _require(isinstance(norm, dict), f"{path}: missing normalization block")
-    mins = _numbers(norm.get("min"), f"{path}: normalization block")
-    maxs = _numbers(norm.get("max"), f"{path}: normalization block")
-    _require(mins.shape == (d_in,) and maxs.shape == (d_in,),
-             f"{path}: normalization bounds mis-sized")
     try:
-        norm_state = NormState(mins, maxs)
+        norm_state = NormState(norm.get("min"), norm.get("max"))
     except ContractViolationError as exc:
         raise CorruptArtifactError(f"{path}: {exc}") from exc
+    _require(norm_state.mins.shape == (d_in,), f"{path}: normalization bounds mis-sized")
 
     for key in ("train_config", "seed"):
         _require(key in payload, f"{path}: missing {key}")
@@ -214,4 +200,4 @@ def write_manifest(path, *, command: str, config: dict, dataset_fingerprint: str
         "outputs": outputs,
         "output_sha256": {name: file_fingerprint(path) for name, path in outputs.items()},
     }
-    write_json(path, record, indent=1)
+    write_json(path, record)

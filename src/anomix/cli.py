@@ -132,7 +132,7 @@ def cmd_train(args):
     history_path = out / "history.json"
     # Wall-clock seconds go to the manifest only, so history.json stays deterministic.
     D.write_json(history_path, [{k: v for k, v in asdict(r).items() if k != "seconds"}
-                                for r in history], indent=1)
+                                for r in history])
 
     last = history[-1] if history else None
     metrics = {
@@ -183,7 +183,7 @@ def cmd_evaluate(args):
     scores, y, config, seed = _scored(args)
     payload = asdict(evaluate_scores(scores, y))
     out = _out_dir(args)
-    D.write_json(out / "metrics.json", payload, indent=1)
+    D.write_json(out / "metrics.json", payload)
     return (out, config, args.data, seed, payload, {"metrics": str(out / "metrics.json")},
             [json.dumps(payload, indent=1)])
 

@@ -72,8 +72,15 @@ class NormState:
     maxs: np.ndarray
 
     def __post_init__(self):
-        self.mins = np.asarray(self.mins, dtype=np.float64)
-        self.maxs = np.asarray(self.maxs, dtype=np.float64)
+        try:
+            bounds = np.asarray(self.mins), np.asarray(self.maxs)
+        except ValueError as exc:  # a ragged nest
+            raise ContractViolationError("normalization bounds must be matching vectors") from exc
+        for bound in bounds:
+            if bound.dtype.kind not in "iuf":  # a string, bool, None or int past uint64
+                raise ContractViolationError("normalization bounds hold a value that is not "
+                                             f"a number (read as {bound.dtype})")
+        self.mins, self.maxs = (bound.astype(np.float64, copy=False) for bound in bounds)
         if self.mins.shape != self.maxs.shape or self.mins.ndim != 1:
             raise ContractViolationError("normalization bounds must be matching vectors")
         if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
@@ -173,10 +180,10 @@ def write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_json(path, payload, **dumps_options) -> None:
-    """Atomically write `json.dumps(payload, **dumps_options)`."""
+def write_json(path, payload) -> None:
+    """Atomically write `json.dumps(payload, indent=1, allow_nan=False)`."""
     with atomic_writer(path) as fh:
-        fh.write(json.dumps(payload, **dumps_options))
+        fh.write(json.dumps(payload, indent=1, allow_nan=False))
 
 
 def _read_matrix(path, label_column: str | None) -> tuple[list[str], np.ndarray]:
@@ -633,14 +640,10 @@ def _case_split(kind: str, n: int, rng: np.random.Generator,
     elif kind == "scattered":
         anomalies = _case_scattered(n_anom, rng)
     else:  # novel: one extra anomaly cluster appears only at test time
-        if training:
-            anomalies = _case_clusters(CASE_NOVEL_TRAIN_CENTERS, CASE_ANOMALY_SCALE, n_anom, rng)
-        else:
-            n_novel = n_anom // 3
-            known = _case_clusters(CASE_NOVEL_TRAIN_CENTERS, CASE_ANOMALY_SCALE,
-                                   n_anom - n_novel, rng)
-            novel = CASE_NOVEL_HELD_OUT + CASE_ANOMALY_SCALE * rng.standard_normal((n_novel, 2))
-            anomalies = np.vstack([known, novel])
+        n_novel = 0 if training else n_anom // 3
+        known = _case_clusters(CASE_NOVEL_TRAIN_CENTERS, CASE_ANOMALY_SCALE, n_anom - n_novel, rng)
+        novel = CASE_NOVEL_HELD_OUT + CASE_ANOMALY_SCALE * rng.standard_normal((n_novel, 2))
+        anomalies = np.vstack([known, novel])
     X = np.vstack([normals, anomalies])
     y = np.concatenate([
         np.zeros(len(normals), dtype=np.int64),

@@ -101,8 +101,7 @@ def adam_step(params, grad: np.ndarray, state: AdamState) -> None:
     c2 = 1.0 - ADAM_BETA2 ** state.t
     p, m, v = params.flat, state.m, state.v
     a, s = np.empty_like(p), np.empty_like(p)  # scratch for the delta's intermediates
-    if state.weight_decay != 0.0:
-        p *= 1.0 - state.lr * state.weight_decay
+    p *= 1.0 - state.lr * state.weight_decay
     m *= ADAM_BETA1
     m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
     v *= ADAM_BETA2

@@ -649,7 +649,9 @@ def test_model_json_has_the_bytes_json_dumps_gives(d, h, bounds, tmp_path):
                  "layer 'rep_hidden' holds non-finite values", id="nan-bits"),
     pytest.param("layers.score_out.weights", _first_bits(struct.pack("<d", -math.inf)),
                  "layer 'score_out' holds non-finite values", id="inf-bits"),
-    pytest.param("normalization.min.0", None, "normalization block", id="null-bound"),
+    pytest.param("normalization.min.0", None,
+                 "normalization bounds hold a value that is not a number (read as object)",
+                 id="null-bound"),
     # 1e999 reads as inf
     pytest.param("normalization.max.2", "BIG", "normalization bounds hold non-finite",
                  id="infinite-bound"),
@@ -677,6 +679,40 @@ def test_score_rejects_a_model_with_malformed_numbers(key, value, named, toy_csv
     assert record["error"] == "CorruptArtifactError"
     assert named in record["message"]
     assert not out.exists()
+
+
+# JSON integers are numbers, a bool among them and any up to 2**64 - 1: such bounds build a
+# NormState, and load from a model file, as the float64 values float() gives them.
+def test_integer_bounds_load_as_their_float64_values(tmp_path):
+    mins, maxs = [1, 1, True, 0], [2**64 - 1, 2, 2, 2**63]
+    expected = np.array([float(v) for v in mins]), np.array([float(v) for v in maxs])
+    path = tmp_path / "model.json"
+    save_model(ModelArtifact(build_scorer(4, 8, seed=1), identity_bounds(4), {}, 1), path)
+    payload = json.loads(path.read_text())
+    payload["normalization"] = {"min": mins, "max": maxs}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for state in (NormState(mins, maxs), load_model(path).norm_state):
+        assert state.mins.tobytes() == expected[0].tobytes()
+        assert state.maxs.tobytes() == expected[1].tobytes()
+
+
+# JSON has no NaN or Infinity, though Python's json reads both tokens; a file that holds
+# one is refused by its name.
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("block", ["normalization", "train_config"])
+def test_load_refuses_a_non_finite_token_by_the_file_name(block, token, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(ModelArtifact(build_scorer(4, 8, seed=1), identity_bounds(4), {"lr": 0.001}, 1),
+               path)
+    payload = json.loads(path.read_text())
+    if block == "normalization":
+        payload["normalization"]["min"][0] = "TOKEN"
+    else:
+        payload["train_config"]["lr"] = "TOKEN"
+    path.write_text(json.dumps(payload).replace('"TOKEN"', token), encoding="utf-8")
+    with pytest.raises(CorruptArtifactError) as caught:
+        load_model(path)
+    assert str(caught.value) == f"{path}: not valid JSON (non-finite value {token!r})"
 
 
 def test_load_rejects_seed_and_train_config_tampering(tmp_path):
@@ -888,16 +924,28 @@ def test_save_refuses_what_load_refuses(field, value, hand, named, tmp_path):
         assert str(caught.value) == message
 
 
+_NOT_A_NUMBER = "normalization bounds hold a value that is not a number (read as {})"
+
+
 # Bounds NormState refuses, and the same break in a model file written by hand, where
-# load_model gives NormState's message after the path. No JSON number reads as nan;
-# 1e999 reads as inf.
+# load_model gives NormState's message after the path. `hand` None writes the bounds as
+# they are. No JSON number reads as nan; 1e999 reads as inf. An int past uint64 reads
+# as an object, as does 10**400, which no float64 holds.
 @pytest.mark.parametrize("mins, maxs, hand, message", [
-    pytest.param([0.0, 2.0, 0.0, 0.0], [1.0] * 4,
-                 {"min": [0.0, 2.0, 0.0, 0.0], "max": [1.0] * 4},
+    pytest.param([0.0, 2.0, 0.0, 0.0], [1.0] * 4, None,
                  "normalization bounds have a min above the max", id="swapped-bounds"),
     pytest.param([0.0, np.nan, 0.0, 0.0], [1.0] * 4,
                  {"min": [0.0] * 4, "max": [1.0, "INF", 1.0, 1.0]},
                  "normalization bounds hold non-finite values", id="nan-bound"),
+    pytest.param(["0", "1"], ["1", "2"], None, _NOT_A_NUMBER.format("<U1"), id="string-bounds"),
+    pytest.param([False, False], [True, True], None, _NOT_A_NUMBER.format("bool"),
+                 id="bool-bounds"),
+    pytest.param([None, 0.0], [1.0, 1.0], None, _NOT_A_NUMBER.format("object"), id="null-bound"),
+    pytest.param([0, 0], [1, 10**20], None, _NOT_A_NUMBER.format("object"), id="past-uint64"),
+    pytest.param([0, 10**400], [1, 10**401], None, _NOT_A_NUMBER.format("object"),
+                 id="past-float64"),
+    pytest.param([[0.0], [0.0, 1.0]], [1.0, 1.0], None,
+                 "normalization bounds must be matching vectors", id="ragged-bounds"),
 ])
 def test_norm_state_refuses_what_load_model_refuses(mins, maxs, hand, message, tmp_path):
     with pytest.raises(ContractViolationError) as caught:
@@ -907,11 +955,13 @@ def test_norm_state_refuses_what_load_model_refuses(mins, maxs, hand, message, t
     good = ModelArtifact(build_scorer(4, 8, seed=1), identity_bounds(4), {}, 1)
     save_model(good, path)
     payload = json.loads(path.read_text())
-    payload["normalization"] = hand
+    payload["normalization"] = hand or {"min": mins, "max": maxs}
     path.write_text(json.dumps(payload).replace('"INF"', "1e999"), encoding="utf-8")
     with pytest.raises(CorruptArtifactError) as caught:
         load_model(path)
     assert str(caught.value) == f"{path}: {message}"
+    if not all(type(value) is float for value in mins + maxs):
+        return  # a float64 array holds only floats, so no other break can be made in place
     # Bounds edited in place after NormState checked them still do not reach a file.
     before = path.read_bytes()
     good.norm_state.mins[:], good.norm_state.maxs[:] = mins, maxs
