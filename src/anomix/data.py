@@ -74,7 +74,7 @@ class NormState:
     def __post_init__(self):
         try:
             bounds = np.asarray(self.mins), np.asarray(self.maxs)
-        except ValueError as exc:  # a ragged nest
+        except ValueError as exc:  # a ragged nest; numpy >= 1.24 raises (NEP 34, gh-22004)
             raise ContractViolationError("normalization bounds must be matching vectors") from exc
         for bound in bounds:
             if bound.dtype.kind not in "iuf":  # a string, bool, None or int past uint64

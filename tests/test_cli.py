@@ -500,6 +500,42 @@ def test_scores_csv_has_the_bytes_csv_writer_gives(n, tmp_path):
     assert (out / "scores.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
+def test_quoted_twins_score_as_the_unquoted_file(tmp_path, capsys, monkeypatch):
+    # One model scores a 10000-row file, a copy with every field quoted and a copy with
+    # one cell quoted in row 6000, inside the second CHUNK_ROWS-line chunk. Ingest hands
+    # over to csv.reader never, at the first chunk or at the second.
+    from anomix.data import _parse_lines as parse
+
+    assert CHUNK_ROWS < 5999 <= 2 * CHUNK_ROWS  # row 6000 of the file, the header being row 1
+    plain = tmp_path / "toy.csv"
+    write_csv(generate_toy(10000, seed=1), plain)
+    with open(plain, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(tmp_path / "all.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+    rows[5999][0] = f'"{rows[5999][0]}"'
+    (tmp_path / "one.csv").write_bytes("".join(",".join(row) + "\r\n" for row in rows).encode())
+    taken = []
+
+    def spy(chunk, *args):
+        block = parse(chunk, *args)
+        taken.append(block is not None)
+        return block
+
+    monkeypatch.setattr("anomix.data._parse_lines", spy)
+    model = _untrained_model(tmp_path, 1)
+    scores = {}
+    for name, fast in (("toy", [True, True, True]), ("all", [False]), ("one", [True, False])):
+        taken.clear()
+        out = tmp_path / f"scores-{name}"
+        assert main(["score", "--model", model, "--data", str(tmp_path / f"{name}.csv"),
+                     "--label-col", "label", "--out", str(out)]) == 0
+        assert taken == fast, name
+        scores[name] = (out / "scores.csv").read_bytes()
+    assert scores["all"] == scores["toy"]
+    assert scores["one"] == scores["toy"]
+
+
 def test_synth_round_trips(tmp_path):
     out = tmp_path / "synth"
     assert main(["synth", "--kind", "toy", "--n", "200", "--seed", "3",
@@ -1095,6 +1131,8 @@ def test_a_sweep_cell_is_the_train_run_with_its_seed(toy_csv, tmp_path, capsys):
     pytest.param(["--last-epoch", "0"], None, id="select-best-int"),
 ])
 def test_sweep_rejects_unknown_override_keys(flags, expected, toy_csv, tmp_path, capsys):
+    # Unusable sweep flags are refused before anything is written: a value out of range
+    # exits 1 with a record, a flag argparse cannot parse exits 2.
     out = tmp_path / "sweep"
     argv = _sweep_args(toy_csv, out, 1, *flags)
     if expected is None:
