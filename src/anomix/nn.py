@@ -10,8 +10,10 @@ defaults of arXiv 1412.6980. Training-time state (a step's
 `ScorerGraph`, the optimizer) is single-writer; pure forward evaluation
 with frozen parameters is safe to call concurrently.
 The scorer's LeakyReLU is written where each forward applies it, in
-`scorer`. Hot paths write in place but keep each float operation's
-operands and order, so trained bytes do not move.
+`scorer`. In-place writes stay where they save a copy (bias adds: a fresh
+`x @ W.T + b` made training 5-9% and `score_batch` 13% slower; LeakyReLU
+over its input; `backward` into gradient views), and in Adam, whose update
+must reach the vector every layer views. None reorders a float operation.
 """
 
 from __future__ import annotations
@@ -100,14 +102,11 @@ def adam_step(params, grad: np.ndarray, state: AdamState) -> None:
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
     p, m, v = params.flat, state.m, state.v
-    a, s = np.empty_like(p), np.empty_like(p)  # scratch for the delta's intermediates
     p *= 1.0 - state.lr * state.weight_decay
     m *= ADAM_BETA1
-    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+    m += grad * (1.0 - ADAM_BETA1)
     v *= ADAM_BETA2
-    v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - ADAM_BETA2, out=a)
-    np.multiply(np.divide(m, c1, out=a), state.lr, out=a)
-    np.add(np.sqrt(np.divide(v, c2, out=s), out=s), ADAM_EPS, out=s)
-    p -= np.divide(a, s, out=a)
+    v += (grad * grad) * (1.0 - ADAM_BETA2)
+    p -= (m / c1 * state.lr) / (np.sqrt(v / c2) + ADAM_EPS)
     if not np.isfinite(p).all():
         raise TrainingDivergedError(f"non-finite parameter in {params.nonfinite_label(p)}")
