@@ -28,12 +28,14 @@ cache: at H = 128 scoring 1000 rows holds 0.71 MiB of activations and
 temporaries, where 1024-row blocks held 2.09 MiB, and 4096-row blocks
 10.4 MiB spilled into L3. A fresh process also pays for larger blocks in
 page faults, taken again on every call: a default `anomix train` on 5000
-toy rows, whose every epoch scores 1000 validation rows, took 33.0k minor
-faults at 1024 rows and 6.9k at 256. On a 2-vCPU host with 2 MiB of L2
-per core, one call took, by block size: for the toy model on 100k rows
-256 -> 104 ms, 1024 -> 194 ms (an earlier run: 256 -> 144, 1024 -> 145,
-4096 -> 187, 8192 -> 294 ms); for a wide one (D = 64, H = 256) on 5000
-rows 256 -> 18.6 ms, 1024 -> 20.7 ms. A batch of n <= BLOCK_ROWS rows
+toy rows, whose every epoch scores 1000 validation rows, took 31.0k minor
+faults at 1024 or 4096 rows and 7.4k at 256, by its own getrusage. On a
+2-vCPU host with 2 MiB of L2 per core, at one BLAS thread, a warm call
+took by block size (the median of 9 with sizes alternated, over five
+runs): for the toy model on 100k rows 256 -> 96-129 ms, 1024 -> 94-126 ms
+(within 3% of 256 in each run), 4096 -> 117-147 ms; for a wide one
+(D = 64, H = 256) on 5000 rows 256 -> 17-22 ms, 1024 -> 19-24 ms, 4096 ->
+23-29 ms. A batch of n <= BLOCK_ROWS rows
 scores bit for bit as a whole-matrix forward. Beyond that, on some BLAS
 builds a score's last bits (below 1e-16) can depend on the size of its
 block, as in a whole-matrix forward they depend on n; on the OpenBLAS

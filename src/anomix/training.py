@@ -65,6 +65,9 @@ class TrainConfig:
             *((name, 0 < getattr(self, name) < math.inf, "must be positive and finite")
               for name in ("lr", "alpha", "margin", "temperature")),
             ("weight_decay", 0 <= self.weight_decay < math.inf, "must be finite and >= 0"),
+            # Adam scales every weight by 1 - lr * weight_decay, which must stay positive.
+            ("weight_decay", self.lr * self.weight_decay < 1,
+             f"times lr = {self.lr!r} must be < 1"),
             ("seed", self.seed >= 0, "cannot be negative"),
             ("ablation", self.ablation in ABLATION_MODES, f"must be one of {ABLATION_MODES}"),
         )

@@ -281,13 +281,16 @@ def test_a_label_only_csv_is_refused_before_writing(command, tmp_path, capsys):
     ("--temperature", "nan", "temperature must be positive and finite, got nan"),
     ("--weight-decay", "inf", "weight_decay must be finite and >= 0, got inf"),
     ("--weight-decay", "nan", "weight_decay must be finite and >= 0, got nan"),
+    # At the default lr of 0.005 Adam would scale every weight by 1 - 1.5 = -0.5.
+    ("--weight-decay", 300, "weight_decay times lr = 0.005 must be < 1, got 300.0"),
 ))
 def test_train_error_states_the_value_and_the_limit(command, flag, value, expected, toy_csv,
                                                     tmp_path, capsys):
     out = tmp_path / "run"
     assert main(_train_args(toy_csv, out, command, **{flag: value})) == 1
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record == {"error": "InvalidParameterError", "message": expected}
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in err] == [{"error": "InvalidParameterError",
+                                                   "message": expected}]
     assert not out.exists()
 
 

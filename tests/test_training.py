@@ -166,8 +166,15 @@ def test_train_preconditions_and_validation():
         train(_tiny_dataset(), _fast_config(ablation="nope"))
     with pytest.raises(InvalidParameterError):
         _fast_config(k=1)
-    with pytest.raises(InvalidParameterError):
+    # lr's own rule is reported, not a fault of the weight-decay rule that reads lr.
+    with pytest.raises(InvalidParameterError, match=r"^lr must be positive and finite, got 0\.0$"):
         _fast_config(lr=0.0)
+    # A decay factor 1 - lr * weight_decay of zero or below would zero or flip every weight.
+    for weight_decay in (2.0, 3.0):
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f"weight_decay times lr = 0.5 must be < 1, got {weight_decay}")):
+            TrainConfig(lr=0.5, weight_decay=weight_decay)
+    assert TrainConfig(lr=0.5, weight_decay=1.99).weight_decay == 1.99
     with pytest.raises(InvalidParameterError):
         _fast_config(margin=0.0)
     with pytest.raises(InvalidParameterError, match="seed"):
