@@ -26,8 +26,7 @@ import numpy as np
 
 from .data import NormState, write_json
 from .errors import ContractViolationError, CorruptArtifactError
-from .nn import DenseLayer
-from .scorer import LAYER_NAMES, ScorerParams, hidden_sizes, layer_shapes
+from .scorer import LAYER_NAMES, DenseLayer, ScorerParams, hidden_sizes, layer_shapes
 
 FORMAT_NAME = "anomix-model"
 FORMAT_VERSION = 2

@@ -11,10 +11,15 @@ update exactly once per epoch, after its last batch. A master seed fans
 out to the "init", "batching", and "augmentation" substreams, so a fixed
 (dataset, config, seed) triple reproduces the run bit for bit.
 
+Adam, with beta1, beta2 and eps at the defaults of arXiv 1412.6980, updates
+`ScorerParams.flat` in place in one pass, with one first and one second
+moment vector laid out like it, so the update reaches the vector every
+layer views. Its state, like the step's graph, is single-writer.
+
 `TrainConfig` holds exactly the knobs a command sets, each a flag shared by
 `anomix train` and `anomix sweep`, and is checked once, when it is built.
 Fixed implementation details live with the code that uses them: Adam's
-constants in `nn`, the smooth-L1 beta of 1 in `losses`, the LeakyReLU slope
+constants here, the smooth-L1 beta of 1 in `losses`, the LeakyReLU slope
 in `ScorerParams`.
 """
 
@@ -28,13 +33,22 @@ import numpy as np
 
 from . import losses as L
 from .data import Dataset, Role
-from .errors import InvalidParameterError, TrainingDivergedError, UnusableDatasetError
+from .errors import (
+    ContractViolationError,
+    InvalidParameterError,
+    TrainingDivergedError,
+    UnusableDatasetError,
+)
 from .interpolation import augment_batch
 from .losses import ABLATION_MODES
 from .metrics import auc_pr
-from .nn import AdamState, adam_step
 from .rng import child_seed, substream
 from .scorer import ScorerGraph, backward, build_scorer, score_batch
+
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,6 +98,43 @@ class EpochRecord:
     weight: float
     val_auc_pr: float | None
     seconds: float
+
+
+@dataclass
+class AdamState:
+    """Adam's step counter and its two moment vectors, laid out like the parameters."""
+
+    lr: float
+    weight_decay: float
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
+
+
+def adam_step(params, grad: np.ndarray, state: AdamState) -> None:
+    """One in-place Adam update of `params.flat`, with decoupled weight decay.
+
+    `grad` and the moments share the layout of `params.flat`. Decay shrinks the parameters
+    first as p * (1 - lr*decay), which rounds unlike p - lr*decay*p; then
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order. A non-finite gradient (checked
+    before anything moves) or updated value raises TrainingDivergedError naming its array.
+    """
+    if grad.shape != params.flat.shape:
+        raise ContractViolationError(f"{grad.shape} gradient for {params.flat.size} parameters")
+    if not np.isfinite(grad).all():
+        raise TrainingDivergedError(f"non-finite gradient in {params.nonfinite_label(grad)}")
+    state.t += 1
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    p, m, v = params.flat, state.m, state.v
+    p *= 1.0 - state.lr * state.weight_decay
+    m *= ADAM_BETA1
+    m += grad * (1.0 - ADAM_BETA1)
+    v *= ADAM_BETA2
+    v += (grad * grad) * (1.0 - ADAM_BETA2)
+    p -= (m / c1 * state.lr) / (np.sqrt(v / c2) + ADAM_EPS)
+    if not np.isfinite(p).all():
+        raise TrainingDivergedError(f"non-finite parameter in {params.nonfinite_label(p)}")
 
 
 def sample_batches(X: np.ndarray, anomalies: np.ndarray, unlabeled: np.ndarray, b: int,

@@ -6,8 +6,7 @@ import pytest
 
 from anomix.data import NormState
 from anomix.losses import feature_regularizer_graph, scoring_loss_graph
-from anomix.nn import DenseLayer
-from anomix.scorer import ScorerParams
+from anomix.scorer import DenseLayer, ScorerParams
 
 
 def identity_bounds(d: int) -> NormState:

@@ -1,17 +1,26 @@
 """The benchmark times training, ingest and scoring by wrapping package
 names from outside (perfbench/tracer.py). A refactor that removes, renames or bypasses one of
 those names makes a traced benchmark run fail; this catches it in the
-tier-1 suite."""
+tier-1 suite. `anomix.nn` is the hooks module: it holds only the two names
+the tracer patches to time a training step, `Var` and `v_linear`."""
 
 import importlib
 from pathlib import Path
 
+import anomix.nn
 from anomix.artifact import load_model
 from anomix.cli import main
 from anomix.data import generate_toy, write_csv, write_rows
 from anomix.scorer import LAYER_NAMES, layer_shapes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_the_hooks_module_defines_only_the_two_hooks():
+    # Anything else in `nn` has an owner elsewhere; deleting the tracer's
+    # patches of these two deletes the module.
+    defined = {name for name in vars(anomix.nn) if not name.startswith("_")}
+    assert defined - {"annotations", "np"} == {"Var", "v_linear"}
 
 
 def test_tracer_sees_every_stage_of_a_cli_train(tmp_path, monkeypatch, capsys):

@@ -1119,8 +1119,8 @@ def test_a_sweep_cell_is_the_train_run_with_its_seed(toy_csv, tmp_path, capsys):
     pytest.param(["--labeled-anomalies", "-3"], "labeled_anomalies must be positive: training "
                  "needs anomaly examples, got -3", id="budget-negative"),
     # Flags argparse rejects: a usage error, exit 2.
-    pytest.param(["--n-epoch", "0"], None, id="unknown-keys"),
-    pytest.param(["--config", "sweep.json"], None, id="not-an-object"),  # the JSON config is gone
+    pytest.param(["--n-epoch", "0"], None, id="n-epoch-flag"),
+    pytest.param(["--config", "sweep.json"], None, id="config-flag"),
     pytest.param(["--data"], None, id="no-data"),
     pytest.param(["--repeats", "x"], None, id="repeats-str"),
     pytest.param(["--repeats", "2.0"], None, id="repeats-float"),
@@ -1130,12 +1130,10 @@ def test_a_sweep_cell_is_the_train_run_with_its_seed(toy_csv, tmp_path, capsys):
     pytest.param(["--epochs", "True"], None, id="epochs-bool"),
     pytest.param(["--lr", "False"], None, id="lr-bool"),
     pytest.param(["--ablation", "1"], None, id="ablation-int"),
-    pytest.param(["--last-epoch", "no"], None, id="select-best-str"),
-    pytest.param(["--last-epoch", "0"], None, id="select-best-int"),
+    pytest.param(["--last-epoch", "no"], None, id="last-epoch-str"),
+    pytest.param(["--last-epoch", "0"], None, id="last-epoch-int"),
 ])
-def test_sweep_rejects_unknown_override_keys(flags, expected, toy_csv, tmp_path, capsys):
-    # Unusable sweep flags are refused before anything is written: a value out of range
-    # exits 1 with a record, a flag argparse cannot parse exits 2.
+def test_sweep_refuses_unusable_flags_before_writing(flags, expected, toy_csv, tmp_path, capsys):
     out = tmp_path / "sweep"
     argv = _sweep_args(toy_csv, out, 1, *flags)
     if expected is None:
@@ -1146,7 +1144,7 @@ def test_sweep_rejects_unknown_override_keys(flags, expected, toy_csv, tmp_path,
         assert main(argv) == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "InvalidParameterError", "message": expected}
-    assert not out.exists()  # rejected before anything is written
+    assert not out.exists()
 
 
 def test_sweep_empty_grid(toy_csv, tmp_path, capsys):

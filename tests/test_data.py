@@ -47,7 +47,7 @@ from anomix.errors import (
     UnusableDatasetError,
 )
 from anomix.metrics import auc_roc
-from anomix.nn import TANH_LIMIT
+from anomix.scorer import TANH_LIMIT
 from tests.conftest import identity_bounds
 
 

@@ -14,8 +14,8 @@ from anomix.losses import (
     scoring_loss_graph,
     smooth_l1,
 )
-from anomix.nn import DenseLayer
 from anomix.scorer import (
+    DenseLayer,
     ScorerGraph,
     ScorerParams,
     backward,

@@ -5,7 +5,7 @@ import pytest
 
 from anomix.errors import UndefinedMetricError
 from anomix.metrics import MetricsReport, auc_pr, auc_roc, evaluate_scores
-from anomix.nn import TANH_LIMIT
+from anomix.scorer import TANH_LIMIT
 
 
 def roc_oracle(scores, labels) -> Fraction:

@@ -8,20 +8,17 @@ import pytest
 from anomix.errors import ContractViolationError, TrainingDivergedError
 from anomix.interpolation import augment_batch
 from anomix.losses import ABLATION_MODES
-from anomix.nn import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
+from anomix.nn import Var, v_linear
+from anomix.scorer import (
     TANH_LIMIT,
-    AdamState,
     DenseLayer,
-    Var,
-    adam_step,
-    init_dense,
-    v_linear,
+    ScorerGraph,
+    ScorerParams,
+    _leaky_relu,
+    backward,
+    build_scorer,
 )
-from anomix.scorer import ScorerGraph, ScorerParams, _leaky_relu, backward, build_scorer
-from anomix.training import TrainConfig
+from anomix.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, adam_step
 from tests.conftest import step_losses, tanh_line_scorer
 
 
@@ -117,14 +114,14 @@ def test_tanh_values():
     assert out[3] > -1.0
 
 
-def test_init_dense_deterministic_and_scaled():
-    a = init_dense(4, 9, np.random.default_rng(5))
-    b = init_dense(4, 9, np.random.default_rng(5))
-    c = init_dense(4, 9, np.random.default_rng(6))
-    assert np.array_equal(a.weights, b.weights)
-    assert not np.array_equal(a.weights, c.weights)
-    assert np.abs(a.weights).max() < 1.0 / 3.0
-    assert np.array_equal(a.bias, np.zeros(4))
+def test_build_scorer_deterministic_and_scaled():
+    a = build_scorer(9, 16, seed=5)
+    assert np.array_equal(a.flat, build_scorer(9, 16, seed=5).flat)
+    assert not np.array_equal(a.flat, build_scorer(9, 16, seed=6).flat)
+    for name, layer in a.named_layers():
+        limit = 1.0 / math.sqrt(layer.weights.shape[1])
+        assert 0 < np.abs(layer.weights).max() < limit, name
+        assert np.array_equal(layer.bias, np.zeros(layer.weights.shape[0])), name
 
 
 # -- explicit backward ---------------------------------------------------------

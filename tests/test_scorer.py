@@ -6,8 +6,9 @@ import pytest
 from anomix import scorer
 from anomix.artifact import ModelArtifact, load_model, save_model
 from anomix.errors import ContractViolationError, InvalidParameterError
-from anomix.nn import TANH_LIMIT, DenseLayer
 from anomix.scorer import (
+    TANH_LIMIT,
+    DenseLayer,
     ScorerGraph,
     ScorerParams,
     build_scorer,

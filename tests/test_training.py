@@ -17,10 +17,9 @@ from anomix.errors import InvalidParameterError, TrainingDivergedError, Unusable
 from anomix.interpolation import augment_batch
 from anomix.losses import ABLATION_MODES, dynamic_weight
 from anomix.metrics import auc_pr
-from anomix.nn import AdamState, adam_step
 from anomix.rng import child_seed, substream
 from anomix.scorer import ScorerGraph, backward, build_scorer, score_batch
-from anomix.training import TrainConfig, sample_batches, train
+from anomix.training import AdamState, TrainConfig, adam_step, sample_batches, train
 from tests.conftest import nan_loss_at, step_losses
 
 
