@@ -310,12 +310,11 @@ def backward(graph: ScorerGraph, g_scores: np.ndarray, g_rep: np.ndarray | None)
     # One output unit: the outer product is a broadcast. Where a product is zero it keeps
     # its sign (-0.0 where a matmul's 0 + a*b gave +0.0); Adam's m, starting at +0.0, absorbs it.
     g_hidden2 = (g_out * p.score_out.weights) * graph.f2
-    # Unscored rows get 0.0 + g_rep, as a zero-padded sum gave: -0.0 turns into +0.0.
     g_rep_total = np.empty_like(graph.rep)
-    head = np.matmul(g_hidden2, p.score_hidden.weights, out=g_rep_total[:n_scored])
-    np.add(0.0, 0.0 if g_rep is None else g_rep[n_scored:], out=g_rep_total[n_scored:])
+    np.matmul(g_hidden2, p.score_hidden.weights, out=g_rep_total[:n_scored])
+    g_rep_total[n_scored:] = 0.0
     if g_rep is not None:
-        head += g_rep[:n_scored]
+        g_rep_total += g_rep
     g_hidden1 = (g_rep_total @ p.rep_out.weights) * graph.f1
     grad = np.empty_like(p.flat)
     views = iter(p.views(grad))

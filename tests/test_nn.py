@@ -231,6 +231,17 @@ def test_forward_and_backward_equal_their_plain_formulation_bitwise(mode, k):
         assert backward(graph, g_scores, g_rep).tobytes() == grad.tobytes()
 
 
+def test_backward_without_a_representation_gradient_equals_the_plain_formulation_bitwise(rng):
+    # rows represented past the scored prefix and no g_rep: those rows' gradient is the
+    # zero padding alone, a path train() never takes
+    params = build_scorer(4, 8, seed=7)
+    graph = ScorerGraph(params)
+    graph.forward(rng.uniform(0, 1, size=(9, 4)), 5)
+    g_scores = rng.normal(size=5)
+    _rep, _t, grad = _plain_forward_backward(params, graph.x, 5, g_scores, None)
+    assert backward(graph, g_scores, None).tobytes() == grad.tobytes()
+
+
 # -- optimizer ---------------------------------------------------------------
 
 
